@@ -8,8 +8,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import ModelKind, State, velocity
-from .spectral import Field, ddx1, ddx2, forward, inverse
+from .dynamics import ModelKind, State
+from .spectral import Field, ddx2, gradient
 
 __all__ = [
     "TimeSeries",
@@ -122,10 +122,8 @@ def extrapolate_blowup(series: TimeSeries, window: Optional[tuple[float, float]]
 
 def sup_grad(f: Field) -> tuple[float, tuple[float, float]]:
     """Max over nodes of |grad f| (spectral derivatives) and its location."""
-    f_hat = forward(f)
-    gx = inverse(ddx1(f_hat)).values
-    gy = inverse(ddx2(f_hat)).values
-    mag = np.hypot(gx, gy)
+    gx, gy = gradient(f)
+    mag = np.hypot(gx.values, gy.values)
     j, k = np.unravel_index(int(np.argmax(mag)), mag.shape)
     grid = f.grid
     return float(mag[j, k]), (float(grid.x1[j]), float(grid.x2[k]))
@@ -133,8 +131,9 @@ def sup_grad(f: Field) -> tuple[float, tuple[float, float]]:
 
 def min_axis_slope(f: Field) -> float:
     """Min over the x2 = 0 row of the spectral d/dx1 of f."""
-    row = f.values[:, 0]
-    slope = np.fft.ifft(np.fft.fft(row) * 1j * f.grid.kx_deriv).real
+    nx = f.grid.nx
+    row_hat = np.fft.rfft(f.values[:, 0])
+    slope = np.fft.irfft(row_hat * (1j * f.grid.kx_deriv[: nx // 2 + 1]), n=nx)
     return float(np.min(slope))
 
 
@@ -199,26 +198,20 @@ def residual_from_states(prev: State, mid: State, nxt: State):
         raise ValueError("snapshots must be time-ordered")
     h1, h2 = mid.t - prev.t, nxt.t - mid.t
     grid = mid.grid
-    u1, u2 = velocity(mid)
-
-    def grad(fld: Field) -> tuple[np.ndarray, np.ndarray]:
-        f_hat = forward(fld)
-        return inverse(ddx1(f_hat)).values, inverse(ddx2(f_hat)).values
-
-    tx1, tx2 = grad(mid.theta)
+    kin = mid.kinematics
     dtheta_dt = _central_dt(prev.theta.values, mid.theta.values, nxt.theta.values, h1, h2)
-    res_theta = dtheta_dt + u1.values * tx1 + u2.values * tx2
+    res_theta = dtheta_dt + kin.u1 * kin.dtheta_dx1 + kin.u2 * kin.dtheta_dx2
     max_theta = float(np.max(np.abs(res_theta)))
     if mid.model is ModelKind.SINGULAR_SCALAR:
         return max_theta, None
-    wx1, wx2 = grad(mid.omega)
+    wx1, wx2 = gradient(mid.omega)
     domega_dt = _central_dt(prev.omega.values, mid.omega.values, nxt.omega.values, h1, h2)
-    lhs = domega_dt + u1.values * wx1 + u2.values * wx2
+    lhs = domega_dt + kin.u1 * wx1.values + kin.u2 * wx2.values
     if mid.model is ModelKind.BOUSSINESQ:
-        rhs = tx1
+        rhs = kin.dtheta_dx1
     else:
-        sq_hat = forward(Field(grid, mid.theta.values**2))
-        rhs = -inverse(ddx2(sq_hat)).values
+        sq_hat = Field(grid, mid.theta.values**2).hat
+        rhs = -Field(grid, hat=ddx2(sq_hat)).values
     return max_theta, float(np.max(np.abs(lhs - rhs)))
 
 

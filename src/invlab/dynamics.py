@@ -5,6 +5,12 @@ Three inviscid models share one transport core:
   singular scalar      d theta/dt + u.grad(theta) = 0,   u1 = theta via -d(psi)/dx2 = theta
   Boussinesq           adds vorticity with forcing  +d(theta)/dx1,  Delta psi = omega
   modified Boussinesq  vorticity forcing            -d(theta^2)/dx2, Delta psi = omega
+
+The RK4 stages run on half spectra (see invlab.spectral): a stage hands
+the next one its spectrum, never nodal values to transform straight back.
+The nodal velocity and grad theta of each state are computed once
+(State.kinematics) and feed the CFL bound, the gradient ceiling and the
+first stage of the next step.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -26,13 +33,15 @@ from .spectral import (
     ddx1,
     ddx2,
     dealias,
-    forward,
-    inverse,
+    forward,  # unused here; perfbench/test_perfbench.py checks that its tracer patches this binding
+    gradient,
+    laplacian,
     poisson_solve,
 )
 
 __all__ = [
     "ModelKind",
+    "Kinematics",
     "State",
     "StepControl",
     "BlowupSignal",
@@ -45,7 +54,6 @@ __all__ = [
     "symmetry_project",
     "integrate",
     "admissible_dt",
-    "max_gradient",
 ]
 
 
@@ -60,11 +68,35 @@ class ModelKind(Enum):
 
 
 @dataclass
+class Kinematics:
+    """Nodal velocity and grad theta of one state, with their maxima.
+
+    The maxima are computed on first use: the CFL bound and the gradient
+    ceiling read them for accepted states, never for RK4 stages.
+    """
+
+    u1: np.ndarray
+    u2: np.ndarray
+    dtheta_dx1: np.ndarray
+    dtheta_dx2: np.ndarray
+
+    @cached_property
+    def max_speed(self) -> float:
+        return float(np.max(np.hypot(self.u1, self.u2)))
+
+    @cached_property
+    def max_grad(self) -> float:
+        return float(np.max(np.hypot(self.dtheta_dx1, self.dtheta_dx2)))
+
+
+@dataclass
 class State:
     """Evolved fields at time t.
 
     theta holds the active scalar (called rho in the modified model);
-    omega is present exactly when the model evolves vorticity.
+    omega is present exactly when the model evolves vorticity.  A state
+    is not changed after it is built: its kinematics are computed once
+    and kept.
     """
 
     model: ModelKind
@@ -86,6 +118,22 @@ class State:
     @property
     def grid(self) -> Grid2D:
         return self.theta.grid
+
+    @property
+    def fields(self) -> list[Field]:
+        """theta, then omega when the model evolves it."""
+        return [self.theta] if self.omega is None else [self.theta, self.omega]
+
+    @cached_property
+    def kinematics(self) -> Kinematics:
+        """Velocity and grad theta: four real inverse transforms, once per state."""
+        grid = self.grid
+        omega_hat = self.omega.hat if self.omega is not None else None
+        u1_hat, u2_hat = _velocity_hat(self.model, self.theta.hat, omega_hat)
+        u1 = Field(grid, hat=u1_hat).values
+        u2 = Field(grid, hat=u2_hat).values
+        gx, gy = (g.values for g in gradient(self.theta))
+        return Kinematics(u1, u2, gx, gy)
 
     def copy(self) -> "State":
         return State(
@@ -157,14 +205,15 @@ class IntegrationResult:
 
 
 def _velocity_hat(model: ModelKind, theta_hat: Spectrum, omega_hat: Optional[Spectrum]):
-    """Stream-function inversion in coefficient space; returns (u1_hat, u2_hat)."""
+    """Stream-function inversion on half spectra; returns (u1_hat, u2_hat)."""
     grid = theta_hat.grid
     if model is ModelKind.SINGULAR_SCALAR:
         # The x2-mean modes m(x1) of theta have no periodic primitive in x2.
         # Carry them with the divergence-free closure
         #   u1 += m(x1) cos(q x2),  u2 -= m'(x1) sin(q x2)/q,  q = 2 pi / ly,
         # which is exact on the x2 = 0 axis (u1 = theta, u2 unchanged) and
-        # reduces to the plain inversion when the mean modes vanish.
+        # reduces to the plain inversion when the mean modes vanish.  Only
+        # the k2 = +1 column is stored; its k2 = -1 partner is implied.
         mean = theta_hat.coeffs[:, 0].copy()
         core = theta_hat.copy()
         core.coeffs[:, 0] = 0.0
@@ -177,10 +226,8 @@ def _velocity_hat(model: ModelKind, theta_hat: Spectrum, omega_hat: Optional[Spe
         m = mean.copy()
         m[0] = 0.0
         u1.coeffs[:, 1] += 0.5 * m
-        u1.coeffs[:, -1] += 0.5 * m
         dm = 1j * grid.kx_deriv * m
         u2.coeffs[:, 1] += (1j / (2.0 * q)) * dm
-        u2.coeffs[:, -1] += (-1j / (2.0 * q)) * dm
         return u1, u2
     psi = poisson_solve(omega_hat)
     u1 = ddx2(psi)
@@ -191,84 +238,56 @@ def _velocity_hat(model: ModelKind, theta_hat: Spectrum, omega_hat: Optional[Spe
 
 def velocity(state: State) -> tuple[Field, Field]:
     """Reconstruct the divergence-free velocity (u1, u2) for the state."""
-    theta_hat = forward(state.theta)
-    omega_hat = forward(state.omega) if state.omega is not None else None
-    u1, u2 = _velocity_hat(state.model, theta_hat, omega_hat)
-    return inverse(u1), inverse(u2)
+    kin = state.kinematics
+    return Field(state.grid, kin.u1.copy()), Field(state.grid, kin.u2.copy())
 
 
 def tendency(state: State, ctrl: StepControl = StepControl()) -> tuple[Field, Optional[Field]]:
-    """Right-hand side fields (dtheta/dt, domega/dt or None)."""
-    grid = state.grid
-    theta_hat = forward(state.theta)
-    omega_hat = forward(state.omega) if state.omega is not None else None
-    u1_hat, u2_hat = _velocity_hat(state.model, theta_hat, omega_hat)
-    u1 = inverse(u1_hat).values
-    u2 = inverse(u2_hat).values
+    """Right-hand side fields (dtheta/dt, domega/dt or None).
 
-    def advect(f_hat: Spectrum) -> Spectrum:
-        gx = inverse(ddx1(f_hat)).values
-        gy = inverse(ddx2(f_hat)).values
+    The fields come as half spectra; their nodal values are computed only
+    if read.
+    """
+    grid = state.grid
+    kin = state.kinematics
+
+    def advect(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            # overflow here is a detected blowup, reported by forward()
-            product = u1 * gx + u2 * gy
-        adv = forward(Field(grid, product))
-        return dealias(adv) if ctrl.dealias else adv
+            # overflow here is a detected blowup, reported by Field.hat
+            product = kin.u1 * gx + kin.u2 * gy
+        adv = Field(grid, product).hat
+        return (dealias(adv) if ctrl.dealias else adv).coeffs
 
     nu = ctrl.hyperviscosity
-    dtheta_hat = -advect(theta_hat).coeffs
+    dtheta_hat = -advect(kin.dtheta_dx1, kin.dtheta_dx2)
     if nu > 0:
-        dtheta_hat -= nu * (grid.k_squared**2) * theta_hat.coeffs
+        dtheta_hat -= nu * laplacian(laplacian(state.theta.hat)).coeffs
 
     if state.model is ModelKind.SINGULAR_SCALAR:
-        return inverse(Spectrum(grid, dtheta_hat)), None
+        return Field(grid, hat=Spectrum(grid, dtheta_hat)), None
 
-    domega_hat = -advect(omega_hat).coeffs
+    domega_dx1, domega_dx2 = gradient(state.omega)
+    domega_hat = -advect(domega_dx1.values, domega_dx2.values)
     if state.model is ModelKind.BOUSSINESQ:
-        domega_hat += ddx1(theta_hat).coeffs
+        domega_hat += ddx1(state.theta.hat).coeffs
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             squared = state.theta.values**2
-        sq = forward(Field(grid, squared))
+        sq = Field(grid, squared).hat
         if ctrl.dealias:
             sq = dealias(sq)
         domega_hat -= ddx2(sq).coeffs
     if nu > 0:
-        domega_hat -= nu * (grid.k_squared**2) * omega_hat.coeffs
-    return inverse(Spectrum(grid, dtheta_hat)), inverse(Spectrum(grid, domega_hat))
-
-
-def max_speed(state: State) -> float:
-    u1, u2 = velocity(state)
-    return float(np.max(np.hypot(u1.values, u2.values)))
-
-
-def max_gradient(f: Field) -> float:
-    """max over nodes of |grad f| via spectral derivatives."""
-    f_hat = forward(f)
-    gx = inverse(ddx1(f_hat)).values
-    gy = inverse(ddx2(f_hat)).values
-    return float(np.max(np.hypot(gx, gy)))
+        domega_hat -= nu * laplacian(laplacian(state.omega.hat)).coeffs
+    return Field(grid, hat=Spectrum(grid, dtheta_hat)), Field(grid, hat=Spectrum(grid, domega_hat))
 
 
 def admissible_dt(state: State, ctrl: StepControl) -> float:
     """CFL-admissible step for the state; inf when the flow is at rest."""
-    umax = max_speed(state)
+    umax = state.kinematics.max_speed
     if umax == 0.0:
         return math.inf
     return ctrl.cfl * min(state.grid.dx, state.grid.dy) / umax
-
-
-def _pack(state: State) -> list[np.ndarray]:
-    arrays = [state.theta.values]
-    if state.omega is not None:
-        arrays.append(state.omega.values)
-    return arrays
-
-
-def _make_state(model: ModelKind, grid: Grid2D, t: float, arrays: Sequence[np.ndarray]) -> State:
-    omega = Field(grid, arrays[1]) if len(arrays) > 1 else None
-    return State(model, t, Field(grid, arrays[0]), omega)
 
 
 def rk4_step(state: State, ctrl: StepControl, dt: Optional[float] = None) -> State:
@@ -286,45 +305,39 @@ def rk4_step(state: State, ctrl: StepControl, dt: Optional[float] = None) -> Sta
         raise CFLViolationError(dt, adm)
 
     grid = state.grid
-    y0 = _pack(state)
 
     def blowup(t: float) -> BlowupDetected:
-        return BlowupDetected(t, max_gradient(state.theta), "non-finite", state)
+        return BlowupDetected(t, state.kinematics.max_grad, "non-finite", state)
 
-    def rhs(t: float, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
-        for arr in arrays:
-            if not np.all(np.isfinite(arr)):
+    def at(t: float, coeffs: Sequence[np.ndarray]) -> State:
+        for c in coeffs:
+            if not np.all(np.isfinite(c)):
                 raise blowup(t)
-        stage = _make_state(state.model, grid, t, arrays)
+        return State(state.model, t, *(Field(grid, hat=Spectrum(grid, c)) for c in coeffs))
+
+    def rhs(stage: State) -> list[np.ndarray]:
         try:
-            dtheta, domega = tendency(stage, ctrl)
+            derivs = tendency(stage, ctrl)
         except NonFiniteFieldError:
             # a finite stage can still overflow inside the nonlinear products
-            raise blowup(t) from None
-        out = [dtheta.values]
-        if domega is not None:
-            out.append(domega.values)
-        return out
+            raise blowup(stage.t) from None
+        return [d.hat.coeffs for d in derivs if d is not None]
 
     t0 = state.t
-    k1 = rhs(t0, y0)
-    k2 = rhs(t0 + dt / 2, [y + dt / 2 * k for y, k in zip(y0, k1)])
-    k3 = rhs(t0 + dt / 2, [y + dt / 2 * k for y, k in zip(y0, k2)])
-    k4 = rhs(t0 + dt, [y + dt * k for y, k in zip(y0, k3)])
-
-    new = [
-        y + dt / 6 * (a + 2 * b + 2 * c + d)
-        for y, a, b, c, d in zip(y0, k1, k2, k3, k4)
-    ]
-    for arr in new:
-        if not np.all(np.isfinite(arr)):
-            raise blowup(t0 + dt)
-    return _make_state(state.model, grid, t0 + dt, new)
+    y0 = [f.hat.coeffs for f in state.fields]
+    k1 = rhs(state)
+    k2 = rhs(at(t0 + dt / 2, [y + dt / 2 * k for y, k in zip(y0, k1)]))
+    k3 = rhs(at(t0 + dt / 2, [y + dt / 2 * k for y, k in zip(y0, k2)]))
+    k4 = rhs(at(t0 + dt, [y + dt * k for y, k in zip(y0, k3)]))
+    return at(
+        t0 + dt,
+        [y + dt / 6 * (a + 2 * b + 2 * c + d) for y, a, b, c, d in zip(y0, k1, k2, k3, k4)],
+    )
 
 
-def _reflect_x2(values: np.ndarray) -> np.ndarray:
-    # node k maps to node (-k) mod ny
-    return np.roll(values[:, ::-1], 1, axis=1)
+def _reflect_x2(f: Field) -> np.ndarray:
+    # half spectrum of f(x1, -x2): coeff(k1, -k2) = conj(coeff(-k1, k2))
+    return np.conj(np.roll(f.hat.coeffs[::-1], 1, axis=0))
 
 
 def symmetry_project(state: State) -> State:
@@ -333,12 +346,13 @@ def symmetry_project(state: State) -> State:
     The scalar model keeps the even part of theta; the vorticity models
     keep the odd parts of both theta (rho) and omega.
     """
-    if state.model is ModelKind.SINGULAR_SCALAR:
-        theta = 0.5 * (state.theta.values + _reflect_x2(state.theta.values))
-        return State(state.model, state.t, Field(state.grid, theta))
-    theta = 0.5 * (state.theta.values - _reflect_x2(state.theta.values))
-    omega = 0.5 * (state.omega.values - _reflect_x2(state.omega.values))
-    return State(state.model, state.t, Field(state.grid, theta), Field(state.grid, omega))
+    sign = 1.0 if state.model is ModelKind.SINGULAR_SCALAR else -1.0
+    grid = state.grid
+    projected = [
+        Field(grid, hat=Spectrum(grid, 0.5 * (f.hat.coeffs + sign * _reflect_x2(f))))
+        for f in state.fields
+    ]
+    return State(state.model, state.t, *projected)
 
 
 def integrate(
@@ -368,7 +382,7 @@ def integrate(
             return IntegrationResult(current, signal, steps)
         if ctrl.project_symmetry:
             new = symmetry_project(new)
-        grad = max_gradient(new.theta)
+        grad = new.kinematics.max_grad
         if not math.isfinite(grad):
             signal = BlowupSignal(new.t, grad, "non-finite", list(trace))
             return IntegrationResult(current, signal, steps)

@@ -2,7 +2,16 @@
 
 Fields live on a uniform doubly periodic grid; spectra hold normalized
 Fourier coefficients (coefficient of the constant mode equals the mean).
-All operations are pure functions and safe to call concurrently.
+A Spectrum comes in one of two layouts:
+
+  full   shape (nx, ny), every mode, from forward() (complex fft2);
+  half   shape (nx, ny/2 + 1), modes k2 = 0 .. ny/2 only, from Field.hat
+         (real rfft2).  The modes k2 < 0 follow by Hermitian symmetry.
+
+The derivative, inversion and dealiasing operators accept either layout.
+The time stepper works on half spectra; forward() and inverse() serve
+callers that want every mode.  Operators are pure functions; a Field
+keeps the representation it computed on first use (see Field).
 """
 
 from __future__ import annotations
@@ -10,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,6 +36,7 @@ __all__ = [
     "poisson_solve",
     "antideriv_x2",
     "dealias",
+    "gradient",
     "hermitian_defect",
 ]
 
@@ -62,6 +72,11 @@ class Grid2D:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nx, self.ny)
+
+    @property
+    def half_shape(self) -> tuple[int, int]:
+        """Shape of a half spectrum: k2 = 0 .. ny/2."""
+        return (self.nx, self.ny // 2 + 1)
 
     @property
     def dx(self) -> float:
@@ -128,19 +143,54 @@ class Grid2D:
         return keep1[:, None] & keep2[None, :]
 
 
-@dataclass
 class Field:
-    """Real nodal values on a Grid2D, shape (nx, ny)."""
+    """Real field on a Grid2D, known by its nodal values, its half spectrum, or both.
 
-    grid: Grid2D
-    values: np.ndarray
+    Nodal values have shape (nx, ny).  The half spectrum (`hat`) is the
+    rfft2 of the values, normalized like forward().  Whichever of the two
+    was not given is computed on first use and kept, so both are
+    read-only: replace `values` by assignment, which drops the kept
+    spectrum.
+    """
 
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != self.grid.shape:
+    __slots__ = ("grid", "_values", "_hat")
+
+    def __init__(self, grid: Grid2D, values: Optional[np.ndarray] = None, *, hat: Optional["Spectrum"] = None):
+        self.grid = grid
+        self._hat = None
+        self._values = None
+        if values is not None:
+            self.values = values
+        elif hat is None:
+            raise ValueError("a field needs nodal values or a half spectrum")
+        if hat is not None:
+            if hat.grid != grid or not hat.half:
+                raise ValueError("hat must be a half spectrum on the field's grid")
+            self._hat = hat
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = np.fft.irfft2(self._hat.coeffs, s=self.grid.shape, norm="forward")
+        return self._values
+
+    @values.setter
+    def values(self, values: np.ndarray) -> None:
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != self.grid.shape:
             raise ValueError(
-                f"values shape {self.values.shape} does not match grid {self.grid.shape}"
+                f"values shape {values.shape} does not match grid {self.grid.shape}"
             )
+        self._values = values
+        self._hat = None
+
+    @property
+    def hat(self) -> "Spectrum":
+        """Half spectrum; rejects non-finite values, naming the first offending node."""
+        if self._hat is None:
+            _require_finite(self)
+            self._hat = Spectrum(self.grid, np.fft.rfft2(self._values, norm="forward"))
+        return self._hat
 
     @classmethod
     def zeros(cls, grid: Grid2D) -> "Field":
@@ -153,15 +203,24 @@ class Field:
         return cls(grid, np.broadcast_to(np.asarray(fn(x1, x2), dtype=np.float64), grid.shape).copy())
 
     def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
+        values = None if self._values is None else self._values.copy()
+        hat = None if self._hat is None else self._hat.copy()
+        return Field(self.grid, values, hat=hat)
 
 
 @dataclass
 class Spectrum:
-    """Complex Fourier coefficients over (k1, k2) in standard FFT ordering.
+    """Complex Fourier coefficients in the full or the half layout.
 
-    For spectra of real fields the coefficients are Hermitian-symmetric:
-    coeff(-k) = conj(coeff(k)).
+    Axis 0 holds k1 in standard FFT order (Nyquist stored negative) in
+    both layouts.  Axis 1 holds every k2 in FFT order (full layout, shape
+    (nx, ny)) or k2 = 0 .. ny/2 (half layout, shape (nx, ny/2 + 1), the
+    rfft2 layout).  Spectra of real fields are Hermitian-symmetric:
+    coeff(-k) = conj(coeff(k)).  The half layout stores the k2 < 0 modes
+    only through that symmetry, except in its columns k2 = 0 and
+    k2 = ny/2: those are self-conjugate, holding both coeff(k1, k2) and
+    coeff(-k1, k2) = conj(coeff(k1, k2)).  The inverse real transform
+    keeps only the Hermitian part of those two columns.
     """
 
     grid: Grid2D
@@ -169,33 +228,37 @@ class Spectrum:
 
     def __post_init__(self) -> None:
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if self.coeffs.shape != self.grid.shape:
+        if self.coeffs.shape not in (self.grid.shape, self.grid.half_shape):
             raise ValueError(
-                f"coeffs shape {self.coeffs.shape} does not match grid {self.grid.shape}"
+                f"coeffs shape {self.coeffs.shape} matches neither the full {self.grid.shape} "
+                f"nor the half {self.grid.half_shape} layout of the grid"
             )
+
+    @property
+    def half(self) -> bool:
+        return self.coeffs.shape[1] != self.grid.ny
 
     def copy(self) -> "Spectrum":
         return Spectrum(self.grid, self.coeffs.copy())
 
 
-def _first_nonfinite_node(values: np.ndarray) -> tuple[int, int]:
-    bad = np.argwhere(~np.isfinite(values))
-    j, k = bad[0]
-    return int(j), int(k)
+def _require_finite(f: Field) -> None:
+    values = f.values
+    if not np.all(np.isfinite(values)):
+        j, k = np.argwhere(~np.isfinite(values))[0]
+        g = f.grid
+        raise NonFiniteFieldError(
+            f"non-finite field value {values[j, k]!r} at node ({j}, {k}), "
+            f"x = ({j * g.dx:.6g}, {k * g.dy:.6g})"
+        )
 
 
 def forward(f: Field) -> Spectrum:
-    """Discrete Fourier transform, normalized so coeff(0,0) is the mean.
+    """Full-layout discrete Fourier transform, normalized so coeff(0,0) is the mean.
 
     Rejects non-finite input, naming the first offending node.
     """
-    if not np.all(np.isfinite(f.values)):
-        j, k = _first_nonfinite_node(f.values)
-        g = f.grid
-        raise NonFiniteFieldError(
-            f"non-finite field value {f.values[j, k]!r} at node ({j}, {k}), "
-            f"x = ({j * g.dx:.6g}, {k * g.dy:.6g})"
-        )
+    _require_finite(f)
     n = f.grid.nx * f.grid.ny
     return Spectrum(f.grid, np.fft.fft2(f.values) / n)
 
@@ -206,12 +269,14 @@ def _mirror_conj(coeffs: np.ndarray) -> np.ndarray:
 
 
 def hermitian_defect(s: Spectrum) -> float:
-    """Max |coeff(k) - conj(coeff(-k))| over all modes."""
+    """Max |coeff(k) - conj(coeff(-k))| over all modes of a full spectrum."""
+    if s.half:
+        raise ValueError("expected a full spectrum; a half spectrum becomes a field as Field(grid, hat=s)")
     return float(np.max(np.abs(s.coeffs - _mirror_conj(s.coeffs))))
 
 
 def inverse(s: Spectrum) -> Field:
-    """Inverse transform back to real nodal values.
+    """Inverse transform of a full spectrum back to real nodal values.
 
     Rejects spectra that are not Hermitian-symmetric (those would
     produce complex nodal values).
@@ -232,14 +297,21 @@ def ddx1(s: Spectrum) -> Spectrum:
     return Spectrum(s.grid, s.coeffs * (1j * s.grid.kx_deriv)[:, None])
 
 
+# The operators below take the k2 wavenumbers of a half spectrum as the
+# first ny/2 + 1 entries of the full-layout arrays.  Those store the
+# Nyquist mode as -ny/2 where rfft2 means +ny/2; each operator squares k2
+# or zeroes that mode, so the sign never matters.
+
+
 def ddx2(s: Spectrum) -> Spectrum:
     """Spectral d/dx2 (Nyquist mode of the x2 direction zeroed)."""
-    return Spectrum(s.grid, s.coeffs * (1j * s.grid.ky_deriv)[None, :])
+    ky = s.grid.ky_deriv[: s.coeffs.shape[1]]
+    return Spectrum(s.grid, s.coeffs * (1j * ky)[None, :])
 
 
 def laplacian(s: Spectrum) -> Spectrum:
     """Spectral Laplacian, -|k|^2 multiplication on the full mode set."""
-    return Spectrum(s.grid, -s.grid.k_squared * s.coeffs)
+    return Spectrum(s.grid, -s.grid.k_squared[:, : s.coeffs.shape[1]] * s.coeffs)
 
 
 def poisson_solve(omega: Spectrum) -> Spectrum:
@@ -254,7 +326,7 @@ def poisson_solve(omega: Spectrum) -> Spectrum:
             f"vorticity has nonzero mean {omega.coeffs[0, 0]:.3e}; "
             "the periodic Poisson problem is not solvable"
         )
-    k2 = omega.grid.k_squared.copy()
+    k2 = omega.grid.k_squared[:, : omega.coeffs.shape[1]].copy()
     k2[0, 0] = 1.0
     psi = -omega.coeffs / k2
     psi[0, 0] = 0.0
@@ -266,7 +338,7 @@ def antideriv_x2(theta: Spectrum) -> Spectrum:
 
     Every k1 row of theta must have zero x2-mean (the k2 = 0 column),
     otherwise no periodic primitive exists.  The k2 = 0 column of the
-    result is gauged to zero; the k2 Nyquist row is zeroed to match the
+    result is gauged to zero; the k2 Nyquist column is zeroed to match the
     derivative convention, so theta should carry no Nyquist content
     (dealiased data never does).
     """
@@ -278,7 +350,7 @@ def antideriv_x2(theta: Spectrum) -> Spectrum:
             f"x2-mean mode at k1 index {k1_bad} is {theta.coeffs[k1_bad, 0]:.3e}; "
             "no periodic x2-antiderivative exists for this data"
         )
-    ky = grid.ky.copy()
+    ky = grid.ky[: theta.coeffs.shape[1]].copy()
     ky[0] = 1.0
     psi = -theta.coeffs / (1j * ky)[None, :]
     psi[:, 0] = 0.0
@@ -288,4 +360,15 @@ def antideriv_x2(theta: Spectrum) -> Spectrum:
 
 def dealias(s: Spectrum) -> Spectrum:
     """Two-thirds rule: zero every mode with |k1| > nx/3 or |k2| > ny/3."""
-    return Spectrum(s.grid, s.coeffs * s.grid.dealias_keep)
+    return Spectrum(s.grid, s.coeffs * s.grid.dealias_keep[:, : s.coeffs.shape[1]])
+
+
+def gradient(f: Field) -> tuple[Field, Field]:
+    """Spectral (df/dx1, df/dx2) as fields.
+
+    Costs one real forward transform, unless f already knows its half
+    spectrum, and one real inverse transform per component when its
+    values are first read.
+    """
+    hat = f.hat
+    return Field(f.grid, hat=ddx1(hat)), Field(f.grid, hat=ddx2(hat))

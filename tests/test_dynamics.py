@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from invlab.dynamics import (
     ModelKind,
     State,
     StepControl,
+    _velocity_hat,
     admissible_dt,
     integrate,
     rk4_step,
@@ -131,6 +134,14 @@ class TestTendency:
         expected = -np.sin(2 * GRID.mesh()[1])
         assert np.max(np.abs(dtheta.values)) < 1e-13
         assert np.max(np.abs(domega.values - expected)) < 1e-12
+
+    def test_hyperviscosity_damps_like_k4(self):
+        # a Laplacian eigenmode does not advect itself, so only -nu Delta^2 acts;
+        # the bound allows for roundoff in the top modes, amplified by |k|^4 ~ 3e5
+        omega = Field.from_function(GRID, lambda x1, x2: np.sin(x1) * np.sin(x2))
+        state = State(ModelKind.BOUSSINESQ, 0.0, Field.zeros(GRID), omega)
+        _, domega = tendency(state, StepControl(hyperviscosity=0.1))
+        assert np.max(np.abs(domega.values + 0.1 * 4.0 * omega.values)) < 1e-10
 
     def test_transport_has_zero_mean(self):
         state = cos_cos_state()
@@ -273,3 +284,154 @@ class TestIntegrate:
         values = result.state.theta.values
         reflected = np.roll(values[:, ::-1], 1, axis=1)
         assert np.max(np.abs(values - reflected)) < 1e-13
+
+
+def random_state(model, grid, seed):
+    """Random nodal data, not band-limited: it has Nyquist content in both directions."""
+    rng = np.random.default_rng(seed)
+    theta = Field(grid, rng.standard_normal(grid.shape))
+    omega = None
+    if model.evolves_vorticity:
+        w = rng.standard_normal(grid.shape)
+        omega = Field(grid, w - w.mean())
+    return State(model, 0.0, theta, omega)
+
+
+def complex_fft_rk4_step(state, dt):
+    """One RK4 step on nodal arrays with full complex transforms, written out here
+    as an independent reference for the half-spectrum step."""
+    grid = state.grid
+    ikx = 1j * grid.kx_deriv[:, None]
+    iky = 1j * grid.ky_deriv[None, :]
+    keep = grid.dealias_keep
+
+    def fwd(values):
+        return np.fft.fft2(values) / values.size
+
+    def inv(coeffs):
+        return np.fft.ifft2(coeffs * coeffs.size).real
+
+    def velocity_coeffs(theta_c, omega_c):
+        if state.model is ModelKind.SINGULAR_SCALAR:
+            ky = grid.ky.copy()
+            ky[0] = 1.0
+            psi = -theta_c / (1j * ky)[None, :]
+            psi[:, 0] = 0.0
+            psi[:, grid.ny // 2] = 0.0
+            u1, u2 = -iky * psi, ikx * psi
+            # the closure that carries the x2-mean modes m(x1), on both k2 = +-1 columns
+            m = theta_c[:, 0].copy()
+            u1[0, 0] += m[0]
+            m[0] = 0.0
+            q = 2.0 * math.pi / grid.ly
+            u1[:, 1] += 0.5 * m
+            u1[:, -1] += 0.5 * m
+            u2[:, 1] += (1j / (2.0 * q)) * ikx[:, 0] * m
+            u2[:, -1] -= (1j / (2.0 * q)) * ikx[:, 0] * m
+            return u1, u2
+        k2 = grid.k_squared.copy()
+        k2[0, 0] = 1.0
+        psi = -omega_c / k2
+        psi[0, 0] = 0.0
+        return -iky * psi, ikx * psi
+
+    def rhs(arrays):
+        theta_c = fwd(arrays[0])
+        omega_c = fwd(arrays[1]) if len(arrays) > 1 else None
+        u1c, u2c = velocity_coeffs(theta_c, omega_c)
+        u1, u2 = inv(u1c), inv(u2c)
+
+        def advect(c):
+            return keep * fwd(u1 * inv(ikx * c) + u2 * inv(iky * c))
+
+        out = [-advect(theta_c)]
+        if omega_c is not None:
+            domega = -advect(omega_c)
+            if state.model is ModelKind.BOUSSINESQ:
+                domega += ikx * theta_c
+            else:
+                domega -= iky * (keep * fwd(arrays[0] ** 2))
+            out.append(domega)
+        return [inv(c) for c in out]
+
+    y0 = [f.values for f in state.fields]
+    k1 = rhs(y0)
+    k2 = rhs([y + dt / 2 * k for y, k in zip(y0, k1)])
+    k3 = rhs([y + dt / 2 * k for y, k in zip(y0, k2)])
+    k4 = rhs([y + dt * k for y, k in zip(y0, k3)])
+    return [y + dt / 6 * (a + 2 * b + 2 * c + d) for y, a, b, c, d in zip(y0, k1, k2, k3, k4)]
+
+
+def max_rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestHalfSpectrumStep:
+    """The step inverts half spectra with irfft2, which silently keeps only the
+    Hermitian part of the self-conjugate columns (k2 = 0 and k2 = ny/2) and runs
+    no Hermitian check.  So every half spectrum it makes must already be the
+    spectrum of a real field, also for data with Nyquist content."""
+
+    GRID = Grid2D(32, 32)
+
+    @staticmethod
+    def assert_real_field_spectrum(s):
+        again = np.fft.rfft2(np.fft.irfft2(s.coeffs, s=s.grid.shape))
+        assert max_rel(again, s.coeffs) <= 1e-13
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_velocity_and_tendency_spectra_are_real_fields(self, model):
+        state = random_state(model, self.GRID, seed=3)
+        nyquist = self.GRID.nx // 2
+        assert np.min(np.abs(state.theta.hat.coeffs[nyquist, 1:])) > 0.0
+        assert np.min(np.abs(state.theta.hat.coeffs[:, -1])) > 0.0
+        ctrl = StepControl(dt=0.5 * admissible_dt(state, StepControl()))
+        for s in (state, rk4_step(state, ctrl)):
+            omega_hat = s.omega.hat if s.omega is not None else None
+            for u_hat in _velocity_hat(model, s.theta.hat, omega_hat):
+                self.assert_real_field_spectrum(u_hat)
+            for d in tendency(s, ctrl):
+                if d is not None:
+                    self.assert_real_field_spectrum(d.hat)
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_step_matches_complex_fft_reference(self, model):
+        state = random_state(model, self.GRID, seed=4)
+        dt = 0.5 * admissible_dt(state, StepControl())
+        new = rk4_step(state, StepControl(dt=dt))
+        reference = complex_fft_rk4_step(state, dt)
+        for field, ref in zip(new.fields, reference):
+            assert max_rel(field.values, ref) <= 1e-12
+
+
+class TestExactVorticityFamilies:
+    """Every advection term vanishes and the fields are linear in t, which RK4
+    integrates exactly, so long runs must match to roundoff.  These pin the
+    forcing signs, the Poisson inversion and the dealiased theta^2 forcing."""
+
+    FAMILIES = {
+        # theta = sin x1, omega = t cos x1: u = (0, t sin x1) is normal to grad theta
+        ModelKind.BOUSSINESQ: (
+            lambda x1, x2: np.sin(x1),
+            lambda x1, x2, t: t * np.cos(x1),
+        ),
+        # theta = sin x2, omega = sin x2 - t sin 2x2: u = (u1(x2), 0) is normal to both gradients
+        ModelKind.MODIFIED_BOUSSINESQ: (
+            lambda x1, x2: np.sin(x2),
+            lambda x1, x2, t: np.sin(x2) - t * np.sin(2 * x2),
+        ),
+    }
+
+    @pytest.mark.parametrize("model", sorted(FAMILIES, key=lambda m: m.value))
+    def test_fifty_fixed_steps_match_the_exact_solution(self, model):
+        grid = Grid2D(32, 32)
+        theta0, omega_at = self.FAMILIES[model]
+        x1, x2 = grid.mesh()
+        state = State(model, 0.0, Field(grid, theta0(x1, x2)), Field(grid, omega_at(x1, x2, 0.0)))
+        result = integrate(state, StepControl(dt=0.02), 1.0)
+        assert result.blowup is None
+        assert result.steps == 50
+        t = result.state.t
+        assert t == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(result.state.theta.values - theta0(x1, x2))) <= 1e-12
+        assert np.max(np.abs(result.state.omega.values - omega_at(x1, x2, t))) <= 1e-12
