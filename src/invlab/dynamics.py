@@ -82,11 +82,20 @@ class Kinematics:
 
     @cached_property
     def max_speed(self) -> float:
-        return float(np.max(np.hypot(self.u1, self.u2)))
+        return _max_norm(self.u1, self.u2)
 
     @cached_property
     def max_grad(self) -> float:
-        return float(np.max(np.hypot(self.dtheta_dx1, self.dtheta_dx2)))
+        return _max_norm(self.dtheta_dx1, self.dtheta_dx2)
+
+
+def _max_norm(a: np.ndarray, b: np.ndarray) -> float:
+    """max of hypot(a, b) over the grid, from the largest a^2 + b^2."""
+    with np.errstate(over="ignore"):
+        sq = float(np.max(a * a + b * b))
+    if not math.isfinite(sq):  # overflowed squares or non-finite input: hypot decides
+        return float(np.max(np.hypot(a, b)))
+    return math.sqrt(sq)
 
 
 @dataclass

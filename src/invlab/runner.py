@@ -14,7 +14,7 @@ import numpy as np
 
 from .burgers import AxisProfile, BurgersSolution, evaluate_many
 from .config import ConfigError, RunConfig, config_echo
-from .diagnostics import l2_norm, min_axis_slope, residual, sup_grad, symmetry_error
+from .diagnostics import l2_norm, min_axis_slope, residual, symmetry_error
 from .dynamics import ModelKind, State, StepControl, integrate
 from .oracles import growth_envelope
 from .presets import SOLVER_PRESETS, build_initial_state, grid_for, oracle_solution
@@ -39,7 +39,7 @@ class RunArtifacts:
 def _series_row(state: State) -> str:
     l2 = l2_norm(state.theta)
     linf = float(np.max(np.abs(state.theta.values)))
-    grad, _ = sup_grad(state.theta)
+    grad = state.kinematics.max_grad
     if state.model is ModelKind.SINGULAR_SCALAR:
         slope = min_axis_slope(state.theta)
     else:

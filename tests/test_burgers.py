@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from invlab.burgers import (
+    SCAN_POINTS,
     AxisProfile,
     BurgersSolution,
     blowup_time,
@@ -40,6 +41,23 @@ class TestBlowupTime:
         assert blowup_time(const) == math.inf
         increasing = AxisProfile(lambda x: x, lambda x: 0 * x + 1.0)
         assert blowup_time(increasing) == math.inf
+
+    def test_minimum_between_scan_nodes(self):
+        # dg = -cos(x - c) has its minimum -1 at x = c, halfway between two scan nodes,
+        # where the scan alone misses it by about 3e-7
+        c = 2 * math.pi * 1234.5 / SCAN_POINTS
+        p = AxisProfile(lambda x: -np.sin(x - c), lambda x: -np.cos(x - c))
+        assert abs(blowup_time(p) - 1.0) <= 1e-12
+
+    def test_constant_slope_is_not_refined(self):
+        calls = []
+
+        def dg(x):
+            calls.append(np.shape(x))
+            return 0 * x - 0.5
+
+        assert blowup_time(AxisProfile(lambda x: -0.5 * x, dg)) == 2.0
+        assert calls == [(SCAN_POINTS,)]
 
     @pytest.mark.parametrize("lam", [0.5, 2.0, 10.0])
     def test_scaling_law(self, lam):

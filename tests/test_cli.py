@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import invlab
 from invlab.cli import EXIT_BLOWUP, EXIT_OK, EXIT_ORACLE_FAIL, EXIT_VALIDATION, main
 from invlab.snapshots import read_snapshot
 
@@ -92,6 +98,22 @@ class TestRun:
         # vorticity models report no axis slope
         last = (out / "series.csv").read_text().splitlines()[-1]
         assert last.endswith("nan")
+
+    def test_run_loads_no_scipy(self, tmp_path):
+        # a solver run needs numpy only; scipy serves the moving-domain oracle's quadrature
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("model = singular-scalar\nic = singular-cos\nt_end = 0.02\nnx = 16\nny = 16\ndt = 0.01\n")
+        script = (
+            "import sys\n"
+            "from invlab import cli\n"
+            f"assert cli.main(['run', {str(cfg)!r}, '--output', {str(tmp_path / 'out')!r}]) == cli.EXIT_OK\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(invlab.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestOracleCheck:

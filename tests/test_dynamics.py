@@ -5,6 +5,7 @@ import pytest
 
 from invlab.dynamics import (
     CFLViolationError,
+    Kinematics,
     ModelKind,
     State,
     StepControl,
@@ -58,6 +59,17 @@ class TestState:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             State(ModelKind.SINGULAR_SCALAR, -1.0, Field.zeros(GRID))
+
+
+class TestKinematics:
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_maxima_agree_with_hypot(self, scale):
+        # at 1e200 the squares overflow while every input and hypot stay finite
+        a, b = scale * np.random.default_rng(3).standard_normal((2, 16, 16))
+        k = Kinematics(a, b, b, -a)
+        expected = float(np.max(np.hypot(a, b)))
+        assert k.max_speed == pytest.approx(expected, rel=4e-16)
+        assert k.max_grad == pytest.approx(expected, rel=4e-16)
 
 
 class TestVelocity:

@@ -217,6 +217,15 @@ class TestGrowthEnvelope:
         expected = 2 * np.exp(times) * (np.exp(times) - 1.0)
         assert np.max(np.abs(env.v - expected) / expected) < 1e-10
 
+    def test_peak_between_scan_nodes(self):
+        # |d theta/dx2| = e^t |cos(e^t x2 - c)| peaks at e^t; at t = 0 the peak x2 = c
+        # lies halfway between two of the 4097 scan nodes on [-pi, pi]
+        c = -math.pi + 2 * math.pi * 2560.5 / 4096
+        shifted = WedgeSolution(Profile1D(lambda s: np.sin(s - c), lambda s: np.cos(s - c), name="shifted"))
+        times = np.array([0.0, 0.3, 0.7, 1.1])
+        env = growth_envelope(shifted, (-math.pi, math.pi), times, field="theta")
+        assert np.max(np.abs(env.v - np.exp(times))) <= 1e-12
+
     def test_initial_value_is_profile_derivative_sup(self):
         env = growth_envelope(WEDGE, (-math.pi, math.pi), [0.0], field="theta")
         assert env.v[0] == pytest.approx(1.0, abs=1e-12)
