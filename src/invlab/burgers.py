@@ -4,7 +4,15 @@ In the symmetric class the scalar restricted to the x2 = 0 axis obeys
 d(theta)/dt + theta d(theta)/dx1 = 0, whose implicit solution
 theta = g(x - t*theta) is evaluated here by characteristics, together
 with the first-crossing blowup time -1/min(g').  Extrema are found by a
-dense scan whose best cell is rescanned, 16-fold narrower each round.
+dense scan whose best cell is rescanned, 16-fold narrower each round; on
+a periodic profile the cell of a best node at either end of the scan wraps
+across the seam.
+
+The min-slope series scans characteristic labels xi, not positions x:
+for t < t* the map xi -> xi + t*g(xi) is a strictly increasing bijection
+of the period (its derivative 1 + t*g'(xi) >= 1 - t/t* > 0), so the
+minimum over x of the slope equals the minimum over xi of
+g'(xi)/(1 + t*g'(xi)), and no implicit equation is solved.
 """
 
 from __future__ import annotations
@@ -57,12 +65,16 @@ def _sample(fn: Callable, xs: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _refine_minimum(fn: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> float:
+def _refine_minimum(
+    fn: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, period: float | None = None
+) -> float:
     """Minimum of fn: scan the nodes xs, then rescan the best node's cell.
 
     fn is evaluated on whole arrays, once for the scan and once per
     round.  A round whose samples are all equal ends the refinement, so a
-    constant function costs the scan alone.
+    constant function costs the scan alone.  Given the period of fn, the
+    scan's nodes must cover one period, and the cell of a best node at
+    either end reaches across the seam; otherwise it stops at the end.
     """
     best = math.inf
     for _ in range(REFINE_ROUNDS + 1):
@@ -71,8 +83,18 @@ def _refine_minimum(fn: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> f
         best = min(best, float(values[i]))
         if values[i] == np.max(values):
             break
-        xs = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)], REFINE_POINTS)
+        last = len(xs) - 1
+        lo = xs[i - 1] if i > 0 else (xs[last] - period if period else xs[0])
+        hi = xs[i + 1] if i < last else (xs[0] + period if period else xs[last])
+        xs = np.linspace(lo, hi, REFINE_POINTS)
+        period = None  # a refined cell lies inside the scan
     return best
+
+
+def _periodic_minimum(fn: Callable[[np.ndarray], np.ndarray], p: AxisProfile) -> float:
+    """Minimum of a function with the profile's period, scanned over one period."""
+    xs = np.linspace(0.0, p.period, SCAN_POINTS, endpoint=False)
+    return _refine_minimum(fn, xs, p.period)
 
 
 def blowup_time(p: AxisProfile) -> float:
@@ -81,8 +103,7 @@ def blowup_time(p: AxisProfile) -> float:
     The minimum is located by a 4096-point scan over one period followed
     by rescans of the bracketing cell.
     """
-    xs = np.linspace(0.0, p.period, SCAN_POINTS, endpoint=False)
-    min_dg = _refine_minimum(p.dg, xs)
+    min_dg = _periodic_minimum(p.dg, p)
     if min_dg >= 0.0:
         return math.inf
     return -1.0 / min_dg
@@ -100,9 +121,8 @@ class BurgersSolution:
     def __post_init__(self) -> None:
         object.__setattr__(self, "tstar", blowup_time(self.profile))
         g = self.profile.g
-        xs = np.linspace(0.0, self.profile.period, SCAN_POINTS, endpoint=False)
-        gmin = _refine_minimum(g, xs)
-        gmax = -_refine_minimum(lambda x: -_sample(g, x), xs)
+        gmin = _periodic_minimum(g, self.profile)
+        gmax = -_periodic_minimum(lambda x: -_sample(g, x), self.profile)
         object.__setattr__(self, "_gmin", gmin)
         object.__setattr__(self, "_gmax", gmax)
 
@@ -182,12 +202,18 @@ def eval_slope(sol: BurgersSolution, x: float, t: float) -> float:
 
 
 def min_slope_series(sol: BurgersSolution, times) -> TimeSeries:
-    """Minimum over x of the slope at each time (dense scan plus refinement)."""
+    """Minimum over x of the slope at each time: a scan over characteristic
+    labels xi of dg(xi)/(1 + t*dg(xi)), with no characteristic solve."""
     times = np.asarray(times, dtype=float)
-    xs = np.linspace(0.0, sol.profile.period, SCAN_POINTS, endpoint=False)
+    dg = sol.profile.dg
     values = []
     for t in times:
         t = float(t)
         _check_time(sol, t)
-        values.append(_refine_minimum(lambda x: _slope_array(sol, x, t), xs))
+
+        def label_slope(xi: np.ndarray) -> np.ndarray:
+            s = _sample(dg, xi)
+            return s / (1.0 + t * s)
+
+        values.append(_periodic_minimum(label_slope, sol.profile))
     return TimeSeries(times, np.asarray(values))

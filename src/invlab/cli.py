@@ -134,8 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config")
     p_run.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
     p_run.add_argument("--output", help="override output.dir")
-    p_run.add_argument("--deterministic", action="store_true",
-                       help="accepted for interface symmetry; runs are always serial")
     p_run.set_defaults(func=_cmd_run)
 
     p_oc = sub.add_parser("oracle-check", help="residual-check a closed-form family")

@@ -1,6 +1,6 @@
 """Named initial conditions, solver configs, and oracle families.
 
-Every documented experiment is pinned to a reproducible name here:
+The documented experiments, each built from a preset here:
 
   singular-cos      solver run, theta0 = cos(x1) cos(x2)
   wedge-sin         oracle, theta0 = sin
@@ -13,7 +13,9 @@ Every documented experiment is pinned to a reproducible name here:
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 
 import numpy as np
 
@@ -33,7 +35,6 @@ __all__ = [
     "IC_PRESETS",
     "SOLVER_PRESETS",
     "ORACLE_FAMILIES",
-    "REGISTRY",
     "build_initial_state",
     "oracle_solution",
     "grid_for",
@@ -41,6 +42,7 @@ __all__ = [
 
 _EXPR_PREFIX = "expr:"
 
+# expressions may call these functions and name x1, x2 and pi, nothing else
 _NAMESPACE = {
     "sin": np.sin,
     "cos": np.cos,
@@ -53,15 +55,47 @@ _NAMESPACE = {
     "sinh": np.sinh,
     "cosh": np.cosh,
     "tanh": np.tanh,
-    "pi": math.pi,
 }
+
+_BINARY = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
+_UNARY = {ast.USub: operator.neg, ast.UAdd: operator.pos}
+
+
+def _walk(node: ast.AST, names: dict):
+    """Value of one expression node; anything outside the grammar raises ConfigError."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)  # no unbounded integer powers such as 9**9**9
+    if isinstance(node, ast.Name) and node.id in names:
+        return names[node.id]
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_walk(node.left, names), _walk(node.right, names))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        return _UNARY[type(node.op)](_walk(node.operand, names))
+    if isinstance(node, ast.Call):
+        func = node.func
+        if not isinstance(func, ast.Name) or func.id not in _NAMESPACE:
+            callee = repr(func.id) if isinstance(func, ast.Name) else type(func).__name__
+            raise ConfigError(f"Call of {callee} is not allowed")
+        if node.keywords:
+            raise ConfigError("keyword arguments are not allowed")
+        return _NAMESPACE[func.id](*(_walk(arg, names) for arg in node.args))
+    what = type(node.op if isinstance(node, (ast.BinOp, ast.UnaryOp)) else node).__name__
+    detail = f" {node.id!r}" if isinstance(node, ast.Name) else ""
+    raise ConfigError(f"{what}{detail} is not allowed")
 
 
 def _eval_expr(expr: str, grid: Grid2D) -> np.ndarray:
+    """Field of an expression in x1, x2 and pi: numbers, + - * / **, unary -/+,
+    and calls of the _NAMESPACE functions."""
     x1, x2 = grid.mesh()
-    ns = dict(_NAMESPACE, x1=x1, x2=x2)
     try:
-        values = eval(expr, {"__builtins__": {}}, ns)  # noqa: S307 - whitelisted namespace
+        values = _walk(ast.parse(expr.strip(), mode="eval").body, {"x1": x1, "x2": x2, "pi": math.pi})
     except Exception as exc:
         raise ConfigError(f"cannot evaluate expression {expr!r}: {exc}") from None
     return np.broadcast_to(np.asarray(values, dtype=np.float64), grid.shape).copy()
@@ -158,18 +192,6 @@ ORACLE_FAMILIES = {
     "modified": (ModelKind.MODIFIED_BOUSSINESQ, "linear", _modified, (0.0, 1.0)),
     "stationary": (ModelKind.SINGULAR_SCALAR, "const", _stationary, (-math.pi, math.pi)),
 }
-
-# documented registry names -> (family, preset)
-REGISTRY = {
-    "singular-cos": ("run", "singular-cos"),
-    "wedge-sin": ("oracle", ("wedge", "sin")),
-    "moving-identity": ("oracle", ("moving-domain", "identity")),
-    "modified-linear": ("oracle", ("modified", "linear")),
-    "modified-oscillatory": ("oracle", ("modified", "oscillatory")),
-    "modified-paper-printed": ("oracle", ("modified", "paper-printed")),
-    "stationary-const": ("oracle", ("stationary", "const")),
-}
-
 
 def oracle_solution(family: str, preset: str | None = None):
     """Instantiate a closed-form family; returns (solution, model, envelope interval)."""

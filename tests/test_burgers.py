@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from invlab import burgers
 from invlab.burgers import (
     SCAN_POINTS,
     AxisProfile,
@@ -16,6 +17,8 @@ from invlab.burgers import (
 )
 
 COS = AxisProfile(np.cos, lambda x: -np.sin(x))
+# the last scan node is 2*pi - h; put the extremum halfway between it and the period
+SEAM = 2 * math.pi - math.pi / SCAN_POINTS
 
 
 def brute_force_min(fn, n=1_000_000, period=2 * math.pi):
@@ -48,6 +51,14 @@ class TestBlowupTime:
         c = 2 * math.pi * 1234.5 / SCAN_POINTS
         p = AxisProfile(lambda x: -np.sin(x - c), lambda x: -np.cos(x - c))
         assert abs(blowup_time(p) - 1.0) <= 1e-12
+
+    def test_minimum_across_the_seam(self):
+        # the best node is the last one, and the minimum lies past it: the refined
+        # cell must wrap into the next period (unwrapped, t* is off by 2.9e-7)
+        p = AxisProfile(lambda x: -np.sin(x - SEAM), lambda x: -np.cos(x - SEAM))
+        assert abs(blowup_time(p) - 1.0) <= 1e-12
+        series = min_slope_series(BurgersSolution(p), [0.0])
+        assert abs(-1.0 / series.v[0] - 1.0) <= 1e-12
 
     def test_constant_slope_is_not_refined(self):
         calls = []
@@ -107,6 +118,12 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(sol, 0.0, -0.1)
 
+    def test_peak_across_the_seam(self):
+        # g peaks between the last scan node and the period; the root bracket
+        # [min g, max g] must still hold the value 1 carried from that peak
+        sol = BurgersSolution(AxisProfile(lambda x: np.cos(x - SEAM), lambda x: -np.sin(x - SEAM)))
+        assert abs(evaluate(sol, SEAM + 0.5, 0.5) - 1.0) <= 1e-12
+
     def test_vectorized_matches_scalar(self):
         sol = BurgersSolution(COS)
         xs = np.linspace(0, 2 * math.pi, 17)
@@ -162,3 +179,57 @@ class TestMinSlopeSeries:
         series = min_slope_series(sol, times)
         recip = 1.0 / np.abs(series.v)
         assert np.max(np.abs(recip - (1.0 - times))) < 1e-8
+
+
+# no symmetry about its steepest point, which lies off the scan nodes
+ASYMMETRIC = AxisProfile(
+    lambda x: np.cos(x) + 0.3 * np.sin(2 * x + 1),
+    lambda x: -np.sin(x) + 0.6 * np.cos(2 * x + 1),
+)
+
+
+def eulerian_min_slope(sol, t):
+    """Reference: minimum over positions x of the slope dg(xi)/(1 + t dg(xi)),
+    xi = x - t theta(x), by a dense scan in x and 50-fold rescans of the best cell."""
+
+    def slope(x):
+        s0 = sol.profile.dg(x - t * evaluate_many(sol, x, t))
+        return s0 / (1.0 + t * s0)
+
+    xs = np.linspace(0.0, 2 * math.pi, 20_001)
+    for _ in range(8):
+        values = slope(xs)
+        i = int(np.argmin(values))
+        best = float(values[i])
+        step = xs[1] - xs[0]
+        xs = np.linspace(xs[i] - step, xs[i] + step, 101)
+    return best
+
+
+class TestLabelScan:
+    @pytest.mark.parametrize("fraction", [0.5, 0.9])
+    def test_matches_an_eulerian_scan(self, fraction):
+        sol = BurgersSolution(ASYMMETRIC)
+        t = fraction * sol.tstar
+        got = min_slope_series(sol, [t]).v[0]
+        ref = eulerian_min_slope(sol, t)
+        assert abs(got - ref) <= 1e-10 * abs(ref)
+
+    def test_solves_no_implicit_equation(self, monkeypatch):
+        sol = BurgersSolution(ASYMMETRIC)
+
+        def forbidden(*args):
+            raise AssertionError("min_slope_series solved for theta")
+
+        monkeypatch.setattr(burgers, "_evaluate_array", forbidden)
+        series = min_slope_series(sol, np.linspace(0.0, 0.9 * sol.tstar, 5))
+        assert np.all(np.isfinite(series.v))
+
+    def test_close_to_blowup(self):
+        v = min_slope_series(BurgersSolution(COS), [0.99]).v[0]
+        assert abs(v + 100.0) <= 1e-8 * 100.0
+
+    @pytest.mark.parametrize("t", [1.0, 1.5])
+    def test_rejects_times_at_or_past_blowup(self, t):
+        with pytest.raises(ValueError, match="singular"):
+            min_slope_series(BurgersSolution(COS), [0.5, t])

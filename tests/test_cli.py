@@ -99,6 +99,19 @@ class TestRun:
         last = (out / "series.csv").read_text().splitlines()[-1]
         assert last.endswith("nan")
 
+    @pytest.mark.parametrize("expr", ["().__class__.__base__.__subclasses__()", "[x1 for _ in ()]"])
+    def test_expression_outside_the_grammar_exits_2(self, tmp_path, capsys, expr):
+        cfg = tmp_path / "escape.cfg"
+        cfg.write_text(f"model = singular-scalar\nic = expr: {expr}\nt_end = 0.01\nnx = 16\nny = 16\n")
+        assert run_cli("run", str(cfg), "--output", str(tmp_path / "out")) == EXIT_VALIDATION
+        assert "not allowed" in capsys.readouterr().err
+
+    def test_run_has_no_deterministic_flag(self):
+        # runs are always serial; only convergence takes --deterministic
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "singular-cos", "--deterministic")
+        assert exc.value.code == 2
+
     def test_run_loads_no_scipy(self, tmp_path):
         # a solver run needs numpy only; scipy serves the moving-domain oracle's quadrature
         cfg = tmp_path / "tiny.cfg"

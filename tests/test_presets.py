@@ -1,0 +1,65 @@
+import math
+
+import numpy as np
+import pytest
+
+from invlab import presets
+from invlab.config import ConfigError
+from invlab.spectral import Grid2D
+
+GRID = Grid2D(32, 16, 2 * math.pi, 3.0)
+
+# expressions of the README, the test configs and the benchmark's initial data
+DOCUMENTED = [
+    "cos(x1)*cos(x2)",
+    "sin(x1)*cos(x2)",
+    "sin(x1)*sin(x2)",
+    "sin(x2)",
+    "cos(x1 + 2.718281828459045)*cos(x2)",
+    "sin(x2)*(1 + 0.5*cos(x1 + 0.8853386244618939))",
+    "sin(x2)*cos(x1 + 0.8853386244618939)",
+    "-x1**2/3 + 2*pi*tanh(x2) - exp(-x2**2)*sqrt(abs(x1))*sign(x2)",
+]
+
+
+def python_eval(expr):
+    """The expression as Python itself evaluates it, names bound to the same values."""
+    x1, x2 = GRID.mesh()
+    ns = dict(presets._NAMESPACE, x1=x1, x2=x2, pi=math.pi)
+    values = eval(expr, {"__builtins__": {}}, ns)
+    return np.broadcast_to(np.asarray(values, dtype=np.float64), GRID.shape)
+
+
+class TestExpressions:
+    @pytest.mark.parametrize("expr", DOCUMENTED)
+    def test_fields_match_python_evaluation_bit_for_bit(self, expr):
+        field = presets._eval_expr(" " + expr, GRID)
+        assert field.tobytes() == python_eval(expr).tobytes()
+
+    def test_constant_expression_fills_the_grid(self):
+        assert np.all(presets._eval_expr("2**-1*pi", GRID) == 0.5 * math.pi)
+
+    @pytest.mark.parametrize(
+        "expr, node",
+        [
+            ("().__class__.__base__.__subclasses__()", "Attribute"),
+            ("x1.T", "Attribute"),
+            ("(lambda: 1)()", "Lambda"),
+            ("lambda: x1", "Lambda"),
+            ("[x for x in (x1, x2)]", "ListComp"),
+            ("__import__('os')", "'__import__'"),
+            ("x1 // 2", "FloorDiv"),
+            ("x1 if x2 else 0", "IfExp"),
+            ("'a'", "Constant"),
+            ("y", "Name 'y'"),
+            ("sin(x=x1)", "keyword"),
+        ],
+    )
+    def test_anything_else_is_rejected_by_node(self, expr, node):
+        with pytest.raises(ConfigError, match=node):
+            presets._eval_expr(expr, GRID)
+
+    def test_powers_are_taken_in_floats(self):
+        # so a tower such as 9**9**9**9 overflows at once instead of growing an integer
+        with pytest.raises(ConfigError, match="range"):
+            presets._eval_expr("2**2**20", GRID)
