@@ -28,7 +28,6 @@ from .dynamics import (
     BlowupDetected,
     CFLViolationError,
     IntegrationResult,
-    velocity,
     tendency,
     rk4_step,
     symmetry_project,
@@ -51,14 +50,12 @@ from .diagnostics import (
     TimeSeries,
     GrowthFit,
     BlowupEstimate,
-    sup_grad,
     min_axis_slope,
     fit_growth_rate,
     extrapolate_blowup,
     residual,
     residual_from_states,
     symmetry_error,
-    conservation_report,
     l2_norm,
 )
 from .config import RunConfig, ConfigError, parse_config

@@ -91,8 +91,7 @@ def _cmd_oracle_check(args) -> int:
 def _cmd_convergence(args) -> int:
     entries = parse_entries(resolve_run_config_text(args.config))
     cfg = build_config(entries)
-    workers = 1 if args.deterministic else None
-    rows = convergence(cfg, args.levels, mode=args.mode, workers=workers)
+    rows = convergence(cfg, args.levels, mode=args.mode)
     print(f"{'level':>5} {'nx':>6} {'dt':>12} {'axis error':>14} {'order':>8}")
     for r in rows:
         order = "-" if r.order is None else f"{r.order:.2f}"
@@ -149,7 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("config")
     p_conv.add_argument("--levels", type=int, required=True)
     p_conv.add_argument("--mode", choices=("temporal", "spatial"), default="temporal")
-    p_conv.add_argument("--deterministic", action="store_true", help="force serial execution")
     p_conv.set_defaults(func=_cmd_convergence)
 
     p_fit = sub.add_parser("fit-growth", help="exponential-rate fit of a series.csv column")

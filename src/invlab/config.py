@@ -16,30 +16,29 @@ class ConfigError(ValueError):
 
 _MODEL_NAMES = {kind.value: kind for kind in ModelKind}
 
-# key -> (type tag, default); None default means required
+# key -> (type tag, RunConfig field); RunConfig holds the defaults
 _SCHEMA = {
-    "model": ("model", None),
-    "ic": ("str", None),
-    "ic_omega": ("str", ""),
-    "nx": ("int", 256),
-    "ny": ("int", 256),
-    "lx": ("float", None),  # optional, defaults to 2*pi downstream
-    "ly": ("float", None),
-    "dt": ("float", 0.0),  # 0 means CFL-chosen
-    "cfl": ("float", 0.4),
-    "t_end": ("float", None),
-    "dealias": ("bool", True),
-    "project_symmetry": ("bool", False),
-    "hyperviscosity": ("float", 0.0),
-    "max_grad": ("float", 1e6),
-    "output.dir": ("str", "out"),
-    "output.snapshot_interval": ("float", 0.0),
-    "output.series_interval": ("float", 0.01),
-    "diagnostics": ("list", ()),
+    "model": ("model", "model"),
+    "ic": ("str", "ic"),
+    "ic_omega": ("str", "ic_omega"),
+    "nx": ("int", "nx"),
+    "ny": ("int", "ny"),
+    "lx": ("float", "lx"),
+    "ly": ("float", "ly"),
+    "dt": ("float", "dt"),  # 0 means CFL-chosen
+    "cfl": ("float", "cfl"),
+    "t_end": ("float", "t_end"),
+    "dealias": ("bool", "dealias"),
+    "project_symmetry": ("bool", "project_symmetry"),
+    "hyperviscosity": ("float", "hyperviscosity"),
+    "max_grad": ("float", "max_grad"),
+    "output.dir": ("str", "output_dir"),
+    "output.snapshot_interval": ("float", "snapshot_interval"),
+    "output.series_interval": ("float", "series_interval"),
+    "diagnostics": ("list", "diagnostics"),
 }
 
 _REQUIRED = ("model", "ic", "t_end")
-_OPTIONAL_FLOATS = ("lx", "ly")
 _KNOWN_DIAGNOSTICS = ("conservation", "symmetry")
 
 
@@ -51,9 +50,9 @@ class RunConfig:
     ic_omega: str = ""
     nx: int = 256
     ny: int = 256
-    lx: Optional[float] = None
+    lx: Optional[float] = None  # None: 2*pi
     ly: Optional[float] = None
-    dt: Optional[float] = None
+    dt: Optional[float] = None  # None: CFL-chosen
     cfl: float = 0.4
     dealias: bool = True
     project_symmetry: bool = False
@@ -141,31 +140,13 @@ def build_config(entries: list[tuple[str, str, Optional[int]]]) -> RunConfig:
         if key not in _SCHEMA:
             where = f"line {lineno}" if lineno is not None else "override"
             raise ConfigError(f"{where}: unknown key {key!r}")
-        values[key] = _convert(key, value, lineno)
+        values[_SCHEMA[key][1]] = _convert(key, value, lineno)
     for key in _REQUIRED:
         if key not in values:
             raise ConfigError(f"missing required key {key!r}")
-    dt = values.get("dt", 0.0)
-    return RunConfig(
-        model=values["model"],
-        ic=values["ic"],
-        t_end=values["t_end"],
-        ic_omega=values.get("ic_omega", ""),
-        nx=values.get("nx", 256),
-        ny=values.get("ny", 256),
-        lx=values.get("lx"),
-        ly=values.get("ly"),
-        dt=None if dt in (0.0, None) else dt,
-        cfl=values.get("cfl", 0.4),
-        dealias=values.get("dealias", True),
-        project_symmetry=values.get("project_symmetry", False),
-        hyperviscosity=values.get("hyperviscosity", 0.0),
-        max_grad=values.get("max_grad", 1e6),
-        output_dir=values.get("output.dir", "out"),
-        snapshot_interval=values.get("output.snapshot_interval", 0.0),
-        series_interval=values.get("output.series_interval", 0.01),
-        diagnostics=values.get("diagnostics", ()),
-    )
+    if values.get("dt") == 0.0:
+        del values["dt"]
+    return RunConfig(**values)
 
 
 def parse_config(text: str) -> RunConfig:

@@ -15,17 +15,13 @@ __all__ = [
     "TimeSeries",
     "GrowthFit",
     "BlowupEstimate",
-    "ConservationRow",
-    "sup_grad",
     "min_axis_slope",
     "fit_growth_rate",
     "extrapolate_blowup",
     "residual",
     "residual_from_states",
     "symmetry_error",
-    "conservation_report",
     "l2_norm",
-    "format_conservation_csv",
 ]
 
 
@@ -118,15 +114,6 @@ def extrapolate_blowup(series: TimeSeries, window: Optional[tuple[float, float]]
     if slope >= 0:
         return BlowupEstimate(math.inf, r2, window, warning)
     return BlowupEstimate(-intercept / slope, r2, window, warning)
-
-
-def sup_grad(f: Field) -> tuple[float, tuple[float, float]]:
-    """Max over nodes of |grad f| (spectral derivatives) and its location."""
-    gx, gy = gradient(f)
-    mag = np.hypot(gx.values, gy.values)
-    j, k = np.unravel_index(int(np.argmax(mag)), mag.shape)
-    grid = f.grid
-    return float(mag[j, k]), (float(grid.x1[j]), float(grid.x2[k]))
 
 
 def min_axis_slope(f: Field) -> float:
@@ -228,58 +215,3 @@ def symmetry_error(f: Field, parity: str) -> float:
 def l2_norm(f: Field) -> float:
     grid = f.grid
     return float(np.sqrt(np.sum(f.values**2) * grid.dx * grid.dy))
-
-
-@dataclass
-class ConservationRow:
-    t: float
-    l2_theta: float
-    linf_theta: float
-    mean_theta: float
-    l2_omega: Optional[float]
-    drift_l2_theta: float
-    drift_linf_theta: float
-
-
-def _rel_drift(value: float, ref: float) -> float:
-    if ref == 0.0:
-        return abs(value)
-    return abs(value - ref) / abs(ref)
-
-
-def conservation_report(states: Sequence[State]) -> list[ConservationRow]:
-    """Norms per snapshot with drift columns relative to the first one."""
-    if not states:
-        raise ValueError("need at least one state")
-    rows = []
-    ref_l2 = ref_linf = None
-    for s in states:
-        l2 = l2_norm(s.theta)
-        linf = float(np.max(np.abs(s.theta.values)))
-        mean = float(np.mean(s.theta.values))
-        l2w = l2_norm(s.omega) if s.omega is not None else None
-        if ref_l2 is None:
-            ref_l2, ref_linf = l2, linf
-        rows.append(
-            ConservationRow(
-                t=s.t,
-                l2_theta=l2,
-                linf_theta=linf,
-                mean_theta=mean,
-                l2_omega=l2w,
-                drift_l2_theta=_rel_drift(l2, ref_l2),
-                drift_linf_theta=_rel_drift(linf, ref_linf),
-            )
-        )
-    return rows
-
-
-def format_conservation_csv(rows: Sequence[ConservationRow]) -> str:
-    lines = ["t,l2_theta,linf_theta,mean_theta,l2_omega,drift_l2_theta,drift_linf_theta"]
-    for r in rows:
-        l2w = "" if r.l2_omega is None else f"{r.l2_omega:.17g}"
-        lines.append(
-            f"{r.t:.17g},{r.l2_theta:.17g},{r.linf_theta:.17g},"
-            f"{r.mean_theta:.17g},{l2w},{r.drift_l2_theta:.17g},{r.drift_linf_theta:.17g}"
-        )
-    return "\n".join(lines) + "\n"

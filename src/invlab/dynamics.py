@@ -48,7 +48,6 @@ __all__ = [
     "BlowupDetected",
     "CFLViolationError",
     "IntegrationResult",
-    "velocity",
     "tendency",
     "rk4_step",
     "symmetry_project",
@@ -144,14 +143,6 @@ class State:
         gx, gy = (g.values for g in gradient(self.theta))
         return Kinematics(u1, u2, gx, gy)
 
-    def copy(self) -> "State":
-        return State(
-            self.model,
-            self.t,
-            self.theta.copy(),
-            self.omega.copy() if self.omega is not None else None,
-        )
-
 
 @dataclass
 class StepControl:
@@ -243,12 +234,6 @@ def _velocity_hat(model: ModelKind, theta_hat: Spectrum, omega_hat: Optional[Spe
     u1.coeffs *= -1.0
     u2 = ddx1(psi)
     return u1, u2
-
-
-def velocity(state: State) -> tuple[Field, Field]:
-    """Reconstruct the divergence-free velocity (u1, u2) for the state."""
-    kin = state.kinematics
-    return Field(state.grid, kin.u1.copy()), Field(state.grid, kin.u2.copy())
 
 
 def tendency(state: State, ctrl: StepControl = StepControl()) -> tuple[Field, Optional[Field]]:

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -22,7 +21,12 @@ from .snapshots import state_fields, write_snapshot
 
 __all__ = ["RunArtifacts", "run", "OracleCheckReport", "oracle_check", "convergence", "ConvergenceRow"]
 
-SERIES_HEADER = "t,l2_theta,linf_theta,sup_grad_theta,min_axis_slope"
+# columns of each CSV a run writes; every row is one measurement of one state
+CSV_COLUMNS = {
+    "series": ("t", "l2_theta", "linf_theta", "sup_grad_theta", "min_axis_slope"),
+    "conservation": ("t", "l2_theta", "linf_theta", "mean_theta", "l2_omega"),
+    "symmetry": ("t", "symmetry_error_theta", "symmetry_error_omega"),
+}
 RESIDUAL_THRESHOLD = 1e-10
 
 
@@ -36,22 +40,66 @@ class RunArtifacts:
     steps: int
 
 
-def _series_row(state: State) -> str:
-    l2 = l2_norm(state.theta)
-    linf = float(np.max(np.abs(state.theta.values)))
-    grad = state.kinematics.max_grad
-    if state.model is ModelKind.SINGULAR_SCALAR:
-        slope = min_axis_slope(state.theta)
-    else:
-        slope = math.nan
-    return f"{state.t:.17g},{l2:.17g},{linf:.17g},{grad:.17g},{slope:.17g}"
+def _measure(state: State, diagnostics: tuple) -> dict[str, Optional[float]]:
+    """One output row: the series columns, plus those of each requested diagnostic.
+
+    max|grad theta| is the state's cached kinematics; None marks a column
+    of a field the model does not evolve.
+    """
+    theta = state.theta
+    scalar = state.model is ModelKind.SINGULAR_SCALAR
+    row = {
+        "t": state.t,
+        "l2_theta": l2_norm(theta),
+        "linf_theta": float(np.max(np.abs(theta.values))),
+        "sup_grad_theta": state.kinematics.max_grad,
+        "min_axis_slope": min_axis_slope(theta) if scalar else math.nan,
+    }
+    omega = state.omega
+    if "conservation" in diagnostics:
+        row["mean_theta"] = float(np.mean(theta.values))
+        row["l2_omega"] = None if omega is None else l2_norm(omega)
+    if "symmetry" in diagnostics:
+        row["symmetry_error_theta"] = symmetry_error(theta, "even" if scalar else "odd")
+        row["symmetry_error_omega"] = None if omega is None else symmetry_error(omega, "odd")
+    return row
+
+
+def _csv_value(value: Optional[float]) -> str:
+    return "" if value is None else f"{value:.17g}"
+
+
+class _Schedule:
+    """Output times t0 + k * interval: a state is due once it reaches the next one.
+
+    An interval of 0 leaves only the first and the last state due.
+    """
+
+    def __init__(self, t0: float, interval: float):
+        self.interval = interval
+        self.next = t0 + interval
+        self.last = t0
+
+    def due(self, t: float) -> bool:
+        if self.interval <= 0 or t < self.next - 1e-9:
+            return False
+        while self.next <= t + 1e-9:
+            self.next += self.interval
+        self.last = t
+        return True
+
+    def missed(self, t: float) -> bool:
+        """Whether a final state at t came after the last due one and still needs output."""
+        return t > self.last + 1e-12
 
 
 def run(cfg: RunConfig, output_dir: Optional[Path] = None) -> RunArtifacts:
     """Execute one configured run, writing series.csv, snapshots, and meta.txt.
 
-    Partial artifacts survive a blowup signal; the signal is recorded in
-    meta.txt and reported in the returned artifacts.
+    conservation.csv and symmetry.csv are written when `diagnostics` names
+    them.  Every CSV row is written and flushed as its state is measured,
+    so partial artifacts survive a blowup signal or a crash; the signal
+    is recorded in meta.txt and reported in the returned artifacts.
     """
     start = time.perf_counter()
     outdir = Path(output_dir) if output_dir is not None else Path(cfg.output_dir)
@@ -69,72 +117,44 @@ def run(cfg: RunConfig, output_dir: Optional[Path] = None) -> RunArtifacts:
 
     series_path = outdir / "series.csv"
     snapshot_paths: list[Path] = []
-    conservation_rows: list[str] = []
-    symmetry_rows: list[str] = []
-    want_conservation = "conservation" in cfg.diagnostics
-    want_symmetry = "symmetry" in cfg.diagnostics
 
-    def snapshot(state: State) -> None:
+    def snapshot(s: State) -> None:
         path = outdir / f"snapshot-{len(snapshot_paths):04d}.bin"
-        write_snapshot(path, state.t, state_fields(state))
+        write_snapshot(path, s.t, state_fields(s))
         snapshot_paths.append(path)
 
-    def extra_diagnostics(state: State) -> None:
-        if want_conservation:
-            mean = float(np.mean(state.theta.values))
-            l2w = "" if state.omega is None else f"{l2_norm(state.omega):.17g}"
-            conservation_rows.append(
-                f"{state.t:.17g},{l2_norm(state.theta):.17g},"
-                f"{float(np.max(np.abs(state.theta.values))):.17g},{mean:.17g},{l2w}"
-            )
-        if want_symmetry:
-            parity = "even" if state.model is ModelKind.SINGULAR_SCALAR else "odd"
-            err_theta = symmetry_error(state.theta, parity)
-            err_omega = "" if state.omega is None else f"{symmetry_error(state.omega, 'odd'):.17g}"
-            symmetry_rows.append(f"{state.t:.17g},{err_theta:.17g},{err_omega}")
+    with ExitStack() as stack:
+        csvs = [
+            (stack.enter_context(open(outdir / f"{name}.csv", "w")), columns)
+            for name, columns in CSV_COLUMNS.items()
+            if name == "series" or name in cfg.diagnostics
+        ]
+        for f, columns in csvs:
+            f.write(",".join(columns) + "\n")
 
-    with open(series_path, "w") as series:
-        series.write(SERIES_HEADER + "\n")
-        series.write(_series_row(state) + "\n")
-        series.flush()
-        extra_diagnostics(state)
-        snapshot(state)
-        last_series_t = state.t
-        last_snapshot_t = state.t
-        next_series = state.t + cfg.series_interval
-        next_snapshot = state.t + cfg.snapshot_interval
+        def write_row(s: State) -> None:
+            row = _measure(s, cfg.diagnostics)
+            for f, columns in csvs:
+                f.write(",".join(_csv_value(row[c]) for c in columns) + "\n")
+                f.flush()
+
+        series_due = _Schedule(state.t, cfg.series_interval)
+        snapshot_due = _Schedule(state.t, cfg.snapshot_interval)
 
         def observer(s: State) -> None:
-            nonlocal next_series, next_snapshot, last_series_t, last_snapshot_t
-            if cfg.series_interval > 0 and s.t >= next_series - 1e-9:
-                series.write(_series_row(s) + "\n")
-                series.flush()
-                extra_diagnostics(s)
-                last_series_t = s.t
-                while next_series <= s.t + 1e-9:
-                    next_series += cfg.series_interval
-            if cfg.snapshot_interval > 0 and s.t >= next_snapshot - 1e-9:
+            if series_due.due(s.t):
+                write_row(s)
+            if snapshot_due.due(s.t):
                 snapshot(s)
-                last_snapshot_t = s.t
-                while next_snapshot <= s.t + 1e-9:
-                    next_snapshot += cfg.snapshot_interval
 
+        write_row(state)
+        snapshot(state)
         result = integrate(state, ctrl, cfg.t_end, observers=[observer])
         final = result.state
-        if final.t > last_series_t + 1e-12:
-            series.write(_series_row(final) + "\n")
-            extra_diagnostics(final)
-        if final.t > last_snapshot_t + 1e-12:
+        if series_due.missed(final.t):
+            write_row(final)
+        if snapshot_due.missed(final.t):
             snapshot(final)
-
-    if want_conservation:
-        (outdir / "conservation.csv").write_text(
-            "t,l2_theta,linf_theta,mean_theta,l2_omega\n" + "\n".join(conservation_rows) + "\n"
-        )
-    if want_symmetry:
-        (outdir / "symmetry.csv").write_text(
-            "t,symmetry_error_theta,symmetry_error_omega\n" + "\n".join(symmetry_rows) + "\n"
-        )
 
     wall = time.perf_counter() - start
     meta_path = outdir / "meta.txt"
@@ -241,7 +261,7 @@ def _axis_error(cfg: RunConfig, nx: int, dt: float, sol: BurgersSolution) -> flo
     return float(np.max(np.abs(axis - oracle)))
 
 
-def convergence(cfg: RunConfig, levels: int, mode: str = "temporal", workers: Optional[int] = None) -> list[ConvergenceRow]:
+def convergence(cfg: RunConfig, levels: int, mode: str = "temporal") -> list[ConvergenceRow]:
     """Refinement study against the exact axis solution.
 
     temporal: halve dt per level on a fixed grid (RK4 order ~ 4).
@@ -265,14 +285,7 @@ def convergence(cfg: RunConfig, levels: int, mode: str = "temporal", workers: Op
         dt = cfg.dt if cfg.dt is not None else 5e-4
         jobs = [(cfg.nx * 2**i, dt) for i in range(levels)]
 
-    if workers is None:
-        workers = int(os.environ.get("INVLAB_THREADS", "1"))
-    workers = max(1, min(workers, len(jobs)))
-    if workers == 1:
-        errors = [_axis_error(cfg, nx, dt, sol) for nx, dt in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            errors = list(pool.map(lambda job: _axis_error(cfg, job[0], job[1], sol), jobs))
+    errors = [_axis_error(cfg, nx, dt, sol) for nx, dt in jobs]
 
     rows = []
     for i, ((nx, dt), err) in enumerate(zip(jobs, errors)):

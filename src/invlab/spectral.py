@@ -202,11 +202,6 @@ class Field:
         x1, x2 = grid.mesh()
         return cls(grid, np.broadcast_to(np.asarray(fn(x1, x2), dtype=np.float64), grid.shape).copy())
 
-    def copy(self) -> "Field":
-        values = None if self._values is None else self._values.copy()
-        hat = None if self._hat is None else self._hat.copy()
-        return Field(self.grid, values, hat=hat)
-
 
 @dataclass
 class Spectrum:

@@ -107,26 +107,77 @@ class TestRun:
         assert "not allowed" in capsys.readouterr().err
 
     def test_run_has_no_deterministic_flag(self):
-        # runs are always serial; only convergence takes --deterministic
+        # runs are always serial and bit-identical
         with pytest.raises(SystemExit) as exc:
             run_cli("run", "singular-cos", "--deterministic")
         assert exc.value.code == 2
 
     def test_run_loads_no_scipy(self, tmp_path):
-        # a solver run needs numpy only; scipy serves the moving-domain oracle's quadrature
+        # a solver run needs numpy only; scipy serves the moving-domain oracle's quadrature,
+        # and no thread pool is loaded either
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text("model = singular-scalar\nic = singular-cos\nt_end = 0.02\nnx = 16\nny = 16\ndt = 0.01\n")
         script = (
             "import sys\n"
             "from invlab import cli\n"
             f"assert cli.main(['run', {str(cfg)!r}, '--output', {str(tmp_path / 'out')!r}]) == cli.EXIT_OK\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))\n"
         )
         src = str(Path(invlab.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_diagnostic_csvs_share_the_series_rows(self, tmp_path):
+        cfg = tmp_path / "both.cfg"
+        cfg.write_text(
+            "model = modified-boussinesq\nic = expr: sin(x2)*(1 + 0.5*cos(x1))\n"
+            "ic_omega = expr: sin(x2)*cos(x1)\nt_end = 0.05\nnx = 16\nny = 16\ndt = 0.005\n"
+            "diagnostics = conservation, symmetry\n"
+        )
+        out = tmp_path / "out"
+        assert run_cli("run", str(cfg), "--output", str(out)) == EXIT_OK
+        tables = {}
+        for name in ("series", "conservation", "symmetry"):
+            header, *rows = (out / f"{name}.csv").read_text().splitlines()
+            columns = header.split(",")
+            tables[name] = {c: [row.split(",")[i] for row in rows] for i, c in enumerate(columns)}
+        assert len(tables["series"]["t"]) == 6  # t = 0, then one row every 0.01
+        assert tables["conservation"]["t"] == tables["series"]["t"] == tables["symmetry"]["t"]
+        for column in ("l2_theta", "linf_theta"):
+            assert tables["conservation"][column] == tables["series"][column]
+
+    def test_crash_keeps_the_rows_written_so_far(self, tmp_path, monkeypatch):
+        from invlab import runner
+
+        integrate = runner.integrate
+
+        def crashing_integrate(state, ctrl, t_end, observers=()):
+            calls = []
+
+            def observe(s):
+                for obs in observers:
+                    obs(s)
+                calls.append(s.t)
+                if len(calls) == 2:
+                    raise RuntimeError("solver crashed")
+
+            return integrate(state, ctrl, t_end, observers=[observe])
+
+        monkeypatch.setattr(runner, "integrate", crashing_integrate)
+        cfg = tmp_path / "crash.cfg"
+        cfg.write_text(
+            "model = singular-scalar\nic = singular-cos\nt_end = 0.1\nnx = 16\nny = 16\n"
+            "dt = 0.01\ndiagnostics = conservation, symmetry\n"
+        )
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="crashed"):
+            run_cli("run", str(cfg), "--output", str(out))
+        for name in ("series", "conservation", "symmetry"):
+            rows = (out / f"{name}.csv").read_text().splitlines()
+            assert len(rows) == 4, name  # header, t = 0 and the two steps observed
+            assert float(rows[-1].split(",")[0]) == pytest.approx(0.02, abs=1e-12)
 
 
 class TestOracleCheck:
@@ -177,10 +228,18 @@ class TestConvergence:
         cfg.write_text(
             "model = singular-scalar\nic = singular-cos\nt_end = 0.1\nnx = 32\nny = 32\ndt = 0.01\n"
         )
-        assert run_cli("convergence", str(cfg), "--levels", "3", "--deterministic") == EXIT_OK
+        assert run_cli("convergence", str(cfg), "--levels", "3") == EXIT_OK
         out = capsys.readouterr().out
         assert "axis error" in out
         assert len(out.strip().splitlines()) == 4
+
+    def test_convergence_has_no_deterministic_flag(self, tmp_path):
+        # the levels always run one after another
+        cfg = tmp_path / "conv.cfg"
+        cfg.write_text("model = singular-scalar\nic = singular-cos\nt_end = 0.1\nnx = 32\nny = 32\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("convergence", str(cfg), "--levels", "3", "--deterministic")
+        assert exc.value.code == 2
 
 
 class TestSeriesTools:

@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from invlab.config import ConfigError, config_echo, parse_config
+from invlab.config import ConfigError, RunConfig, config_echo, parse_config
 from invlab.dynamics import ModelKind
 
 MINIMAL = """
@@ -19,6 +21,12 @@ class TestParsing:
         assert cfg.dealias is True
         assert cfg.dt is None
         assert cfg.series_interval == 0.01
+
+    def test_minimal_config_equals_the_dataclass_defaults(self):
+        cfg = parse_config(MINIMAL)
+        expected = RunConfig(ModelKind.SINGULAR_SCALAR, "singular-cos", 0.5)
+        for f in dataclasses.fields(RunConfig):
+            assert getattr(cfg, f.name) == getattr(expected, f.name), f.name
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# a comment\n\nmodel = boussinesq  # inline\nic = expr: sin(x2)\nic_omega = expr: sin(x1)\nt_end = 1\n")

@@ -4,21 +4,20 @@ import math
 import numpy as np
 import pytest
 
+from invlab.config import parse_config
 from invlab.diagnostics import (
     TimeSeries,
-    conservation_report,
     extrapolate_blowup,
     fit_growth_rate,
-    format_conservation_csv,
     l2_norm,
     min_axis_slope,
     residual,
     residual_from_states,
-    sup_grad,
     symmetry_error,
 )
-from invlab.dynamics import ModelKind, State, StepControl, integrate, rk4_step
+from invlab.dynamics import ModelKind, State, StepControl, rk4_step
 from invlab.oracles import ModifiedSolution, MovingDomainSolution, UniformScalarSolution, WedgeSolution, PROFILES
+from invlab.runner import run
 from invlab.spectral import Field, Grid2D
 
 GRID = Grid2D(32, 32)
@@ -39,20 +38,22 @@ class TestTimeSeries:
         assert list(w.t) == [1.0, 2.0, 3.0]
 
 
+def sup_grad(f: Field) -> float:
+    """The series column sup_grad_theta: max|grad theta| from the state's kinematics."""
+    return State(ModelKind.SINGULAR_SCALAR, 0.0, f).kinematics.max_grad
+
+
 class TestSupGrad:
     def test_single_mode_x2(self):
         f = Field.from_function(GRID, lambda x1, x2: np.sin(x2))
-        value, (x1, x2) = sup_grad(f)
-        assert value == pytest.approx(1.0, abs=1e-12)
-        assert min(abs(x2 - 0.0), abs(x2 - math.pi)) < 1e-12
+        assert sup_grad(f) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant(self):
-        value, _ = sup_grad(Field(GRID, np.full(GRID.shape, 4.0)))
-        assert value < 1e-13
+        assert sup_grad(Field(GRID, np.full(GRID.shape, 4.0))) < 1e-13
 
     def test_cos_cos(self):
         f = Field.from_function(GRID, lambda x1, x2: np.cos(x1) * np.cos(x2))
-        value, _ = sup_grad(f)
+        value = sup_grad(f)
         # dense brute force on the closed form
         xs = np.linspace(0, 2 * math.pi, 400)
         x1m, x2m = np.meshgrid(xs, xs, indexing="ij")
@@ -63,8 +64,7 @@ class TestSupGrad:
     def test_mode_amplitude_rule(self):
         # |grad| of A cos(k.x) peaks at |A| |k|
         f = Field.from_function(GRID, lambda x1, x2: 2.5 * np.cos(3 * x1 + 4 * x2))
-        value, _ = sup_grad(f)
-        assert value == pytest.approx(2.5 * 5.0, rel=1e-10)
+        assert sup_grad(f) == pytest.approx(2.5 * 5.0, rel=1e-10)
 
 
 class TestGrowthFit:
@@ -220,38 +220,33 @@ class TestSymmetryError:
 
 
 class TestConservationReport:
-    def test_single_state_zero_drift(self):
-        state = State(ModelKind.SINGULAR_SCALAR, 0.0,
-                      Field.from_function(GRID, lambda x1, x2: np.cos(x1) * np.cos(x2)))
-        rows = conservation_report([state])
-        assert len(rows) == 1
-        assert rows[0].drift_l2_theta == 0.0
-        assert rows[0].drift_linf_theta == 0.0
+    """Invariants of the oracle scalar and of a run's conservation.csv."""
 
     def test_transported_oracle_preserves_sup(self):
         # sampling the wedge scalar at two times: the sup norm is invariant
         solution = WedgeSolution(PROFILES["sin"])
         grid = Grid2D(64, 256)
+        _, x2 = grid.mesh()
+        linf0, linf1 = (float(np.max(np.abs(solution.theta(x2, t)))) for t in (0.0, 1.0))
+        assert abs(linf1 - linf0) / linf0 < 1e-3
 
-        def as_state(t):
-            theta = Field.from_function(grid, lambda x1, x2: solution.theta(x2, t))
-            return State(ModelKind.SINGULAR_SCALAR, t, theta)
+    def test_run_conservation(self, tmp_path):
+        run(parse_config(
+            "model = singular-scalar\nic = singular-cos\nt_end = 0.25\n"
+            "nx = 64\nny = 64\ndt = 0.002\ndiagnostics = conservation\n"
+        ), output_dir=tmp_path)
+        rows = np.genfromtxt(tmp_path / "conservation.csv", delimiter=",", names=True)
+        assert rows["t"][-1] == pytest.approx(0.25, abs=1e-12)
+        l2 = rows["l2_theta"]
+        assert float(np.max(np.abs(l2 - l2[0]) / l2[0])) < 1e-8
 
-        rows = conservation_report([as_state(0.0), as_state(1.0)])
-        assert rows[1].drift_linf_theta < 1e-3
-
-    def test_run_conservation(self):
-        grid = Grid2D(64, 64)
-        state = State(ModelKind.SINGULAR_SCALAR, 0.0,
-                      Field.from_function(grid, lambda x1, x2: np.cos(x1) * np.cos(x2)))
-        result = integrate(state, StepControl(dt=2e-3), 0.25)
-        rows = conservation_report([state, result.state])
-        assert rows[1].drift_l2_theta < 1e-8
-
-    def test_csv_rendering(self):
-        state = State(ModelKind.BOUSSINESQ, 0.0, Field.zeros(GRID), Field.zeros(GRID))
-        text = format_conservation_csv(conservation_report([state]))
-        assert text.splitlines()[0].startswith("t,l2_theta")
+    def test_csv_rendering(self, tmp_path):
+        run(parse_config(
+            "model = boussinesq\nic = expr: sin(x1)\nic_omega = expr: sin(x2)\nt_end = 0\n"
+            "nx = 16\nny = 16\ndiagnostics = conservation\n"
+        ), output_dir=tmp_path)
+        text = (tmp_path / "conservation.csv").read_text()
+        assert text.splitlines()[0] == "t,l2_theta,linf_theta,mean_theta,l2_omega"
         assert len(text.splitlines()) == 2
 
 
