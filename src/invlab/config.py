@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -64,6 +65,10 @@ class RunConfig:
     diagnostics: tuple = ()
 
     def __post_init__(self) -> None:
+        for key, (tag, name) in _SCHEMA.items():
+            value = getattr(self, name)
+            if tag == "float" and value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if self.t_end < 0:
             raise ConfigError(f"t_end must be nonnegative, got {self.t_end}")
         for name, n in (("nx", self.nx), ("ny", self.ny)):

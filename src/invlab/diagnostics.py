@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import ModelKind, State
-from .spectral import Field, ddx2, gradient
+from .spectral import Field, ddx2, forward, gradient, inverse
 
 __all__ = [
     "TimeSeries",
@@ -184,7 +184,6 @@ def residual_from_states(prev: State, mid: State, nxt: State):
     if not (prev.t < mid.t < nxt.t):
         raise ValueError("snapshots must be time-ordered")
     h1, h2 = mid.t - prev.t, nxt.t - mid.t
-    grid = mid.grid
     kin = mid.kinematics
     dtheta_dt = _central_dt(prev.theta.values, mid.theta.values, nxt.theta.values, h1, h2)
     res_theta = dtheta_dt + kin.u1 * kin.dtheta_dx1 + kin.u2 * kin.dtheta_dx2
@@ -193,12 +192,11 @@ def residual_from_states(prev: State, mid: State, nxt: State):
         return max_theta, None
     wx1, wx2 = gradient(mid.omega)
     domega_dt = _central_dt(prev.omega.values, mid.omega.values, nxt.omega.values, h1, h2)
-    lhs = domega_dt + kin.u1 * wx1.values + kin.u2 * wx2.values
+    lhs = domega_dt + kin.u1 * wx1 + kin.u2 * wx2
     if mid.model is ModelKind.BOUSSINESQ:
         rhs = kin.dtheta_dx1
     else:
-        sq_hat = Field(grid, mid.theta.values**2).hat
-        rhs = -Field(grid, hat=ddx2(sq_hat)).values
+        rhs = -inverse(ddx2(forward(mid.grid, mid.theta.values**2)))
     return max_theta, float(np.max(np.abs(lhs - rhs)))
 
 

@@ -1,17 +1,12 @@
 """Periodic spectral toolbox: grids, transforms, derivatives, inversions.
 
 Fields live on a uniform doubly periodic grid; spectra hold normalized
-Fourier coefficients (coefficient of the constant mode equals the mean).
-A Spectrum comes in one of two layouts:
-
-  full   shape (nx, ny), every mode, from forward() (complex fft2);
-  half   shape (nx, ny/2 + 1), modes k2 = 0 .. ny/2 only, from Field.hat
-         (real rfft2).  The modes k2 < 0 follow by Hermitian symmetry.
-
-The derivative, inversion and dealiasing operators accept either layout.
-The time stepper works on half spectra; forward() and inverse() serve
-callers that want every mode.  Operators are pure functions; a Field
-keeps the representation it computed on first use (see Field).
+Fourier coefficients (coefficient of the constant mode equals the mean)
+in the half layout of the real transform: shape (nx, ny/2 + 1), modes
+k2 = 0 .. ny/2 only.  The modes k2 < 0 follow by Hermitian symmetry.
+forward() and inverse() are the one real-transform pair; the derivative,
+inversion and dealiasing operators are pure functions on half spectra.
+A Field keeps the representation it computed on first use (see Field).
 """
 
 from __future__ import annotations
@@ -37,7 +32,6 @@ __all__ = [
     "antideriv_x2",
     "dealias",
     "gradient",
-    "hermitian_defect",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -105,7 +99,8 @@ class Grid2D:
 
     @cached_property
     def k2int(self) -> np.ndarray:
-        return np.fft.fftfreq(self.ny, d=1.0 / self.ny)
+        """Integer mode numbers along x2 in the half layout: 0 .. ny/2."""
+        return np.fft.rfftfreq(self.ny, d=1.0 / self.ny)
 
     @cached_property
     def kx(self) -> np.ndarray:
@@ -114,6 +109,7 @@ class Grid2D:
 
     @cached_property
     def ky(self) -> np.ndarray:
+        """Angular wavenumbers along x2, half layout."""
         return (TWO_PI / self.ly) * self.k2int
 
     @cached_property
@@ -132,7 +128,7 @@ class Grid2D:
 
     @cached_property
     def k_squared(self) -> np.ndarray:
-        """|k|^2 on the full coefficient grid (Nyquist included; even power)."""
+        """|k|^2 on the half coefficient grid (Nyquist included; even power)."""
         return self.kx[:, None] ** 2 + self.ky[None, :] ** 2
 
     @cached_property
@@ -146,11 +142,10 @@ class Grid2D:
 class Field:
     """Real field on a Grid2D, known by its nodal values, its half spectrum, or both.
 
-    Nodal values have shape (nx, ny).  The half spectrum (`hat`) is the
-    rfft2 of the values, normalized like forward().  Whichever of the two
-    was not given is computed on first use and kept, so both are
-    read-only: replace `values` by assignment, which drops the kept
-    spectrum.
+    Nodal values have shape (nx, ny); `hat` is forward() of the values.
+    Whichever of the two was not given is computed on first use and
+    kept, so both are read-only: replace `values` by assignment, which
+    drops the kept spectrum.
     """
 
     __slots__ = ("grid", "_values", "_hat")
@@ -164,14 +159,14 @@ class Field:
         elif hat is None:
             raise ValueError("a field needs nodal values or a half spectrum")
         if hat is not None:
-            if hat.grid != grid or not hat.half:
-                raise ValueError("hat must be a half spectrum on the field's grid")
+            if hat.grid != grid:
+                raise ValueError("hat must be a spectrum on the field's grid")
             self._hat = hat
 
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._values = np.fft.irfft2(self._hat.coeffs, s=self.grid.shape, norm="forward")
+            self._values = inverse(self._hat)
         return self._values
 
     @values.setter
@@ -188,8 +183,7 @@ class Field:
     def hat(self) -> "Spectrum":
         """Half spectrum; rejects non-finite values, naming the first offending node."""
         if self._hat is None:
-            _require_finite(self)
-            self._hat = Spectrum(self.grid, np.fft.rfft2(self._values, norm="forward"))
+            self._hat = forward(self.grid, self._values)
         return self._hat
 
     @classmethod
@@ -205,17 +199,15 @@ class Field:
 
 @dataclass
 class Spectrum:
-    """Complex Fourier coefficients in the full or the half layout.
+    """Complex Fourier coefficients in the half layout, shape (nx, ny/2 + 1).
 
-    Axis 0 holds k1 in standard FFT order (Nyquist stored negative) in
-    both layouts.  Axis 1 holds every k2 in FFT order (full layout, shape
-    (nx, ny)) or k2 = 0 .. ny/2 (half layout, shape (nx, ny/2 + 1), the
-    rfft2 layout).  Spectra of real fields are Hermitian-symmetric:
-    coeff(-k) = conj(coeff(k)).  The half layout stores the k2 < 0 modes
-    only through that symmetry, except in its columns k2 = 0 and
-    k2 = ny/2: those are self-conjugate, holding both coeff(k1, k2) and
-    coeff(-k1, k2) = conj(coeff(k1, k2)).  The inverse real transform
-    keeps only the Hermitian part of those two columns.
+    Axis 0 holds k1 in standard FFT order (Nyquist stored negative), axis
+    1 holds k2 = 0 .. ny/2: the rfft2 layout.  Spectra of real fields are
+    Hermitian-symmetric, coeff(-k) = conj(coeff(k)), so the k2 < 0 modes
+    are stored only through that symmetry, except in the columns k2 = 0
+    and k2 = ny/2: those are self-conjugate, holding both coeff(k1, k2)
+    and coeff(-k1, k2) = conj(coeff(k1, k2)).  inverse() keeps only the
+    Hermitian part of those two columns.
     """
 
     grid: Grid2D
@@ -223,68 +215,33 @@ class Spectrum:
 
     def __post_init__(self) -> None:
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if self.coeffs.shape not in (self.grid.shape, self.grid.half_shape):
+        if self.coeffs.shape != self.grid.half_shape:
             raise ValueError(
-                f"coeffs shape {self.coeffs.shape} matches neither the full {self.grid.shape} "
-                f"nor the half {self.grid.half_shape} layout of the grid"
+                f"coeffs shape {self.coeffs.shape} does not match the half layout "
+                f"{self.grid.half_shape} of the grid"
             )
-
-    @property
-    def half(self) -> bool:
-        return self.coeffs.shape[1] != self.grid.ny
 
     def copy(self) -> "Spectrum":
         return Spectrum(self.grid, self.coeffs.copy())
 
 
-def _require_finite(f: Field) -> None:
-    values = f.values
-    if not np.all(np.isfinite(values)):
-        j, k = np.argwhere(~np.isfinite(values))[0]
-        g = f.grid
-        raise NonFiniteFieldError(
-            f"non-finite field value {values[j, k]!r} at node ({j}, {k}), "
-            f"x = ({j * g.dx:.6g}, {k * g.dy:.6g})"
-        )
-
-
-def forward(f: Field) -> Spectrum:
-    """Full-layout discrete Fourier transform, normalized so coeff(0,0) is the mean.
+def forward(grid: Grid2D, values: np.ndarray) -> Spectrum:
+    """Real forward transform (rfft2), normalized so coeff(0,0) is the mean.
 
     Rejects non-finite input, naming the first offending node.
     """
-    _require_finite(f)
-    n = f.grid.nx * f.grid.ny
-    return Spectrum(f.grid, np.fft.fft2(f.values) / n)
-
-
-def _mirror_conj(coeffs: np.ndarray) -> np.ndarray:
-    # conj of the coefficient at -k, aligned back onto index k
-    return np.conj(np.roll(coeffs[::-1, ::-1], (1, 1), axis=(0, 1)))
-
-
-def hermitian_defect(s: Spectrum) -> float:
-    """Max |coeff(k) - conj(coeff(-k))| over all modes of a full spectrum."""
-    if s.half:
-        raise ValueError("expected a full spectrum; a half spectrum becomes a field as Field(grid, hat=s)")
-    return float(np.max(np.abs(s.coeffs - _mirror_conj(s.coeffs))))
-
-
-def inverse(s: Spectrum) -> Field:
-    """Inverse transform of a full spectrum back to real nodal values.
-
-    Rejects spectra that are not Hermitian-symmetric (those would
-    produce complex nodal values).
-    """
-    scale = float(np.max(np.abs(s.coeffs))) if s.coeffs.size else 0.0
-    defect = hermitian_defect(s)
-    if defect > 1e-10 * max(1.0, scale):
-        raise ValueError(
-            f"spectrum is not Hermitian-symmetric (defect {defect:.3e}); "
-            "cannot represent a real field"
+    if not np.all(np.isfinite(values)):
+        j, k = np.argwhere(~np.isfinite(values))[0]
+        raise NonFiniteFieldError(
+            f"non-finite field value {values[j, k]!r} at node ({j}, {k}), "
+            f"x = ({j * grid.dx:.6g}, {k * grid.dy:.6g})"
         )
-    n = s.grid.nx * s.grid.ny
-    return Field(s.grid, np.fft.ifft2(s.coeffs * n).real)
+    return Spectrum(grid, np.fft.rfft2(values, norm="forward"))
+
+
+def inverse(s: Spectrum) -> np.ndarray:
+    """Real inverse transform (irfft2): the nodal values of a half spectrum."""
+    return np.fft.irfft2(s.coeffs, s=s.grid.shape, norm="forward")
 
 
 def ddx1(s: Spectrum) -> Spectrum:
@@ -292,21 +249,14 @@ def ddx1(s: Spectrum) -> Spectrum:
     return Spectrum(s.grid, s.coeffs * (1j * s.grid.kx_deriv)[:, None])
 
 
-# The operators below take the k2 wavenumbers of a half spectrum as the
-# first ny/2 + 1 entries of the full-layout arrays.  Those store the
-# Nyquist mode as -ny/2 where rfft2 means +ny/2; each operator squares k2
-# or zeroes that mode, so the sign never matters.
-
-
 def ddx2(s: Spectrum) -> Spectrum:
     """Spectral d/dx2 (Nyquist mode of the x2 direction zeroed)."""
-    ky = s.grid.ky_deriv[: s.coeffs.shape[1]]
-    return Spectrum(s.grid, s.coeffs * (1j * ky)[None, :])
+    return Spectrum(s.grid, s.coeffs * (1j * s.grid.ky_deriv)[None, :])
 
 
 def laplacian(s: Spectrum) -> Spectrum:
     """Spectral Laplacian, -|k|^2 multiplication on the full mode set."""
-    return Spectrum(s.grid, -s.grid.k_squared[:, : s.coeffs.shape[1]] * s.coeffs)
+    return Spectrum(s.grid, -s.grid.k_squared * s.coeffs)
 
 
 def poisson_solve(omega: Spectrum) -> Spectrum:
@@ -321,7 +271,7 @@ def poisson_solve(omega: Spectrum) -> Spectrum:
             f"vorticity has nonzero mean {omega.coeffs[0, 0]:.3e}; "
             "the periodic Poisson problem is not solvable"
         )
-    k2 = omega.grid.k_squared[:, : omega.coeffs.shape[1]].copy()
+    k2 = omega.grid.k_squared.copy()
     k2[0, 0] = 1.0
     psi = -omega.coeffs / k2
     psi[0, 0] = 0.0
@@ -345,7 +295,7 @@ def antideriv_x2(theta: Spectrum) -> Spectrum:
             f"x2-mean mode at k1 index {k1_bad} is {theta.coeffs[k1_bad, 0]:.3e}; "
             "no periodic x2-antiderivative exists for this data"
         )
-    ky = grid.ky[: theta.coeffs.shape[1]].copy()
+    ky = grid.ky.copy()
     ky[0] = 1.0
     psi = -theta.coeffs / (1j * ky)[None, :]
     psi[:, 0] = 0.0
@@ -355,15 +305,14 @@ def antideriv_x2(theta: Spectrum) -> Spectrum:
 
 def dealias(s: Spectrum) -> Spectrum:
     """Two-thirds rule: zero every mode with |k1| > nx/3 or |k2| > ny/3."""
-    return Spectrum(s.grid, s.coeffs * s.grid.dealias_keep[:, : s.coeffs.shape[1]])
+    return Spectrum(s.grid, s.coeffs * s.grid.dealias_keep)
 
 
-def gradient(f: Field) -> tuple[Field, Field]:
-    """Spectral (df/dx1, df/dx2) as fields.
+def gradient(f: Field) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral (df/dx1, df/dx2) as nodal arrays.
 
     Costs one real forward transform, unless f already knows its half
-    spectrum, and one real inverse transform per component when its
-    values are first read.
+    spectrum, and one real inverse transform per component.
     """
     hat = f.hat
-    return Field(f.grid, hat=ddx1(hat)), Field(f.grid, hat=ddx2(hat))
+    return inverse(ddx1(hat)), inverse(ddx2(hat))

@@ -106,6 +106,42 @@ class TestRun:
         assert run_cli("run", str(cfg), "--output", str(tmp_path / "out")) == EXIT_VALIDATION
         assert "not allowed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["dt", "max_grad", "t_end", "lx"])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, key, value):
+        code = run_cli("run", "singular-cos", "--set", "nx=16", "--set", "ny=16",
+                       "--set", f"{key}={value}", "--output", str(tmp_path / "out"))
+        assert code == EXIT_VALIDATION
+        assert f"{key} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "model_lines",
+        [
+            "model = singular-scalar\nic = singular-cos\n",
+            "model = boussinesq\nic = expr: sin(x2)*(1 + 0.5*cos(x1))\nic_omega = expr: sin(x2)*cos(x1)\n",
+            "model = modified-boussinesq\nic = expr: sin(x2)*(1 + 0.5*cos(x1))\n"
+            "ic_omega = expr: sin(x2)*cos(x1)\n",
+        ],
+        ids=["singular-scalar", "boussinesq", "modified-boussinesq"],
+    )
+    def test_no_run_path_does_a_complex_transform(self, tmp_path, monkeypatch, model_lines):
+        # every spectrum is a half (rfft2) spectrum; numpy's real transforms
+        # do not go through these package attributes, so they keep working
+        def refuse(*args, **kwargs):
+            raise AssertionError("complex FFT called")
+
+        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            model_lines + "t_end = 0.05\nnx = 16\nny = 16\ndt = 0.01\nproject_symmetry = true\n"
+            "output.snapshot_interval = 0.02\ndiagnostics = conservation, symmetry\n"
+        )
+        out = tmp_path / "out"
+        assert run_cli("run", str(cfg), "--output", str(out)) == EXIT_OK
+        assert (out / "snapshot-0002.bin").exists()
+        assert len((out / "symmetry.csv").read_text().splitlines()) == 7  # header, t = 0 .. 0.05
+
     def test_run_has_no_deterministic_flag(self):
         # runs are always serial and bit-identical
         with pytest.raises(SystemExit) as exc:

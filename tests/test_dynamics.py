@@ -28,15 +28,15 @@ def cos_cos_state(grid=GRID):
 
 def random_band_limited(grid, seed, zero_x2_mean=False):
     rng = np.random.default_rng(seed)
-    s = dealias(forward(Field(grid, rng.standard_normal(grid.shape))))
+    s = dealias(forward(grid, rng.standard_normal(grid.shape)))
     if zero_x2_mean:
         s.coeffs[:, 0] = 0.0
-    return inverse(s)
+    return Field(grid, inverse(s))
 
 
 def divergence_max(u1, u2):
-    div = ddx1(forward(Field(GRID, u1))).coeffs + ddx2(forward(Field(GRID, u2))).coeffs
-    return float(np.max(np.abs(inverse(Spectrum(GRID, div)).values)))
+    div = ddx1(forward(GRID, u1)).coeffs + ddx2(forward(GRID, u2)).coeffs
+    return float(np.max(np.abs(inverse(Spectrum(GRID, div)))))
 
 
 def nodal_velocity(state):
@@ -309,11 +309,19 @@ def random_state(model, grid, seed):
 
 def complex_fft_rk4_step(state, dt):
     """One RK4 step on nodal arrays with full complex transforms, written out here
-    as an independent reference for the half-spectrum step."""
+    as an independent reference for the half-spectrum step.  Its wavenumbers
+    cover every mode and come from np.fft.fftfreq, not from Grid2D."""
     grid = state.grid
-    ikx = 1j * grid.kx_deriv[:, None]
-    iky = 1j * grid.ky_deriv[None, :]
-    keep = grid.dealias_keep
+    k1int = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)
+    k2int = np.fft.fftfreq(grid.ny, d=1.0 / grid.ny)
+    kx = (2 * np.pi / grid.lx) * k1int
+    ky = (2 * np.pi / grid.ly) * k2int
+    kx_deriv, ky_deriv = kx.copy(), ky.copy()
+    kx_deriv[grid.nx // 2] = 0.0
+    ky_deriv[grid.ny // 2] = 0.0
+    ikx = 1j * kx_deriv[:, None]
+    iky = 1j * ky_deriv[None, :]
+    keep = (np.abs(k1int) <= grid.nx / 3.0)[:, None] & (np.abs(k2int) <= grid.ny / 3.0)[None, :]
 
     def fwd(values):
         return np.fft.fft2(values) / values.size
@@ -323,9 +331,9 @@ def complex_fft_rk4_step(state, dt):
 
     def velocity_coeffs(theta_c, omega_c):
         if state.model is ModelKind.SINGULAR_SCALAR:
-            ky = grid.ky.copy()
-            ky[0] = 1.0
-            psi = -theta_c / (1j * ky)[None, :]
+            ky_safe = ky.copy()
+            ky_safe[0] = 1.0
+            psi = -theta_c / (1j * ky_safe)[None, :]
             psi[:, 0] = 0.0
             psi[:, grid.ny // 2] = 0.0
             u1, u2 = -iky * psi, ikx * psi
@@ -339,7 +347,7 @@ def complex_fft_rk4_step(state, dt):
             u2[:, 1] += (1j / (2.0 * q)) * ikx[:, 0] * m
             u2[:, -1] -= (1j / (2.0 * q)) * ikx[:, 0] * m
             return u1, u2
-        k2 = grid.k_squared.copy()
+        k2 = kx[:, None] ** 2 + ky[None, :] ** 2
         k2[0, 0] = 1.0
         psi = -omega_c / k2
         psi[0, 0] = 0.0

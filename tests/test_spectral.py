@@ -10,28 +10,37 @@ from invlab.spectral import (
     ddx2,
     dealias,
     forward,
-    hermitian_defect,
+    gradient,
     inverse,
     laplacian,
     poisson_solve,
 )
 
 
-def random_field(grid, seed=0, scale=1.0):
+def random_values(grid, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
-    return Field(grid, scale * rng.standard_normal(grid.shape))
+    return scale * rng.standard_normal(grid.shape)
 
 
 def random_band_limited(grid, seed=0):
-    """Random real field with no content outside the 2/3 band."""
-    raw = forward(random_field(grid, seed))
-    return inverse(dealias(raw))
+    """Random real nodal values with no content outside the 2/3 band."""
+    return inverse(dealias(forward(grid, random_values(grid, seed))))
+
+
+def sampled(grid, fn):
+    return fn(*grid.mesh())
+
+
+def self_conjugate_defect(coeffs):
+    """Max |coeff(k1) - conj(coeff(-k1))| down one self-conjugate column."""
+    return float(np.max(np.abs(coeffs - np.conj(np.roll(coeffs[::-1], 1)))))
 
 
 class TestGrid2D:
     def test_basic(self):
         grid = Grid2D(32, 64)
         assert grid.shape == (32, 64)
+        assert grid.half_shape == (32, 33)
         assert np.isclose(grid.dx, 2 * np.pi / 32)
         assert grid.x1[0] == 0.0
         assert np.isclose(grid.x2[1], 2 * np.pi / 64)
@@ -41,6 +50,13 @@ class TestGrid2D:
         assert grid.k1int[1] == 1
         assert grid.k1int[8] == -8  # Nyquist stored negative
         assert grid.kx_deriv[8] == 0.0
+        assert list(grid.k2int) == list(range(9))  # half layout: k2 = 0 .. ny/2
+        assert grid.ky_deriv[8] == 0.0
+
+    def test_operator_arrays_are_half_layout(self):
+        grid = Grid2D(16, 32)
+        assert grid.k_squared.shape == grid.half_shape
+        assert grid.dealias_keep.shape == grid.half_shape
 
     @pytest.mark.parametrize("nx,ny", [(7, 16), (16, 7), (4, 16), (16, 0)])
     def test_rejects_bad_sizes(self, nx, ny):
@@ -52,17 +68,31 @@ class TestGrid2D:
             Grid2D(16, 16, lx=-1.0)
 
 
+class TestSpectrum:
+    def test_rejects_full_layout(self):
+        grid = Grid2D(16, 16)
+        with pytest.raises(ValueError, match="half layout"):
+            Spectrum(grid, np.zeros(grid.shape, dtype=complex))
+
+    def test_field_values_and_hat_are_the_transform_pair(self):
+        grid = Grid2D(16, 32)
+        values = random_values(grid, 5)
+        assert np.array_equal(Field(grid, values).hat.coeffs, forward(grid, values).coeffs)
+        s = forward(grid, values)
+        assert np.array_equal(Field(grid, hat=s).values, inverse(s))
+
+
 class TestForward:
     def test_constant_mode(self):
         grid = Grid2D(16, 16)
-        s = forward(Field(grid, np.full(grid.shape, 3.25)))
+        s = forward(grid, np.full(grid.shape, 3.25))
         assert abs(s.coeffs[0, 0] - 3.25) < 1e-14
         s.coeffs[0, 0] = 0.0
         assert np.max(np.abs(s.coeffs)) < 1e-14
 
     def test_single_cosine_mode(self):
         grid = Grid2D(16, 16)
-        s = forward(Field.from_function(grid, lambda x1, x2: np.cos(x1)))
+        s = forward(grid, sampled(grid, lambda x1, x2: np.cos(x1)))
         assert abs(s.coeffs[1, 0] - 0.5) < 1e-14
         assert abs(s.coeffs[-1, 0] - 0.5) < 1e-14
         s.coeffs[1, 0] = s.coeffs[-1, 0] = 0.0
@@ -73,68 +103,100 @@ class TestForward:
         values = np.zeros(grid.shape)
         values[3, 7] = np.nan
         with pytest.raises(ValueError, match=r"\(3, 7\)"):
-            forward(Field(grid, values))
+            forward(grid, values)
+        with pytest.raises(ValueError, match=r"\(3, 7\)"):
+            Field(grid, values).hat
 
     @pytest.mark.parametrize("seed", range(4))
     def test_roundtrip(self, seed):
         grid = Grid2D(32, 48, lx=2 * np.pi, ly=4 * np.pi)
-        f = random_field(grid, seed)
-        back = inverse(forward(f))
-        scale = np.max(np.abs(f.values))
-        assert np.max(np.abs(back.values - f.values)) < 1e-12 * scale
+        values = random_values(grid, seed)
+        back = inverse(forward(grid, values))
+        scale = np.max(np.abs(values))
+        assert np.max(np.abs(back - values)) < 1e-12 * scale
 
 
 class TestInverse:
     def test_zero(self):
         grid = Grid2D(16, 16)
-        f = inverse(Spectrum(grid, np.zeros(grid.shape, dtype=complex)))
-        assert np.all(f.values == 0.0)
+        values = inverse(Spectrum(grid, np.zeros(grid.half_shape, dtype=complex)))
+        assert values.shape == grid.shape
+        assert np.all(values == 0.0)
 
     def test_cosine_pair(self):
         grid = Grid2D(16, 16)
-        coeffs = np.zeros(grid.shape, dtype=complex)
+        coeffs = np.zeros(grid.half_shape, dtype=complex)
         coeffs[1, 0] = coeffs[-1, 0] = 0.5
-        f = inverse(Spectrum(grid, coeffs))
+        values = inverse(Spectrum(grid, coeffs))
         expected = np.cos(grid.mesh()[0])
-        assert np.max(np.abs(f.values - expected)) < 1e-13
+        assert np.max(np.abs(values - expected)) < 1e-13
 
-    def test_rejects_asymmetric(self):
+    def test_lone_self_conjugate_coefficient_gives_its_hermitian_part(self):
+        # the k2 = 0 column holds both k1 = 1 and its partner k1 = -1; a
+        # coefficient without its partner becomes the Hermitian part, cos x1
         grid = Grid2D(16, 16)
-        coeffs = np.zeros(grid.shape, dtype=complex)
-        coeffs[1, 0] = 1.0  # missing conjugate partner
-        with pytest.raises(ValueError, match="Hermitian"):
-            inverse(Spectrum(grid, coeffs))
+        coeffs = np.zeros(grid.half_shape, dtype=complex)
+        coeffs[1, 0] = 1.0
+        values = inverse(Spectrum(grid, coeffs))
+        expected = np.cos(grid.mesh()[0])
+        assert np.max(np.abs(values - expected)) < 1e-13
+
+    @pytest.mark.parametrize(
+        "fn,modes",
+        [
+            (lambda x1, x2: np.cos(8 * x2), {(0, 8): 1.0}),
+            (lambda x1, x2: np.cos(x1) * np.cos(8 * x2), {(1, 8): 0.5, (-1, 8): 0.5}),
+        ],
+        ids=["cos-ny/2-x2", "cos-x1-cos-ny/2-x2"],
+    )
+    def test_nyquist_column_roundtrips(self, fn, modes):
+        grid = Grid2D(16, 16)
+        values = sampled(grid, fn)
+        s = forward(grid, values)
+        for (k1, k2), c in modes.items():
+            assert abs(s.coeffs[k1, k2] - c) < 1e-14
+            s.coeffs[k1, k2] -= c
+        assert np.max(np.abs(s.coeffs)) < 1e-14
+        assert np.max(np.abs(inverse(forward(grid, values)) - values)) < 1e-14
 
     @pytest.mark.parametrize("seed", range(3))
     def test_spectral_roundtrip(self, seed):
         grid = Grid2D(32, 32)
-        s = forward(random_field(grid, seed))
-        assert hermitian_defect(s) < 1e-14
-        again = forward(inverse(s))
+        s = forward(grid, random_values(grid, seed))
+        for col in (0, grid.ny // 2):
+            assert self_conjugate_defect(s.coeffs[:, col]) < 1e-14
+        again = forward(grid, inverse(s))
         assert np.max(np.abs(again.coeffs - s.coeffs)) < 1e-12 * np.max(np.abs(s.coeffs))
 
 
 class TestDerivatives:
     def test_ddx2_sine(self):
         grid = Grid2D(32, 32)
-        s = forward(Field.from_function(grid, lambda x1, x2: np.sin(x2)))
+        s = forward(grid, sampled(grid, lambda x1, x2: np.sin(x2)))
         d = inverse(ddx2(s))
         expected = np.cos(grid.mesh()[1])
-        assert np.max(np.abs(d.values - expected)) < 1e-12
+        assert np.max(np.abs(d - expected)) < 1e-12
 
     def test_ddx1_constant(self):
         grid = Grid2D(16, 16)
-        s = forward(Field(grid, np.full(grid.shape, 2.0)))
+        s = forward(grid, np.full(grid.shape, 2.0))
         assert np.max(np.abs(ddx1(s).coeffs)) < 1e-15
+
+    def test_gradient_returns_nodal_arrays(self):
+        grid = Grid2D(32, 16)
+        x1, x2 = grid.mesh()
+        gx, gy = gradient(Field(grid, np.sin(x1) * np.cos(2 * x2)))
+        assert np.max(np.abs(gx - np.cos(x1) * np.cos(2 * x2))) < 1e-13
+        assert np.max(np.abs(gy + 2 * np.sin(x1) * np.sin(2 * x2))) < 1e-13
 
     def test_matches_finite_differences_at_second_order(self):
         # centered differences of the nodal values converge at O(h^2)
         # toward the spectral derivative of a smooth field
         def fd_error(n):
             grid = Grid2D(n, 16)
-            f = Field.from_function(grid, lambda x1, x2: np.exp(np.sin(x1)) + 0 * x2)
-            spectral = inverse(ddx1(forward(f))).values
-            fd = (np.roll(f.values, -1, axis=0) - np.roll(f.values, 1, axis=0)) / (2 * grid.dx)
+            values = sampled(grid, lambda x1, x2: np.exp(np.sin(x1)) + 0 * x2)
+            spectral = inverse(ddx1(forward(grid, values)))
+            fd = (np.roll(values, -1, axis=0) - np.roll(values, 1, axis=0)) / (2 * grid.dx)
             return np.max(np.abs(fd - spectral))
 
         e1, e2 = fd_error(64), fd_error(128)
@@ -142,7 +204,7 @@ class TestDerivatives:
 
     def test_derivatives_commute(self):
         grid = Grid2D(32, 32)
-        s = forward(random_field(grid, 7))
+        s = forward(grid, random_values(grid, 7))
         a = ddx1(ddx2(s)).coeffs
         b = ddx2(ddx1(s)).coeffs
         assert np.max(np.abs(a - b)) < 1e-15 * max(1.0, np.max(np.abs(a)))
@@ -152,8 +214,8 @@ class TestDerivatives:
         # at least 1e4 (or straight to roundoff)
         def err(n):
             grid = Grid2D(n, 8)
-            f = Field.from_function(grid, lambda x1, x2: np.exp(np.sin(x1)) + 0 * x2)
-            d = inverse(ddx1(forward(f))).values
+            values = sampled(grid, lambda x1, x2: np.exp(np.sin(x1)) + 0 * x2)
+            d = inverse(ddx1(forward(grid, values)))
             exact = np.cos(grid.mesh()[0]) * np.exp(np.sin(grid.mesh()[0]))
             return np.max(np.abs(d - exact))
 
@@ -162,37 +224,36 @@ class TestDerivatives:
 
     def test_scaled_domain(self):
         grid = Grid2D(32, 32, lx=4 * np.pi)
-        s = forward(Field.from_function(grid, lambda x1, x2: np.sin(x1 / 2) + 0 * x2))
+        s = forward(grid, sampled(grid, lambda x1, x2: np.sin(x1 / 2) + 0 * x2))
         d = inverse(ddx1(s))
         expected = 0.5 * np.cos(grid.mesh()[0] / 2)
-        assert np.max(np.abs(d.values - expected)) < 1e-13
+        assert np.max(np.abs(d - expected)) < 1e-13
 
 
 class TestPoisson:
     def test_eigenfunction(self):
         grid = Grid2D(32, 32)
-        omega = forward(Field.from_function(grid, lambda x1, x2: -2 * np.sin(x1) * np.sin(x2)))
+        omega = forward(grid, sampled(grid, lambda x1, x2: -2 * np.sin(x1) * np.sin(x2)))
         psi = inverse(poisson_solve(omega))
         expected = np.sin(grid.mesh()[0]) * np.sin(grid.mesh()[1])
-        assert np.max(np.abs(psi.values - expected)) < 1e-13
+        assert np.max(np.abs(psi - expected)) < 1e-13
 
     def test_zero_gauge(self):
         grid = Grid2D(16, 16)
-        psi = poisson_solve(Spectrum(grid, np.zeros(grid.shape, dtype=complex)))
+        psi = poisson_solve(Spectrum(grid, np.zeros(grid.half_shape, dtype=complex)))
         assert np.max(np.abs(psi.coeffs)) == 0.0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_right_inverse_of_laplacian(self, seed):
         grid = Grid2D(32, 32)
-        f = random_field(grid, seed)
-        f.values -= f.values.mean()
-        omega = forward(f)
+        values = random_values(grid, seed)
+        omega = forward(grid, values - values.mean())
         back = laplacian(poisson_solve(omega))
         assert np.max(np.abs(back.coeffs - omega.coeffs)) < 1e-12 * np.max(np.abs(omega.coeffs))
 
     def test_rejects_nonzero_mean(self):
         grid = Grid2D(16, 16)
-        omega = forward(Field(grid, np.full(grid.shape, 1.0)))
+        omega = forward(grid, np.full(grid.shape, 1.0))
         with pytest.raises(ValueError, match="mean"):
             poisson_solve(omega)
 
@@ -201,38 +262,37 @@ class TestAntiderivX2:
     def test_paper_pair(self):
         # theta = cos(x1) cos(x2) inverts to psi = -cos(x1) sin(x2)
         grid = Grid2D(32, 32)
-        theta = forward(Field.from_function(grid, lambda x1, x2: np.cos(x1) * np.cos(x2)))
+        theta = forward(grid, sampled(grid, lambda x1, x2: np.cos(x1) * np.cos(x2)))
         psi = inverse(antideriv_x2(theta))
         x1, x2 = grid.mesh()
-        assert np.max(np.abs(psi.values - (-np.cos(x1) * np.sin(x2)))) < 1e-13
+        assert np.max(np.abs(psi - (-np.cos(x1) * np.sin(x2)))) < 1e-13
 
     def test_zero(self):
         grid = Grid2D(16, 16)
-        psi = antideriv_x2(Spectrum(grid, np.zeros(grid.shape, dtype=complex)))
+        psi = antideriv_x2(Spectrum(grid, np.zeros(grid.half_shape, dtype=complex)))
         assert np.max(np.abs(psi.coeffs)) == 0.0
 
     def test_pure_x2_mode(self):
         grid = Grid2D(16, 16)
-        theta = forward(Field.from_function(grid, lambda x1, x2: np.sin(x2)))
+        theta = forward(grid, sampled(grid, lambda x1, x2: np.sin(x2)))
         psi = inverse(antideriv_x2(theta))
         expected = np.cos(grid.mesh()[1])
-        assert np.max(np.abs(psi.values - expected)) < 1e-13
+        assert np.max(np.abs(psi - expected)) < 1e-13
 
     @pytest.mark.parametrize("seed", range(3))
     def test_right_inverse(self, seed):
         grid = Grid2D(32, 32)
-        f = random_band_limited(grid, seed)
-        s = forward(f)
+        s = forward(grid, random_band_limited(grid, seed))
         s.coeffs[:, 0] = 0.0  # zero x2-mean class
         theta = inverse(s)
-        psi = antideriv_x2(forward(theta))
+        psi = antideriv_x2(forward(grid, theta))
         back = ddx2(psi)
         back.coeffs *= -1.0
         assert np.max(np.abs(back.coeffs - s.coeffs)) < 1e-12 * np.max(np.abs(s.coeffs))
 
     def test_rejects_nonzero_x2_mean(self):
         grid = Grid2D(16, 16)
-        theta = forward(Field.from_function(grid, lambda x1, x2: np.cos(x1)))
+        theta = forward(grid, sampled(grid, lambda x1, x2: np.cos(x1)))
         with pytest.raises(ValueError, match="x2-mean"):
             antideriv_x2(theta)
 
@@ -240,21 +300,24 @@ class TestAntiderivX2:
 class TestDealias:
     def test_band_limited_unchanged(self):
         grid = Grid2D(32, 32)
-        f = Field.from_function(grid, lambda x1, x2: np.cos(8 * x1) * np.sin(8 * x2))
-        s = forward(f)
+        s = forward(grid, sampled(grid, lambda x1, x2: np.cos(8 * x1) * np.sin(8 * x2)))
         assert np.max(np.abs(dealias(s).coeffs - s.coeffs)) < 1e-14
 
     def test_idempotent(self):
         grid = Grid2D(32, 32)
-        s = forward(random_field(grid, 3))
+        s = forward(grid, random_values(grid, 3))
         once = dealias(s)
         twice = dealias(once)
         assert np.array_equal(once.coeffs, twice.coeffs)
 
     def test_cuts_high_modes(self):
         grid = Grid2D(32, 32)
-        f = Field.from_function(grid, lambda x1, x2: np.cos(12 * x1))
-        s = dealias(forward(f))
+        s = dealias(forward(grid, sampled(grid, lambda x1, x2: np.cos(12 * x1))))
+        assert np.max(np.abs(s.coeffs)) < 1e-14
+
+    def test_cuts_high_x2_modes(self):
+        grid = Grid2D(32, 32)
+        s = dealias(forward(grid, sampled(grid, lambda x1, x2: np.cos(12 * x2))))
         assert np.max(np.abs(s.coeffs)) < 1e-14
 
     def test_product_of_band_limited_fields_is_alias_free(self):
@@ -264,7 +327,5 @@ class TestDealias:
         x1, x2 = grid.mesh()
         f = np.cos(3 * x1) * np.sin(2 * x2)
         g = np.sin(4 * x1 + x2)
-        product = Field(grid, f * g)
-        s = dealias(forward(product))
-        back = inverse(s)
-        assert np.max(np.abs(back.values - f * g)) < 1e-12
+        back = inverse(dealias(forward(grid, f * g)))
+        assert np.max(np.abs(back - f * g)) < 1e-12
