@@ -130,40 +130,39 @@ def _require(value, name: str):
     return value
 
 
-def _transport_terms(sample, scalar: str) -> float:
+def _transport_terms(sample, scalar: str) -> np.ndarray:
     dt = _require(getattr(sample, f"d{scalar}_dt"), f"d{scalar}_dt")
     dx1 = _require(getattr(sample, f"d{scalar}_dx1"), f"d{scalar}_dx1")
     dx2 = _require(getattr(sample, f"d{scalar}_dx2"), f"d{scalar}_dx2")
     u2 = _require(sample.u2, "u2")
     total = dt + u2 * dx2
-    if dx1 != 0.0:
-        total += _require(sample.u1, "u1") * dx1
+    if np.any(dx1 != 0.0):
+        total = total + _require(sample.u1, "u1") * dx1
     return total
 
 
 def residual(sampler, model: ModelKind, points: Sequence[tuple[float, float, float]]):
     """Max absolute equation residuals over (x1, x2, t) points.
 
-    The sampler provides field values and first partials at a point
-    (an oracle family, or any object with a compatible .sample method).
+    The sampler provides field values and first partials at arrays of
+    points (an oracle family, or any object with a compatible .sample
+    method); it is called once, on the x1, x2 and t columns of the points.
     Returns (max theta residual, max omega residual or None).
     """
     sample_fn = getattr(sampler, "sample", sampler)
-    max_theta = 0.0
-    max_omega: Optional[float] = 0.0 if model.evolves_vorticity else None
-    for x1, x2, t in points:
-        s = sample_fn(float(x1), float(x2), float(t))
-        max_theta = max(max_theta, abs(_transport_terms(s, "theta")))
-        if model is ModelKind.SINGULAR_SCALAR:
-            continue
-        lhs = _transport_terms(s, "omega")
-        if model is ModelKind.BOUSSINESQ:
-            rhs = _require(s.dtheta_dx1, "dtheta_dx1")
-        else:
-            theta = _require(s.theta, "theta")
-            rhs = -2.0 * theta * _require(s.dtheta_dx2, "dtheta_dx2")
-        max_omega = max(max_omega, abs(lhs - rhs))
-    return max_theta, max_omega
+    coords = np.asarray(points, dtype=float).reshape(-1, 3)
+    if len(coords) == 0:
+        raise ValueError("residual evaluation needs at least one point")
+    s = sample_fn(*coords.T)
+    max_theta = float(np.max(np.abs(_transport_terms(s, "theta"))))
+    if model is ModelKind.SINGULAR_SCALAR:
+        return max_theta, None
+    lhs = _transport_terms(s, "omega")
+    if model is ModelKind.BOUSSINESQ:
+        rhs = _require(s.dtheta_dx1, "dtheta_dx1")
+    else:
+        rhs = -2.0 * _require(s.theta, "theta") * _require(s.dtheta_dx2, "dtheta_dx2")
+    return max_theta, float(np.max(np.abs(lhs - rhs)))
 
 
 def _central_dt(prev: np.ndarray, mid: np.ndarray, nxt: np.ndarray, h1: float, h2: float) -> np.ndarray:

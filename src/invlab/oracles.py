@@ -11,12 +11,13 @@ profile structure f0(exp(t) x2):
 
 Formulas are piecewise across x2 = 0; evaluation at x2 = 0 uses the
 x2 >= 0 branch.  All evaluators are defined on the whole plane, with the
-nominal domain boundary reported as metadata.
+nominal domain boundary reported as metadata, and take arrays of points:
+a family's `sample` evaluates every point in one set of array operations.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -66,27 +67,29 @@ PROFILES = {
 
 @dataclass
 class OracleSample:
-    """Field values and first partials at one space-time point.
+    """Field values and first partials at an array of space-time points.
 
-    Entries a family does not define are None; the residual checker
-    rejects evaluations that would need them.
+    Every entry has the broadcast shape of the sample coordinates (0-d for
+    a single point).  Entries a family does not define are None; the
+    residual checker rejects evaluations that would need them.
     """
 
-    theta: float
-    u2: float
-    dtheta_dt: float
-    dtheta_dx1: float
-    dtheta_dx2: float
-    u1: Optional[float] = None
-    psi: Optional[float] = None
-    omega: Optional[float] = None
-    domega_dt: Optional[float] = None
-    domega_dx1: Optional[float] = None
-    domega_dx2: Optional[float] = None
+    theta: np.ndarray
+    u2: np.ndarray
+    dtheta_dt: np.ndarray
+    dtheta_dx1: np.ndarray
+    dtheta_dx2: np.ndarray
+    u1: Optional[np.ndarray] = None
+    psi: Optional[np.ndarray] = None
+    omega: Optional[np.ndarray] = None
+    domega_dt: Optional[np.ndarray] = None
+    domega_dx1: Optional[np.ndarray] = None
+    domega_dx2: Optional[np.ndarray] = None
 
 
-def _branch(x2: float) -> float:
-    return 1.0 if x2 >= 0 else -1.0
+def _coords(x1, x2, t):
+    """Sample coordinates as float arrays of one broadcast shape."""
+    return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x1, x2, t)))
 
 
 @dataclass(frozen=True)
@@ -113,61 +116,105 @@ class WedgeSolution:
     def domega_dx2(self, x2, t):
         return np.zeros_like(np.asarray(x2, dtype=float))
 
-    def sample(self, x1: float, x2: float, t: float) -> OracleSample:
-        sgn = _branch(x2)
-        et = math.exp(t)
+    def sample(self, x1, x2, t) -> OracleSample:
+        x1, x2, t = _coords(x1, x2, t)
+        sgn = np.where(x2 >= 0, 1.0, -1.0)
+        et = np.exp(t)
         s = et * x2
+        df = self.theta0.df(s)
+        zero = np.zeros_like(s)
         return OracleSample(
-            theta=float(self.theta0.f(s)),
-            dtheta_dt=float(x2 * et * self.theta0.df(s)),
-            dtheta_dx1=0.0,
-            dtheta_dx2=float(et * self.theta0.df(s)),
+            theta=self.theta0.f(s),
+            dtheta_dt=x2 * et * df,
+            dtheta_dx1=zero,
+            dtheta_dx2=et * df,
             psi=sgn * x2 * x2 / 2.0 - x1 * x2,
             u1=-sgn * x2 + x1,
             u2=-x2,
             omega=sgn,
-            domega_dt=0.0,
-            domega_dx1=0.0,
-            domega_dx2=0.0,
+            domega_dt=zero,
+            domega_dx1=zero,
+            domega_dx2=zero,
         )
 
 
-def sigma_from_omega0(omega0: Profile1D, x2: float, t: float) -> float:
+# Gauss-Legendre nodes of the sigma quadrature; the 2n-node rule checks the n-node one
+_QUAD_NODES = 48
+_QUAD_RTOL = 1e-12
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss-Legendre rule on [0, 1] (Golub & Welsch, Math. Comp. 23 (1969) 221).
+
+    Built on first use: importing numpy.polynomial and computing the nodes
+    take milliseconds, which no code path but the sigma quadrature pays.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    xi, w = leggauss(n)
+    nodes, weights = 0.5 * (1.0 + xi), 0.5 * w
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _omega0_moments(omega0: Profile1D, x2: np.ndarray, t: np.ndarray, n: int):
+    """Per row, the integrals of F(u) and (1 - u) F(u) over [0, 1], plus that of |F|.
+
+    F(u) = 2 omega0(e^t x2 u) is the integrand after z = x2 u, so the two
+    sigma integrals are x2 times the first and x2^2 times the second.
+    """
+    u, w = _gauss_legendre(n)
+    values = 2.0 * omega0.f((np.exp(t) * x2)[:, None] * u)
+    return values @ w, values @ (w * (1.0 - u)), np.abs(values) @ w
+
+
+def _sigma_terms(omega0: Profile1D, x2, t):
+    """sigma and d sigma/dx2 at every (x2, t), from one quadrature of each row.
+
+    sigma x2^2 = +-int_0^x2 (x2 - z) 2 omega0(e^t z) dz and
+    d sigma/dx2 = +-int_0^x2 2 omega0(e^t z) dz / x2^2 - 2 sigma / x2, both
+    integrals on mapped Gauss-Legendre nodes.  The n-node values must
+    agree with the 2n-node ones to 1e-12 of the integral of |integrand|,
+    else RuntimeError.  Rows with |x2| < 1e-6 use the two-term expansion,
+    since the quotient by x2 is ill-conditioned there.
+    """
+    x2, t = np.broadcast_arrays(np.asarray(x2, dtype=float), np.asarray(t, dtype=float))
+    shape = x2.shape
+    x2, t = x2.ravel(), t.ravel()
+    sgn = np.where(x2 >= 0, 1.0, -1.0)
+    et = np.exp(t)
+    f0, df0 = float(omega0.f(0.0)), float(omega0.df(0.0))
+    sigma = sgn * (f0 + et * df0 * x2 / 3.0)
+    dsigma = sgn * et * df0 / 3.0
+    far = np.abs(x2) >= 1e-6
+    if np.any(far):
+        xf, tf = x2[far], t[far]
+        inner, weighted, scale = _omega0_moments(omega0, xf, tf, 2 * _QUAD_NODES)
+        coarse_inner, coarse_weighted, _ = _omega0_moments(omega0, xf, tf, _QUAD_NODES)
+        err = np.maximum(np.abs(inner - coarse_inner), np.abs(weighted - coarse_weighted))
+        bad = err > _QUAD_RTOL * scale
+        if np.any(bad):
+            i = int(np.argmax(bad))  # the first row that failed the check
+            raise RuntimeError(
+                f"quadrature for sigma did not converge (profile {omega0.name or 'anonymous'}, "
+                f"x2 = {xf[i]:.6g}, t = {tf[i]:.6g}, error estimate {err[i] / scale[i]:.3e})"
+            )
+        sigma[far] = sgn[far] * weighted
+        dsigma[far] = sgn[far] * (inner - 2.0 * weighted) / xf
+    return sigma.reshape(shape)[()], dsigma.reshape(shape)[()]
+
+
+def sigma_from_omega0(omega0: Profile1D, x2, t):
     """Stream coefficient sigma(x2, t) solving d2/dx2^2 (sigma x2^2) = 2 omega0(e^t x2).
 
     Both integration constants are zero (regularity at the corner), which
     makes sigma x2^2 the double primitive of 2 omega0(e^t .) from 0; the
     x2 < 0 branch carries the sign flip of the piecewise definition.
     The double integral collapses to a single weighted quadrature.
+    x2 and t may be arrays; scalars give a scalar.
     """
-    from scipy.integrate import quad  # imported here so that no other code path loads scipy
-
-    et = math.exp(t)
-    sgn = _branch(x2)
-    if abs(x2) < 1e-6:
-        # two-term expansion; the quotient by x2^2 is ill-conditioned near 0
-        return sgn * (float(omega0.f(0.0)) + et * float(omega0.df(0.0)) * x2 / 3.0)
-    integrand = lambda z: (x2 - z) * 2.0 * float(omega0.f(et * z))
-    value, err = quad(integrand, 0.0, x2, epsabs=1e-12, epsrel=1e-12, limit=200)
-    if err > 1e-8 * max(1.0, abs(value)):
-        raise RuntimeError(
-            f"quadrature for sigma did not converge (profile {omega0.name or 'anonymous'}, "
-            f"x2 = {x2:.6g}, t = {t:.6g}, error estimate {err:.3e})"
-        )
-    return sgn * value / (x2 * x2)
-
-
-def _dsigma_dx2(omega0: Profile1D, x2: float, t: float) -> float:
-    from scipy.integrate import quad
-
-    et = math.exp(t)
-    sgn = _branch(x2)
-    if abs(x2) < 1e-6:
-        return sgn * et * float(omega0.df(0.0)) / 3.0
-    inner, _ = quad(lambda z: 2.0 * float(omega0.f(et * z)), 0.0, x2, epsabs=1e-12, epsrel=1e-12, limit=200)
-    weighted, _ = quad(lambda z: (x2 - z) * 2.0 * float(omega0.f(et * z)), 0.0, x2,
-                       epsabs=1e-12, epsrel=1e-12, limit=200)
-    return sgn * (inner / (x2 * x2) - 2.0 * weighted / (x2 * x2 * x2))
+    return _sigma_terms(omega0, x2, t)[0]
 
 
 @dataclass(frozen=True)
@@ -197,37 +244,41 @@ class MovingDomainSolution:
         et = np.exp(t)
         return et * self.omega0.df(et * np.asarray(x2, dtype=float))
 
-    def sample(self, x1: float, x2: float, t: float) -> OracleSample:
-        sgn = _branch(x2)
-        et = math.exp(t)
+    def sample(self, x1, x2, t) -> OracleSample:
+        x1, x2, t = _coords(x1, x2, t)
+        sgn = np.where(x2 >= 0, 1.0, -1.0)
+        et = np.exp(t)
         s = et * x2
-        sigma = sigma_from_omega0(self.omega0, x2, t)
-        dsigma = _dsigma_dx2(self.omega0, x2, t)
+        sigma, dsigma = _sigma_terms(self.omega0, x2, t)
+        dtheta = self.theta0.df(s)
+        domega = self.omega0.df(s)
+        zero = np.zeros_like(s)
         return OracleSample(
-            theta=float(self.theta0.f(s)),
-            dtheta_dt=float(x2 * et * self.theta0.df(s)),
-            dtheta_dx1=0.0,
-            dtheta_dx2=float(et * self.theta0.df(s)),
+            theta=self.theta0.f(s),
+            dtheta_dt=x2 * et * dtheta,
+            dtheta_dx1=zero,
+            dtheta_dx2=et * dtheta,
             psi=sgn * sigma * x2 * x2 / 2.0 - x1 * x2,
             u1=-sgn * (sigma * x2 + 0.5 * x2 * x2 * dsigma) + x1,
             u2=-x2,
-            omega=float(self.omega0.f(s)),
-            domega_dt=float(x2 * et * self.omega0.df(s)),
-            domega_dx1=0.0,
-            domega_dx2=float(et * self.omega0.df(s)),
+            omega=self.omega0.f(s),
+            domega_dt=x2 * et * domega,
+            domega_dx1=zero,
+            domega_dx2=et * domega,
         )
 
 
-def _modified_omega_terms(rho0: Profile1D, omega0: Profile1D, s: float, t: float):
-    """omega = omega0(s) - (e^t - 1) Q(s) with Q = (rho0^2)' = 2 rho0 rho0'."""
+def _modified_omega_terms(rho0: Profile1D, omega0: Profile1D, s, et):
+    """omega = omega0(s) - (e^t - 1) Q(s) with Q = (rho0^2)' = 2 rho0 rho0'.
+
+    Returns Q, omega and d omega/ds.
+    """
     if rho0.d2f is None:
         raise ValueError(f"profile {rho0.name or 'anonymous'} needs d2f for the modified family")
-    et = math.exp(t)
-    q = 2.0 * float(rho0.f(s)) * float(rho0.df(s))
-    dq = 2.0 * (float(rho0.df(s)) ** 2 + float(rho0.f(s)) * float(rho0.d2f(s)))
-    omega = float(omega0.f(s)) - (et - 1.0) * q
-    d_ds = float(omega0.df(s)) - (et - 1.0) * dq
-    return et, q, omega, d_ds
+    rho, drho = rho0.f(s), rho0.df(s)
+    q = 2.0 * rho * drho
+    dq = 2.0 * (drho**2 + rho * rho0.d2f(s))
+    return q, omega0.f(s) - (et - 1.0) * q, omega0.df(s) - (et - 1.0) * dq
 
 
 @dataclass(frozen=True)
@@ -258,20 +309,24 @@ class ModifiedSolution:
         dq = 2.0 * (self.rho0.df(s) ** 2 + self.rho0.f(s) * self.rho0.d2f(s))
         return et * (self.omega0.df(s) - (et - 1.0) * dq)
 
-    def sample(self, x1: float, x2: float, t: float) -> OracleSample:
-        s = math.exp(t) * x2
-        et, q, omega, d_ds = _modified_omega_terms(self.rho0, self.omega0, s, t)
+    def sample(self, x1, x2, t) -> OracleSample:
+        x1, x2, t = _coords(x1, x2, t)
+        et = np.exp(t)
+        s = et * x2
+        q, omega, d_ds = _modified_omega_terms(self.rho0, self.omega0, s, et)
+        drho = self.rho0.df(s)
+        zero = np.zeros_like(s)
         return OracleSample(
-            theta=float(self.rho0.f(s)),
-            dtheta_dt=float(x2 * et * self.rho0.df(s)),
-            dtheta_dx1=0.0,
-            dtheta_dx2=float(et * self.rho0.df(s)),
+            theta=self.rho0.f(s),
+            dtheta_dt=x2 * et * drho,
+            dtheta_dx1=zero,
+            dtheta_dx2=et * drho,
             u2=-x2,
             omega=omega,
             # d/dt at fixed x2: chain rule through s = e^t x2 plus the explicit e^t factor
-            domega_dt=float(x2 * et * d_ds - et * q),
-            domega_dx1=0.0,
-            domega_dx2=float(et * d_ds),
+            domega_dt=x2 * et * d_ds - et * q,
+            domega_dx1=zero,
+            domega_dx2=et * d_ds,
         )
 
 
@@ -298,20 +353,23 @@ class PrintedOscillatorySolution:
         et = np.exp(t)
         return -(et - 1.0) * 2.0 * et * np.cos(2.0 * et * np.asarray(x2, dtype=float))
 
-    def sample(self, x1: float, x2: float, t: float) -> OracleSample:
-        sgn = _branch(x2)
-        et = math.exp(t)
+    def sample(self, x1, x2, t) -> OracleSample:
+        x1, x2, t = _coords(x1, x2, t)
+        sgn = np.where(x2 >= 0, 1.0, -1.0)
+        et = np.exp(t)
         s2 = 2.0 * et * x2
+        sin2, cos2 = np.sin(s2), np.cos(s2)
+        zero = np.zeros_like(s2)
         return OracleSample(
-            theta=math.sin(s2),
-            dtheta_dt=s2 * math.cos(s2),
-            dtheta_dx1=0.0,
-            dtheta_dx2=2.0 * et * math.cos(s2),
+            theta=sin2,
+            dtheta_dt=s2 * cos2,
+            dtheta_dx1=zero,
+            dtheta_dx2=2.0 * et * cos2,
             u2=-x2,
-            omega=sgn - (et - 1.0) * math.sin(s2),
-            domega_dt=-et * math.sin(s2) - (et - 1.0) * s2 * math.cos(s2),
-            domega_dx1=0.0,
-            domega_dx2=-(et - 1.0) * 2.0 * et * math.cos(s2),
+            omega=sgn - (et - 1.0) * sin2,
+            domega_dt=-et * sin2 - (et - 1.0) * s2 * cos2,
+            domega_dx1=zero,
+            domega_dx2=-(et - 1.0) * 2.0 * et * cos2,
         )
 
 
@@ -328,14 +386,17 @@ class UniformScalarSolution:
     def dtheta_dx2(self, x2, t):
         return np.zeros_like(np.asarray(x2, dtype=float))
 
-    def sample(self, x1: float, x2: float, t: float) -> OracleSample:
+    def sample(self, x1, x2, t) -> OracleSample:
+        x1, x2, t = _coords(x1, x2, t)
+        c = np.full_like(x2, self.c)
+        zero = np.zeros_like(x2)
         return OracleSample(
-            theta=self.c,
-            dtheta_dt=0.0,
-            dtheta_dx1=0.0,
-            dtheta_dx2=0.0,
-            u1=self.c,
-            u2=0.0,
+            theta=c,
+            dtheta_dt=zero,
+            dtheta_dx1=zero,
+            dtheta_dx2=zero,
+            u1=c,
+            u2=zero,
             psi=-self.c * x2,
         )
 

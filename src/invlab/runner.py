@@ -194,15 +194,18 @@ def oracle_check(
 ) -> OracleCheckReport:
     """Residual check of a closed-form family at random off-axis points.
 
-    Fails (passed = False) when any equation residual exceeds 1e-10.
+    Fails (passed = False) when any equation residual exceeds 1e-10; a
+    check of fewer than one point is a ConfigError, since it checks nothing.
     Also writes a growth-envelope CSV when an output directory is given.
     """
+    if npoints < 1:
+        raise ConfigError(f"npoints must be at least 1, got {npoints}")
     solution, model, interval = oracle_solution(family, preset)
     rng = np.random.default_rng(seed)
     x1 = rng.uniform(-2.0, 2.0, npoints)
     x2 = rng.uniform(0.05, 2.0, npoints) * rng.choice([-1.0, 1.0], npoints)
     t = rng.uniform(0.0, 2.0, npoints)
-    max_theta, max_omega = residual(solution, model, list(zip(x1, x2, t)))
+    max_theta, max_omega = residual(solution, model, np.column_stack((x1, x2, t)))
     passed = max_theta <= RESIDUAL_THRESHOLD and (max_omega is None or max_omega <= RESIDUAL_THRESHOLD)
 
     envelope_path = None

@@ -13,8 +13,28 @@ from invlab.snapshots import read_snapshot
 SMALL_RUN = ["--set", "nx=32", "--set", "ny=32", "--set", "t_end=0.05", "--set", "dt=0.002"]
 
 
+# the (family, preset) pairs of the benchmark's oracles workload; paper-printed must fail
+ORACLE_PAIRS = (
+    ("wedge", "sin"),
+    ("moving-domain", "identity"),
+    ("modified", "linear"),
+    ("modified", "oscillatory"),
+    ("modified", "paper-printed"),
+    ("stationary", "const"),
+)
+
+
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_fresh_interpreter(script: str) -> str:
+    """stdout of `script` run by a new interpreter that imports this checkout's invlab."""
+    src = str(Path(invlab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestRun:
@@ -149,8 +169,7 @@ class TestRun:
         assert exc.value.code == 2
 
     def test_run_loads_no_scipy(self, tmp_path):
-        # a solver run needs numpy only; scipy serves the moving-domain oracle's quadrature,
-        # and no thread pool is loaded either
+        # a solver run needs numpy only, and no thread pool is loaded either
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text("model = singular-scalar\nic = singular-cos\nt_end = 0.02\nnx = 16\nny = 16\ndt = 0.01\n")
         script = (
@@ -159,11 +178,24 @@ class TestRun:
             f"assert cli.main(['run', {str(cfg)!r}, '--output', {str(tmp_path / 'out')!r}]) == cli.EXIT_OK\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))\n"
         )
-        src = str(Path(invlab.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
+        assert run_fresh_interpreter(script).splitlines()[-1] == "[]"
+
+    def test_oracle_checks_load_no_scipy(self, tmp_path):
+        # every oracle family needs numpy only; the sigma quadrature builds its
+        # nodes on first use, so importing the CLI loads no numpy.polynomial
+        script = (
+            "import sys\n"
+            "from invlab import cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
+            f"for family, preset in {ORACLE_PAIRS!r}:\n"
+            "    expected = cli.EXIT_ORACLE_FAIL if preset == 'paper-printed' else cli.EXIT_OK\n"
+            f"    code = cli.main(['oracle-check', family, preset, '--output', {str(tmp_path)!r}])\n"
+            "    assert code == expected, (family, preset, code)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        lines = run_fresh_interpreter(script).splitlines()
+        assert lines[0] == "[]"
+        assert lines[-1] == "[]"
 
     def test_diagnostic_csvs_share_the_series_rows(self, tmp_path):
         cfg = tmp_path / "both.cfg"
@@ -246,6 +278,14 @@ class TestOracleCheck:
 
     def test_unknown_family(self, capsys):
         assert run_cli("oracle-check", "vortex-sheet") == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("family, preset", [("wedge", "sin"), ("modified", "paper-printed")])
+    def test_zero_points_exits_2(self, family, preset, capsys):
+        # a check of no points checks nothing, so it can neither pass nor fail
+        assert run_cli("oracle-check", family, preset, "--npoints", "0") == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "npoints must be at least 1, got 0" in captured.err
+        assert "PASS" not in captured.out
 
 
 class TestConvergence:

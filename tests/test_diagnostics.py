@@ -17,6 +17,7 @@ from invlab.diagnostics import (
 )
 from invlab.dynamics import ModelKind, State, StepControl, rk4_step
 from invlab.oracles import ModifiedSolution, MovingDomainSolution, UniformScalarSolution, WedgeSolution, PROFILES
+from invlab.presets import oracle_solution
 from invlab.runner import run
 from invlab.spectral import Field, Grid2D
 
@@ -121,40 +122,41 @@ class TestBlowupExtrapolation:
         assert est.warning is not None
 
 
+def random_points(n, seed):
+    """n off-axis (x1, x2, t) points as a list of tuples, like the oracle check draws them."""
+    rng = np.random.default_rng(seed)
+    return list(zip(rng.uniform(-2, 2, n),
+                    rng.uniform(0.05, 2, n) * rng.choice([-1, 1], n),
+                    rng.uniform(0, 2, n)))
+
+
+def perturbed_wedge(eps):
+    """The wedge family with theta += eps x1: no longer a solution."""
+    base = WedgeSolution(PROFILES["sin"])
+
+    def sample(x1, x2, t):
+        s = base.sample(x1, x2, t)
+        return dataclasses.replace(s, theta=s.theta + eps * x1, dtheta_dx1=s.dtheta_dx1 + eps)
+
+    return sample
+
+
 class TestResidual:
     def test_wedge_is_exact(self):
-        solution = WedgeSolution(PROFILES["sin"])
-        rng = np.random.default_rng(0)
-        pts = list(zip(rng.uniform(-2, 2, 500),
-                       rng.uniform(0.05, 2, 500) * rng.choice([-1, 1], 500),
-                       rng.uniform(0, 2, 500)))
-        res_theta, res_omega = residual(solution, ModelKind.BOUSSINESQ, pts)
+        res_theta, res_omega = residual(WedgeSolution(PROFILES["sin"]), ModelKind.BOUSSINESQ, random_points(500, seed=0))
         assert res_theta < 1e-11
         assert res_omega < 1e-11
 
     def test_moving_domain_special_example(self):
         solution = MovingDomainSolution(PROFILES["identity"], PROFILES["identity"])
-        rng = np.random.default_rng(1)
-        pts = list(zip(rng.uniform(-2, 2, 50),
-                       rng.uniform(0.05, 2, 50) * rng.choice([-1, 1], 50),
-                       rng.uniform(0, 2, 50)))
+        pts = random_points(50, seed=1)
         res_theta, res_omega = residual(solution, ModelKind.BOUSSINESQ, pts)
         assert res_theta < 1e-11
         assert res_omega < 1e-11
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-2])
     def test_linear_perturbation_shifts_omega_residual_exactly(self, eps):
-        base = WedgeSolution(PROFILES["sin"])
-
-        def perturbed(x1, x2, t):
-            s = base.sample(x1, x2, t)
-            return dataclasses.replace(s, theta=s.theta + eps * x1, dtheta_dx1=s.dtheta_dx1 + eps)
-
-        rng = np.random.default_rng(2)
-        pts = list(zip(rng.uniform(-2, 2, 100),
-                       rng.uniform(0.05, 2, 100) * rng.choice([-1, 1], 100),
-                       rng.uniform(0, 2, 100)))
-        _, res_omega = residual(perturbed, ModelKind.BOUSSINESQ, pts)
+        _, res_omega = residual(perturbed_wedge(eps), ModelKind.BOUSSINESQ, random_points(100, seed=2))
         assert res_omega == pytest.approx(eps, rel=1e-10)
 
     def test_stationary_scalar(self):
@@ -163,6 +165,26 @@ class TestResidual:
         res_theta, res_omega = residual(solution, ModelKind.SINGULAR_SCALAR, pts)
         assert res_theta == 0.0
         assert res_omega is None
+
+    @pytest.mark.parametrize(
+        "family, preset",
+        [("wedge", "sin"), ("moving-domain", "identity"), ("modified", "linear"),
+         ("modified", "oscillatory"), ("modified", "paper-printed"), ("stationary", "const"),
+         ("wedge", "perturbed")],
+    )
+    def test_one_array_call_matches_pointwise_calls(self, family, preset):
+        if preset == "perturbed":
+            sampler, model = perturbed_wedge(1e-3), ModelKind.BOUSSINESQ
+        else:
+            sampler, model, _ = oracle_solution(family, preset)
+        pts = random_points(500, seed=3)
+        pointwise = [residual(sampler, model, [p]) for p in pts]
+        expected_omega = None if model is ModelKind.SINGULAR_SCALAR else max(r[1] for r in pointwise)
+        assert residual(sampler, model, pts) == (max(r[0] for r in pointwise), expected_omega)
+
+    def test_no_points_rejected(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            residual(WedgeSolution(PROFILES["sin"]), ModelKind.BOUSSINESQ, [])
 
     def test_missing_partials_rejected(self):
         solution = ModifiedSolution(PROFILES["sin"], PROFILES["sign"])

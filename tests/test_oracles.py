@@ -111,6 +111,25 @@ class TestSigma:
         assert near == pytest.approx(math.exp(0.5) * 1e-5 / 3.0, abs=1e-12)
         assert abs(limit) < 1e-6
 
+    def test_array_call_mixes_branches_and_the_expansion(self):
+        # both branches, x2 = 0 and rows with |x2| < 1e-6 (two-term expansion) in one call
+        x2 = np.array([-2.0, -0.7, -5e-7, 0.0, 3e-7, 1e-6, 0.4, 2.0])
+        t = np.array([0.0, 1.3, 2.0, 0.5, 0.1, 1.0, 1.7, 2.0])
+        sigma = sigma_from_omega0(IDENTITY, x2, t)
+        assert sigma.shape == x2.shape
+        np.testing.assert_allclose(sigma, np.exp(t) * np.abs(x2) / 3.0, rtol=1e-12, atol=0.0)
+        pointwise = [sigma_from_omega0(IDENTITY, a, b) for a, b in zip(x2, t)]
+        np.testing.assert_allclose(sigma, pointwise, rtol=1e-14, atol=0.0)
+
+    def test_unresolved_profile_raises(self):
+        # sin(400 s) at x2 = 2, t = 2 turns about 940 times over the interval:
+        # far too many for the quadrature nodes, whose two rules then disagree
+        wiggly = Profile1D(lambda s: np.sin(400.0 * s), lambda s: 400.0 * np.cos(400.0 * s), name="sin400")
+        with pytest.raises(RuntimeError, match=r"did not converge \(profile sin400, x2 = 2, t = 2,"):
+            sigma_from_omega0(wiggly, 2.0, 2.0)
+        with pytest.raises(RuntimeError, match="x2 = 2, t = 2,"):
+            sigma_from_omega0(wiggly, np.array([1e-3, 2.0]), 2.0)
+
 
 class TestMovingDomain:
     def test_paper_special_example(self):
