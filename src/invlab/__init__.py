@@ -15,7 +15,6 @@ from .spectral import (
     inverse,
     ddx1,
     ddx2,
-    laplacian,
     poisson_solve,
     antideriv_x2,
     dealias,
@@ -30,7 +29,6 @@ from .dynamics import (
     IntegrationResult,
     tendency,
     rk4_step,
-    symmetry_project,
     integrate,
 )
 from .burgers import AxisProfile, BurgersSolution, blowup_time, evaluate, eval_slope, min_slope_series

@@ -1,7 +1,9 @@
 """Command-line driver.
 
 Subcommands: run, oracle-check, convergence, fit-growth, blowup-est.
-Exit codes: 0 ok, 2 validation error, 3 blowup signal, 4 oracle-check failure.
+Exit codes: 0 ok, 1 any other error, 2 validation or I/O error, 3 blowup
+signal, 4 oracle-check failure.  Every error prints one `error: ...` line
+to stderr; an error of exit 1 names its exception type there.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .diagnostics import TimeSeries, extrapolate_blowup, fit_growth_rate
 from .runner import convergence, oracle_check, resolve_run_config_text, run
 
 EXIT_OK = 0
+EXIT_ERROR = 1
 EXIT_VALIDATION = 2
 EXIT_BLOWUP = 3
 EXIT_ORACLE_FAIL = 4
@@ -169,12 +172,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

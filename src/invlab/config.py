@@ -29,9 +29,6 @@ _SCHEMA = {
     "dt": ("float", "dt"),  # 0 means CFL-chosen
     "cfl": ("float", "cfl"),
     "t_end": ("float", "t_end"),
-    "dealias": ("bool", "dealias"),
-    "project_symmetry": ("bool", "project_symmetry"),
-    "hyperviscosity": ("float", "hyperviscosity"),
     "max_grad": ("float", "max_grad"),
     "output.dir": ("str", "output_dir"),
     "output.snapshot_interval": ("float", "snapshot_interval"),
@@ -55,9 +52,6 @@ class RunConfig:
     ly: Optional[float] = None
     dt: Optional[float] = None  # None: CFL-chosen
     cfl: float = 0.4
-    dealias: bool = True
-    project_symmetry: bool = False
-    hyperviscosity: float = 0.0
     max_grad: float = 1e6
     output_dir: str = "out"
     snapshot_interval: float = 0.0
@@ -78,8 +72,8 @@ class RunConfig:
             raise ConfigError(f"dt must be positive when given, got {self.dt}")
         if not 0 < self.cfl <= 1:
             raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.hyperviscosity < 0 or self.max_grad <= 0:
-            raise ConfigError("hyperviscosity must be >= 0 and max_grad > 0")
+        if self.max_grad <= 0:
+            raise ConfigError(f"max_grad must be positive, got {self.max_grad}")
         if self.snapshot_interval < 0 or self.series_interval < 0:
             raise ConfigError("output intervals must be nonnegative")
         for name in self.diagnostics:
@@ -117,13 +111,6 @@ def _convert(key: str, value: str, lineno) -> object:
             return int(value)
         if tag == "float":
             return float(value)
-        if tag == "bool":
-            low = value.lower()
-            if low in ("true", "yes", "1"):
-                return True
-            if low in ("false", "no", "0"):
-                return False
-            raise ValueError(value)
         if tag == "model":
             if value not in _MODEL_NAMES:
                 raise ConfigError(
@@ -179,9 +166,6 @@ def config_echo(cfg: RunConfig) -> str:
         f"dt = {0.0 if cfg.dt is None else cfg.dt:.17g}",
         f"cfl = {cfg.cfl:.17g}",
         f"t_end = {cfg.t_end:.17g}",
-        f"dealias = {str(cfg.dealias).lower()}",
-        f"project_symmetry = {str(cfg.project_symmetry).lower()}",
-        f"hyperviscosity = {cfg.hyperviscosity:.17g}",
         f"max_grad = {cfg.max_grad:.17g}",
         f"output.dir = {cfg.output_dir}",
         f"output.snapshot_interval = {cfg.snapshot_interval:.17g}",

@@ -36,7 +36,6 @@ from .spectral import (
     forward,
     gradient,
     inverse,
-    laplacian,
     poisson_solve,
 )
 
@@ -51,7 +50,6 @@ __all__ = [
     "IntegrationResult",
     "tendency",
     "rk4_step",
-    "symmetry_project",
     "integrate",
     "admissible_dt",
 ]
@@ -151,9 +149,6 @@ class StepControl:
 
     dt: Optional[float] = None
     cfl: float = 0.4
-    dealias: bool = True
-    project_symmetry: bool = False
-    hyperviscosity: float = 0.0
     max_grad: float = 1e6
 
     def __post_init__(self) -> None:
@@ -161,8 +156,6 @@ class StepControl:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not 0 < self.cfl <= 1:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.hyperviscosity < 0:
-            raise ValueError("hyperviscosity coefficient must be nonnegative")
         if self.max_grad <= 0:
             raise ValueError("gradient ceiling must be positive")
 
@@ -178,12 +171,11 @@ class BlowupSignal:
 
 
 class BlowupDetected(RuntimeError):
-    def __init__(self, t: float, max_grad: float, reason: str, last_state: State):
+    def __init__(self, t: float, max_grad: float, reason: str):
         super().__init__(f"blowup detected at t = {t:.6g} ({reason}), max|grad theta| = {max_grad:.3e}")
         self.t = t
         self.max_grad = max_grad
         self.reason = reason
-        self.last_state = last_state
 
 
 class CFLViolationError(ValueError):
@@ -233,11 +225,12 @@ def _velocity_hat(model: ModelKind, theta_hat: Spectrum, omega_hat: Optional[Spe
     return u1, u2
 
 
-def tendency(state: State, ctrl: StepControl = StepControl()) -> tuple[Field, Optional[Field]]:
+def tendency(state: State) -> tuple[Field, Optional[Field]]:
     """Right-hand side fields (dtheta/dt, domega/dt or None).
 
-    The fields come as half spectra; their nodal values are computed only
-    if read.
+    Every nonlinear product is dealiased by the two-thirds rule.  The
+    fields come as half spectra; their nodal values are computed only if
+    read.
     """
     grid = state.grid
     kin = state.kinematics
@@ -246,13 +239,9 @@ def tendency(state: State, ctrl: StepControl = StepControl()) -> tuple[Field, Op
         with np.errstate(over="ignore", invalid="ignore"):
             # overflow here is a detected blowup, reported by forward()
             product = kin.u1 * gx + kin.u2 * gy
-        adv = forward(grid, product)
-        return (dealias(adv) if ctrl.dealias else adv).coeffs
+        return dealias(forward(grid, product)).coeffs
 
-    nu = ctrl.hyperviscosity
     dtheta_hat = -advect(kin.dtheta_dx1, kin.dtheta_dx2)
-    if nu > 0:
-        dtheta_hat -= nu * laplacian(laplacian(state.theta.hat)).coeffs
 
     if state.model is ModelKind.SINGULAR_SCALAR:
         return Field(grid, hat=Spectrum(grid, dtheta_hat)), None
@@ -263,12 +252,7 @@ def tendency(state: State, ctrl: StepControl = StepControl()) -> tuple[Field, Op
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             squared = state.theta.values**2
-        sq = forward(grid, squared)
-        if ctrl.dealias:
-            sq = dealias(sq)
-        domega_hat -= ddx2(sq).coeffs
-    if nu > 0:
-        domega_hat -= nu * laplacian(laplacian(state.omega.hat)).coeffs
+        domega_hat -= ddx2(dealias(forward(grid, squared))).coeffs
     return Field(grid, hat=Spectrum(grid, dtheta_hat)), Field(grid, hat=Spectrum(grid, domega_hat))
 
 
@@ -297,7 +281,7 @@ def rk4_step(state: State, ctrl: StepControl, dt: Optional[float] = None) -> Sta
     grid = state.grid
 
     def blowup(t: float) -> BlowupDetected:
-        return BlowupDetected(t, state.kinematics.max_grad, "non-finite", state)
+        return BlowupDetected(t, state.kinematics.max_grad, "non-finite")
 
     def at(t: float, coeffs: Sequence[np.ndarray]) -> State:
         for c in coeffs:
@@ -307,7 +291,7 @@ def rk4_step(state: State, ctrl: StepControl, dt: Optional[float] = None) -> Sta
 
     def rhs(stage: State) -> list[np.ndarray]:
         try:
-            derivs = tendency(stage, ctrl)
+            derivs = tendency(stage)
         except NonFiniteFieldError:
             # a finite stage can still overflow inside the nonlinear products
             raise blowup(stage.t) from None
@@ -323,26 +307,6 @@ def rk4_step(state: State, ctrl: StepControl, dt: Optional[float] = None) -> Sta
         t0 + dt,
         [y + dt / 6 * (a + 2 * b + 2 * c + d) for y, a, b, c, d in zip(y0, k1, k2, k3, k4)],
     )
-
-
-def _reflect_x2(f: Field) -> np.ndarray:
-    # half spectrum of f(x1, -x2): coeff(k1, -k2) = conj(coeff(-k1, k2))
-    return np.conj(np.roll(f.hat.coeffs[::-1], 1, axis=0))
-
-
-def symmetry_project(state: State) -> State:
-    """Project onto the model's parity class about x2 = 0 (idempotent).
-
-    The scalar model keeps the even part of theta; the vorticity models
-    keep the odd parts of both theta (rho) and omega.
-    """
-    sign = 1.0 if state.model is ModelKind.SINGULAR_SCALAR else -1.0
-    grid = state.grid
-    projected = [
-        Field(grid, hat=Spectrum(grid, 0.5 * (f.hat.coeffs + sign * _reflect_x2(f))))
-        for f in state.fields
-    ]
-    return State(state.model, state.t, *projected)
 
 
 def integrate(
@@ -370,8 +334,6 @@ def integrate(
         except BlowupDetected as exc:
             signal = BlowupSignal(exc.t, exc.max_grad, exc.reason, list(trace))
             return IntegrationResult(current, signal, steps)
-        if ctrl.project_symmetry:
-            new = symmetry_project(new)
         grad = new.kinematics.max_grad
         if not math.isfinite(grad):
             signal = BlowupSignal(new.t, grad, "non-finite", list(trace))

@@ -106,14 +106,7 @@ def run(cfg: RunConfig, output_dir: Optional[Path] = None) -> RunArtifacts:
     outdir.mkdir(parents=True, exist_ok=True)
     grid = grid_for(cfg)
     state = build_initial_state(cfg, grid)
-    ctrl = StepControl(
-        dt=cfg.dt,
-        cfl=cfg.cfl,
-        dealias=cfg.dealias,
-        project_symmetry=cfg.project_symmetry,
-        hyperviscosity=cfg.hyperviscosity,
-        max_grad=cfg.max_grad,
-    )
+    ctrl = StepControl(dt=cfg.dt, cfl=cfg.cfl, max_grad=cfg.max_grad)
 
     series_path = outdir / "series.csv"
     snapshot_paths: list[Path] = []
@@ -245,19 +238,10 @@ _COS_PROFILE = AxisProfile(np.cos, lambda x: -np.sin(x))
 
 
 def _axis_error(cfg: RunConfig, nx: int, dt: float, sol: BurgersSolution) -> float:
-    level_cfg = RunConfig(
-        model=cfg.model,
-        ic=cfg.ic,
-        t_end=cfg.t_end,
-        nx=nx,
-        ny=nx,
-        dt=dt,
-        cfl=cfg.cfl,
-        dealias=cfg.dealias,
-    )
+    level_cfg = RunConfig(model=cfg.model, ic=cfg.ic, t_end=cfg.t_end, nx=nx, ny=nx, dt=dt, cfl=cfg.cfl)
     grid = grid_for(level_cfg)
     state = build_initial_state(level_cfg, grid)
-    ctrl = StepControl(dt=dt, cfl=cfg.cfl, dealias=cfg.dealias)
+    ctrl = StepControl(dt=dt, cfl=cfg.cfl)
     result = integrate(state, ctrl, cfg.t_end)
     axis = result.state.theta.values[:, 0]
     oracle = evaluate_many(sol, grid.x1, cfg.t_end)

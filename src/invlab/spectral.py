@@ -27,7 +27,6 @@ __all__ = [
     "inverse",
     "ddx1",
     "ddx2",
-    "laplacian",
     "poisson_solve",
     "antideriv_x2",
     "dealias",
@@ -254,13 +253,8 @@ def ddx2(s: Spectrum) -> Spectrum:
     return Spectrum(s.grid, s.coeffs * (1j * s.grid.ky_deriv)[None, :])
 
 
-def laplacian(s: Spectrum) -> Spectrum:
-    """Spectral Laplacian, -|k|^2 multiplication on the full mode set."""
-    return Spectrum(s.grid, -s.grid.k_squared * s.coeffs)
-
-
 def poisson_solve(omega: Spectrum) -> Spectrum:
-    """Invert the Laplacian: returns psi with laplacian(psi) = omega.
+    """Invert the Laplacian: returns psi with Delta psi = omega.
 
     Requires zero-mean omega (solvability on the torus); the result is
     gauged to zero mean.

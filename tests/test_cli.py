@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import invlab
-from invlab.cli import EXIT_BLOWUP, EXIT_OK, EXIT_ORACLE_FAIL, EXIT_VALIDATION, main
+from invlab import cli
+from invlab.cli import EXIT_BLOWUP, EXIT_ERROR, EXIT_OK, EXIT_ORACLE_FAIL, EXIT_VALIDATION, main
 from invlab.snapshots import read_snapshot
 
 SMALL_RUN = ["--set", "nx=32", "--set", "ny=32", "--set", "t_end=0.05", "--set", "dt=0.002"]
@@ -126,6 +127,31 @@ class TestRun:
         assert run_cli("run", str(cfg), "--output", str(tmp_path / "out")) == EXIT_VALIDATION
         assert "not allowed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("via", ["file", "override"])
+    @pytest.mark.parametrize(
+        "key, value", [("dealias", "false"), ("project_symmetry", "true"), ("hyperviscosity", "0.1")]
+    )
+    def test_removed_step_keys_are_unknown(self, tmp_path, capsys, key, value, via):
+        cfg = tmp_path / "removed.cfg"
+        text = "model = singular-scalar\nic = singular-cos\nt_end = 0.01\nnx = 16\nny = 16\n"
+        override = []
+        if via == "file":
+            text += f"{key} = {value}\n"
+        else:
+            override = ["--set", f"{key}={value}"]
+        cfg.write_text(text)
+        assert run_cli("run", str(cfg), *override, "--output", str(tmp_path / "out")) == EXIT_VALIDATION
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unexpected_error_exits_1_with_one_line(self, monkeypatch, capsys):
+        def failing_run(cfg, output_dir=None):
+            raise RuntimeError("solver crashed")
+
+        monkeypatch.setattr(cli, "run", failing_run)
+        assert run_cli("run", "singular-cos") == EXIT_ERROR
+        assert capsys.readouterr().err == "error: RuntimeError: solver crashed\n"
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", ["dt", "max_grad", "t_end", "lx"])
     def test_non_finite_value_exits_2(self, tmp_path, capsys, key, value):
@@ -154,7 +180,7 @@ class TestRun:
             monkeypatch.setattr(np.fft, name, refuse)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
-            model_lines + "t_end = 0.05\nnx = 16\nny = 16\ndt = 0.01\nproject_symmetry = true\n"
+            model_lines + "t_end = 0.05\nnx = 16\nny = 16\ndt = 0.01\n"
             "output.snapshot_interval = 0.02\ndiagnostics = conservation, symmetry\n"
         )
         out = tmp_path / "out"
@@ -216,7 +242,7 @@ class TestRun:
         for column in ("l2_theta", "linf_theta"):
             assert tables["conservation"][column] == tables["series"][column]
 
-    def test_crash_keeps_the_rows_written_so_far(self, tmp_path, monkeypatch):
+    def test_crash_keeps_the_rows_written_so_far(self, tmp_path, monkeypatch, capsys):
         from invlab import runner
 
         integrate = runner.integrate
@@ -240,8 +266,8 @@ class TestRun:
             "dt = 0.01\ndiagnostics = conservation, symmetry\n"
         )
         out = tmp_path / "out"
-        with pytest.raises(RuntimeError, match="crashed"):
-            run_cli("run", str(cfg), "--output", str(out))
+        assert run_cli("run", str(cfg), "--output", str(out)) == EXIT_ERROR
+        assert "error: RuntimeError: solver crashed" in capsys.readouterr().err
         for name in ("series", "conservation", "symmetry"):
             rows = (out / f"{name}.csv").read_text().splitlines()
             assert len(rows) == 4, name  # header, t = 0 and the two steps observed

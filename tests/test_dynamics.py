@@ -13,7 +13,6 @@ from invlab.dynamics import (
     admissible_dt,
     integrate,
     rk4_step,
-    symmetry_project,
     tendency,
 )
 from invlab.spectral import Field, Grid2D, Spectrum, dealias, ddx1, ddx2, forward, inverse
@@ -145,14 +144,6 @@ class TestTendency:
         assert np.max(np.abs(dtheta.values)) < 1e-13
         assert np.max(np.abs(domega.values - expected)) < 1e-12
 
-    def test_hyperviscosity_damps_like_k4(self):
-        # a Laplacian eigenmode does not advect itself, so only -nu Delta^2 acts;
-        # the bound allows for roundoff in the top modes, amplified by |k|^4 ~ 3e5
-        omega = Field.from_function(GRID, lambda x1, x2: np.sin(x1) * np.sin(x2))
-        state = State(ModelKind.BOUSSINESQ, 0.0, Field.zeros(GRID), omega)
-        _, domega = tendency(state, StepControl(hyperviscosity=0.1))
-        assert np.max(np.abs(domega.values + 0.1 * 4.0 * omega.values)) < 1e-10
-
     def test_transport_has_zero_mean(self):
         state = cos_cos_state()
         dtheta, _ = tendency(state)
@@ -194,34 +185,6 @@ class TestRk4Step:
     def test_missing_dt_rejected(self):
         with pytest.raises(ValueError, match="dt"):
             rk4_step(cos_cos_state(), StepControl())
-
-
-class TestSymmetryProject:
-    def test_even_input_unchanged(self):
-        state = cos_cos_state()
-        projected = symmetry_project(state)
-        assert np.max(np.abs(projected.theta.values - state.theta.values)) < 1e-15
-
-    def test_odd_input_vanishes_under_even_projection(self):
-        theta = Field.from_function(GRID, lambda x1, x2: np.sin(x2))
-        projected = symmetry_project(State(ModelKind.SINGULAR_SCALAR, 0.0, theta))
-        assert np.max(np.abs(projected.theta.values)) < 1e-15
-
-    def test_idempotent(self):
-        theta = random_band_limited(GRID, 21)
-        state = State(ModelKind.SINGULAR_SCALAR, 0.0, theta)
-        once = symmetry_project(state)
-        twice = symmetry_project(once)
-        assert np.array_equal(once.theta.values, twice.theta.values)
-
-    def test_vorticity_models_keep_odd_parts(self):
-        theta = Field.from_function(GRID, lambda x1, x2: np.sin(x2) + np.cos(x2))
-        omega = Field.from_function(GRID, lambda x1, x2: np.sin(2 * x2) + 1.0)
-        state = State(ModelKind.MODIFIED_BOUSSINESQ, 0.0, theta, omega)
-        projected = symmetry_project(state)
-        x2 = GRID.mesh()[1]
-        assert np.max(np.abs(projected.theta.values - np.sin(x2))) < 1e-14
-        assert np.max(np.abs(projected.omega.values - np.sin(2 * x2))) < 1e-14
 
 
 class TestIntegrate:
@@ -285,15 +248,6 @@ class TestIntegrate:
         state = cos_cos_state()
         with pytest.raises(ValueError):
             integrate(state, StepControl(dt=1e-2), -0.5)
-
-    def test_symmetry_projection_flag(self):
-        theta = random_band_limited(GRID, 31)
-        state = State(ModelKind.SINGULAR_SCALAR, 0.0, theta)
-        ctrl = StepControl(dt=2e-3, project_symmetry=True)
-        result = integrate(state, ctrl, 0.01)
-        values = result.state.theta.values
-        reflected = np.roll(values[:, ::-1], 1, axis=1)
-        assert np.max(np.abs(values - reflected)) < 1e-13
 
 
 def random_state(model, grid, seed):
@@ -408,7 +362,7 @@ class TestHalfSpectrumStep:
             omega_hat = s.omega.hat if s.omega is not None else None
             for u_hat in _velocity_hat(model, s.theta.hat, omega_hat):
                 self.assert_real_field_spectrum(u_hat)
-            for d in tendency(s, ctrl):
+            for d in tendency(s):
                 if d is not None:
                     self.assert_real_field_spectrum(d.hat)
 
