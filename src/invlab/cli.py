@@ -31,7 +31,7 @@ def _parse_window(text: str) -> tuple[float, float]:
         a, b = (float(part) for part in text.split(","))
     except ValueError:
         raise ConfigError(f"window must be 'a,b', got {text!r}") from None
-    if b <= a:
+    if not a < b:
         raise ConfigError(f"window must be increasing, got {text!r}")
     return a, b
 
@@ -51,6 +51,8 @@ def _load_series_column(path: str, column: str) -> TimeSeries:
     t = np.atleast_1d(data[names[0]])
     v = np.atleast_1d(data[column])
     keep = np.isfinite(v)
+    if not np.any(keep):
+        raise ConfigError(f"{path}: column {column!r} has no finite values")
     return TimeSeries(t[keep], np.abs(v[keep]))
 
 

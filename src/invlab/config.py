@@ -24,8 +24,6 @@ _SCHEMA = {
     "ic_omega": ("str", "ic_omega"),
     "nx": ("int", "nx"),
     "ny": ("int", "ny"),
-    "lx": ("float", "lx"),
-    "ly": ("float", "ly"),
     "dt": ("float", "dt"),  # 0 means CFL-chosen
     "cfl": ("float", "cfl"),
     "t_end": ("float", "t_end"),
@@ -48,8 +46,6 @@ class RunConfig:
     ic_omega: str = ""
     nx: int = 256
     ny: int = 256
-    lx: Optional[float] = None  # None: 2*pi
-    ly: Optional[float] = None
     dt: Optional[float] = None  # None: CFL-chosen
     cfl: float = 0.4
     max_grad: float = 1e6
@@ -147,30 +143,22 @@ def parse_config(text: str) -> RunConfig:
 
 
 def config_echo(cfg: RunConfig) -> str:
-    """Canonical `key = value` rendering of a resolved config."""
-    lines = [
-        f"model = {cfg.model.value}",
-        f"ic = {cfg.ic}",
-    ]
-    if cfg.ic_omega:
-        lines.append(f"ic_omega = {cfg.ic_omega}")
-    lines += [
-        f"nx = {cfg.nx}",
-        f"ny = {cfg.ny}",
-    ]
-    if cfg.lx is not None:
-        lines.append(f"lx = {cfg.lx:.17g}")
-    if cfg.ly is not None:
-        lines.append(f"ly = {cfg.ly:.17g}")
-    lines += [
-        f"dt = {0.0 if cfg.dt is None else cfg.dt:.17g}",
-        f"cfl = {cfg.cfl:.17g}",
-        f"t_end = {cfg.t_end:.17g}",
-        f"max_grad = {cfg.max_grad:.17g}",
-        f"output.dir = {cfg.output_dir}",
-        f"output.snapshot_interval = {cfg.snapshot_interval:.17g}",
-        f"output.series_interval = {cfg.series_interval:.17g}",
-    ]
-    if cfg.diagnostics:
-        lines.append(f"diagnostics = {', '.join(cfg.diagnostics)}")
+    """Canonical `key = value` rendering of a resolved config, in _SCHEMA order.
+
+    Unset values (None, "", ()) are left out, except dt, which echoes as 0.
+    """
+    lines = []
+    for key, (tag, name) in _SCHEMA.items():
+        value = getattr(cfg, name)
+        if key == "dt" and value is None:
+            value = 0.0
+        if value is None or value == "" or value == ():
+            continue
+        if tag == "model":
+            value = value.value
+        elif tag == "float":
+            value = f"{value:.17g}"
+        elif tag == "list":
+            value = ", ".join(value)
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"

@@ -204,7 +204,7 @@ def _velocity_hat(model: ModelKind, theta_hat: Spectrum, omega_hat: Optional[Spe
         # reduces to the plain inversion when the mean modes vanish.  Only
         # the k2 = +1 column is stored; its k2 = -1 partner is implied.
         mean = theta_hat.coeffs[:, 0].copy()
-        core = theta_hat.copy()
+        core = Spectrum(grid, theta_hat.coeffs.copy())
         core.coeffs[:, 0] = 0.0
         psi = antideriv_x2(core)
         u1 = ddx2(psi)

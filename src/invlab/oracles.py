@@ -10,9 +10,9 @@ profile structure f0(exp(t) x2):
                   omega = omega0(e^t x2) - 2(e^t - 1) rho0 rho0'(e^t x2)
 
 Formulas are piecewise across x2 = 0; evaluation at x2 = 0 uses the
-x2 >= 0 branch.  All evaluators are defined on the whole plane, with the
-nominal domain boundary reported as metadata, and take arrays of points:
-a family's `sample` evaluates every point in one set of array operations.
+x2 >= 0 branch.  All evaluators are defined on the whole plane and take
+arrays of points: a family's `sample` evaluates every point in one set of
+array operations.
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ class Profile1D:
     df: Callable
     d2f: Optional[Callable] = None
     name: str = ""
-
-    def __call__(self, s):
-        return self.f(s)
 
 
 PROFILES = {
@@ -101,13 +98,6 @@ class WedgeSolution:
     """
 
     theta0: Profile1D
-    family: str = "wedge"
-
-    def boundary(self) -> str:
-        return "x2 = 2*x1 and x2 = -2*x1, x1 >= 0"
-
-    def theta(self, x2, t):
-        return self.theta0.f(np.exp(t) * np.asarray(x2, dtype=float))
 
     def dtheta_dx2(self, x2, t):
         et = np.exp(t)
@@ -227,14 +217,6 @@ class MovingDomainSolution:
 
     omega0: Profile1D
     theta0: Profile1D
-    family: str = "moving-domain"
-
-    def boundary(self, x2: float, t: float) -> str:
-        sigma = sigma_from_omega0(self.omega0, x2, t)
-        return f"2*x1 = +-{sigma:.6g}*x2 at x2 = {x2:.6g}"
-
-    def theta(self, x2, t):
-        return self.theta0.f(np.exp(t) * np.asarray(x2, dtype=float))
 
     def dtheta_dx2(self, x2, t):
         et = np.exp(t)
@@ -292,10 +274,6 @@ class ModifiedSolution:
 
     rho0: Profile1D
     omega0: Profile1D
-    family: str = "modified"
-
-    def theta(self, x2, t):
-        return self.rho0.f(np.exp(t) * np.asarray(x2, dtype=float))
 
     def dtheta_dx2(self, x2, t):
         et = np.exp(t)
@@ -340,11 +318,6 @@ class PrintedOscillatorySolution:
     the residual checker is expected to fail on it.
     """
 
-    family: str = "modified"
-
-    def theta(self, x2, t):
-        return np.sin(2.0 * np.exp(t) * np.asarray(x2, dtype=float))
-
     def dtheta_dx2(self, x2, t):
         et = np.exp(t)
         return 2.0 * et * np.cos(2.0 * et * np.asarray(x2, dtype=float))
@@ -378,10 +351,6 @@ class UniformScalarSolution:
     """Stationary check for the scalar model: theta = c, u = (c, 0)."""
 
     c: float = 1.0
-    family: str = "stationary"
-
-    def theta(self, x2, t):
-        return np.full_like(np.asarray(x2, dtype=float), self.c)
 
     def dtheta_dx2(self, x2, t):
         return np.zeros_like(np.asarray(x2, dtype=float))
@@ -407,6 +376,7 @@ def growth_envelope(solution, interval: tuple[float, float], times, field: str =
     field selects 'theta' or 'omega'; exact partials are sampled on 4097
     nodes and the best node's cell is rescanned.
     """
+    # partials, not `sample`: on 4097 nodes the moving-domain sigma quadrature costs ~600x dtheta_dx2
     if field == "theta":
         deriv = solution.dtheta_dx2
     elif field == "omega":

@@ -101,9 +101,9 @@ def _eval_expr(expr: str, grid: Grid2D) -> np.ndarray:
     return np.broadcast_to(np.asarray(values, dtype=np.float64), grid.shape).copy()
 
 
-# ic presets usable in configs: name -> (restricted model, theta expr, omega expr or None)
+# ic presets usable in configs: name -> (restricted model, theta expr)
 IC_PRESETS = {
-    "singular-cos": (ModelKind.SINGULAR_SCALAR, "cos(x1)*cos(x2)", None),
+    "singular-cos": (ModelKind.SINGULAR_SCALAR, "cos(x1)*cos(x2)"),
 }
 
 # full config documents for `run <preset>`
@@ -128,14 +128,12 @@ def build_initial_state(cfg: RunConfig, grid: Grid2D) -> State:
                 f"unknown ic preset {cfg.ic!r}; known presets: {known} "
                 f"(use '{_EXPR_PREFIX} <expression in x1, x2>' for custom data)"
             )
-        model, theta_expr, preset_omega = IC_PRESETS[cfg.ic]
+        model, theta_expr = IC_PRESETS[cfg.ic]
         if model is not cfg.model:
             raise ConfigError(
                 f"ic preset {cfg.ic!r} belongs to model {model.value}, config says {cfg.model.value}"
             )
         theta_expr = _EXPR_PREFIX + " " + theta_expr
-        if omega_expr is None and preset_omega is not None:
-            omega_expr = _EXPR_PREFIX + " " + preset_omega
     theta = Field(grid, _eval_expr(theta_expr[len(_EXPR_PREFIX):], grid))
     omega = None
     if cfg.model.evolves_vorticity:
@@ -150,53 +148,38 @@ def build_initial_state(cfg: RunConfig, grid: Grid2D) -> State:
 
 
 def grid_for(cfg: RunConfig) -> Grid2D:
-    lx = cfg.lx if cfg.lx is not None else 2.0 * math.pi
-    ly = cfg.ly if cfg.ly is not None else 2.0 * math.pi
-    return Grid2D(cfg.nx, cfg.ny, lx, ly)
+    return Grid2D(cfg.nx, cfg.ny)
 
 
-def _wedge(preset: str):
-    if preset != "sin":
-        raise ConfigError(f"unknown wedge preset {preset!r}; known: sin")
-    return WedgeSolution(PROFILES["sin"])
-
-
-def _moving(preset: str):
-    if preset != "identity":
-        raise ConfigError(f"unknown moving-domain preset {preset!r}; known: identity")
-    return MovingDomainSolution(PROFILES["identity"], PROFILES["identity"])
-
-
-def _modified(preset: str):
-    if preset == "linear":
-        return ModifiedSolution(PROFILES["identity"], PROFILES["sign"])
-    if preset == "oscillatory":
-        return ModifiedSolution(PROFILES["sin"], PROFILES["sign"])
-    if preset == "paper-printed":
-        return PrintedOscillatorySolution()
-    raise ConfigError(
-        f"unknown modified preset {preset!r}; known: linear, oscillatory, paper-printed"
-    )
-
-
-def _stationary(preset: str):
-    if preset != "const":
-        raise ConfigError(f"unknown stationary preset {preset!r}; known: const")
-    return UniformScalarSolution(1.0)
-
-
-# family -> (model checked against, default preset, builder, default envelope interval)
+# family -> (model checked against, default envelope interval, {preset: solution});
+# the first preset is the family's default
 ORACLE_FAMILIES = {
-    "wedge": (ModelKind.BOUSSINESQ, "sin", _wedge, (-math.pi, math.pi)),
-    "moving-domain": (ModelKind.BOUSSINESQ, "identity", _moving, (-math.pi, math.pi)),
-    "modified": (ModelKind.MODIFIED_BOUSSINESQ, "linear", _modified, (0.0, 1.0)),
-    "stationary": (ModelKind.SINGULAR_SCALAR, "const", _stationary, (-math.pi, math.pi)),
+    "wedge": (ModelKind.BOUSSINESQ, (-math.pi, math.pi), {"sin": WedgeSolution(PROFILES["sin"])}),
+    "moving-domain": (
+        ModelKind.BOUSSINESQ,
+        (-math.pi, math.pi),
+        {"identity": MovingDomainSolution(PROFILES["identity"], PROFILES["identity"])},
+    ),
+    "modified": (
+        ModelKind.MODIFIED_BOUSSINESQ,
+        (0.0, 1.0),
+        {
+            "linear": ModifiedSolution(PROFILES["identity"], PROFILES["sign"]),
+            "oscillatory": ModifiedSolution(PROFILES["sin"], PROFILES["sign"]),
+            "paper-printed": PrintedOscillatorySolution(),
+        },
+    ),
+    "stationary": (ModelKind.SINGULAR_SCALAR, (-math.pi, math.pi), {"const": UniformScalarSolution(1.0)}),
 }
 
+
 def oracle_solution(family: str, preset: str | None = None):
-    """Instantiate a closed-form family; returns (solution, model, envelope interval)."""
+    """A closed-form family's solution; returns (solution, model, envelope interval)."""
     if family not in ORACLE_FAMILIES:
         known = ", ".join(sorted(ORACLE_FAMILIES))
         raise ConfigError(f"unknown oracle family {family!r}; known: {known}")
-    model, default_preset, builder, interval = ORACLE_FAMILIES[family]
-    return builder(preset or default_preset), model, interval
+    model, interval, solutions = ORACLE_FAMILIES[family]
+    preset = preset or next(iter(solutions))
+    if preset not in solutions:
+        raise ConfigError(f"unknown {family} preset {preset!r}; known: {', '.join(solutions)}")
+    return solutions[preset], model, interval

@@ -35,7 +35,6 @@ class RunArtifacts:
     outdir: Path
     blowup: Optional[object]
     series_path: Path
-    meta_path: Path
     snapshot_paths: list[Path]
     steps: int
 
@@ -83,8 +82,8 @@ class _Schedule:
     def due(self, t: float) -> bool:
         if self.interval <= 0 or t < self.next - 1e-9:
             return False
-        while self.next <= t + 1e-9:
-            self.next += self.interval
+        # one jump past t, however many output times the step crossed
+        self.next += self.interval * ((t + 1e-9 - self.next) // self.interval + 1)
         self.last = t
         return True
 
@@ -150,7 +149,6 @@ def run(cfg: RunConfig, output_dir: Optional[Path] = None) -> RunArtifacts:
             snapshot(final)
 
     wall = time.perf_counter() - start
-    meta_path = outdir / "meta.txt"
     lines = [config_echo(cfg).rstrip("\n")]
     lines.append(f"steps = {result.steps}")
     lines.append(f"t_final = {final.t:.17g}")
@@ -163,8 +161,8 @@ def run(cfg: RunConfig, output_dir: Optional[Path] = None) -> RunArtifacts:
         lines.append(f"blowup.reason = {b.reason}")
     else:
         lines.append("blowup = none")
-    meta_path.write_text("\n".join(lines) + "\n")
-    return RunArtifacts(outdir, result.blowup, series_path, meta_path, snapshot_paths, result.steps)
+    (outdir / "meta.txt").write_text("\n".join(lines) + "\n")
+    return RunArtifacts(outdir, result.blowup, series_path, snapshot_paths, result.steps)
 
 
 @dataclass
@@ -208,7 +206,7 @@ def oracle_check(
         times = np.linspace(0.0, 6.0, 61)
         theta_env = growth_envelope(solution, interval, times, field="theta")
         columns = [("sup_dtheta_dx2", theta_env)]
-        if getattr(solution, "domega_dx2", None) is not None and model.evolves_vorticity:
+        if model.evolves_vorticity:
             columns.append(("sup_domega_dx2", growth_envelope(solution, interval, times, field="omega")))
         name = preset or "default"
         envelope_path = outdir / f"{family}-{name}-envelope.csv"

@@ -220,9 +220,6 @@ class Spectrum:
                 f"{self.grid.half_shape} of the grid"
             )
 
-    def copy(self) -> "Spectrum":
-        return Spectrum(self.grid, self.coeffs.copy())
-
 
 def forward(grid: Grid2D, values: np.ndarray) -> Spectrum:
     """Real forward transform (rfft2), normalized so coeff(0,0) is the mean.

@@ -129,7 +129,8 @@ class TestRun:
 
     @pytest.mark.parametrize("via", ["file", "override"])
     @pytest.mark.parametrize(
-        "key, value", [("dealias", "false"), ("project_symmetry", "true"), ("hyperviscosity", "0.1")]
+        "key, value",
+        [("dealias", "false"), ("project_symmetry", "true"), ("hyperviscosity", "0.1"), ("lx", "6.0"), ("ly", "6.0")],
     )
     def test_removed_step_keys_are_unknown(self, tmp_path, capsys, key, value, via):
         cfg = tmp_path / "removed.cfg"
@@ -153,7 +154,7 @@ class TestRun:
         assert capsys.readouterr().err == "error: RuntimeError: solver crashed\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    @pytest.mark.parametrize("key", ["dt", "max_grad", "t_end", "lx"])
+    @pytest.mark.parametrize("key", ["dt", "max_grad", "t_end", "cfl"])
     def test_non_finite_value_exits_2(self, tmp_path, capsys, key, value):
         code = run_cli("run", "singular-cos", "--set", "nx=16", "--set", "ny=16",
                        "--set", f"{key}={value}", "--output", str(tmp_path / "out"))
@@ -187,6 +188,19 @@ class TestRun:
         assert run_cli("run", str(cfg), "--output", str(out)) == EXIT_OK
         assert (out / "snapshot-0002.bin").exists()
         assert len((out / "symmetry.csv").read_text().splitlines()) == 7  # header, t = 0 .. 0.05
+
+    def test_tiny_output_intervals_make_every_state_due_once(self, tmp_path):
+        # a step spanning ~1e10 (or ~1e298) output intervals advances the schedule in one jump
+        out = tmp_path / "out"
+        code = run_cli("run", "singular-cos", "--set", "nx=16", "--set", "ny=16", "--set", "t_end=0.01",
+                       "--set", "dt=0.005", "--set", "output.series_interval=1e-12",
+                       "--set", "output.snapshot_interval=1e-300", "--output", str(out))
+        assert code == EXIT_OK
+        rows = (out / "series.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == pytest.approx([0.0, 0.005, 0.01], abs=1e-12)
+        snaps = sorted(p.name for p in out.glob("snapshot-*.bin"))
+        assert snaps == ["snapshot-0000.bin", "snapshot-0001.bin", "snapshot-0002.bin"]
+        assert [read_snapshot(out / name)[0] for name in snaps] == pytest.approx([0.0, 0.005, 0.01], abs=1e-12)
 
     def test_run_has_no_deterministic_flag(self):
         # runs are always serial and bit-identical
@@ -304,6 +318,24 @@ class TestOracleCheck:
 
     def test_unknown_family(self, capsys):
         assert run_cli("oracle-check", "vortex-sheet") == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: unknown oracle family 'vortex-sheet'; known: modified, moving-domain, stationary, wedge\n"
+        )
+
+    @pytest.mark.parametrize(
+        "family, known",
+        [
+            ("wedge", "sin"),
+            ("moving-domain", "identity"),
+            ("modified", "linear, oscillatory, paper-printed"),
+            ("stationary", "const"),
+        ],
+    )
+    def test_unknown_preset_lists_the_family_presets(self, capsys, family, known):
+        assert run_cli("oracle-check", family, "x") == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == f"error: unknown {family} preset 'x'; known: {known}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("family, preset", [("wedge", "sin"), ("modified", "paper-printed")])
     def test_zero_points_exits_2(self, family, preset, capsys):
@@ -374,3 +406,17 @@ class TestSeriesTools:
 
     def test_bad_window_format(self, series_csv):
         assert run_cli("fit-growth", str(series_csv), "--window", "0.8") == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("command", ["fit-growth", "blowup-est"])
+    def test_nan_window_is_not_increasing(self, series_csv, capsys, command):
+        assert run_cli(command, str(series_csv), "--window", "nan,nan") == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: window must be increasing, got 'nan,nan'\n"
+
+    # a vorticity run writes nan in every min_axis_slope cell; a header alone has no cells
+    @pytest.mark.parametrize("rows", ["0,1,1,1,nan\n0.01,1,1,1.1,nan\n", ""], ids=["nan", "header-only"])
+    @pytest.mark.parametrize("command", ["fit-growth", "blowup-est"])
+    def test_column_without_finite_values_exits_2(self, tmp_path, capsys, command, rows):
+        path = tmp_path / "series.csv"
+        path.write_text("t,l2_theta,linf_theta,sup_grad_theta,min_axis_slope\n" + rows)
+        assert run_cli(command, str(path), "--column", "min_axis_slope") == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {path}: column 'min_axis_slope' has no finite values\n"

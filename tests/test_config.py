@@ -91,7 +91,67 @@ class TestValidation:
         assert cfg.dt is None
 
 
+FULL = """
+model = modified-boussinesq
+ic = expr: sin(x2)*(1 + 0.5*cos(x1))
+ic_omega = expr: sin(x2)*cos(x1)
+nx = 64
+ny = 32
+dt = 0.0025
+cfl = 0.3
+t_end = 1.5
+max_grad = 1e4
+output.dir = results/run-1
+output.snapshot_interval = 0.1
+output.series_interval = 0.007
+diagnostics = conservation, symmetry
+"""
+
+
 class TestEcho:
+    # meta.txt opens with this text, so its layout is pinned line for line
+    @pytest.mark.parametrize(
+        "text, echo",
+        [
+            (
+                FULL,
+                "model = modified-boussinesq\n"
+                "ic = expr: sin(x2)*(1 + 0.5*cos(x1))\n"
+                "ic_omega = expr: sin(x2)*cos(x1)\n"
+                "nx = 64\n"
+                "ny = 32\n"
+                "dt = 0.0025000000000000001\n"
+                "cfl = 0.29999999999999999\n"
+                "t_end = 1.5\n"
+                "max_grad = 10000\n"
+                "output.dir = results/run-1\n"
+                "output.snapshot_interval = 0.10000000000000001\n"
+                "output.series_interval = 0.0070000000000000001\n"
+                "diagnostics = conservation, symmetry\n",
+            ),
+            (
+                MINIMAL,
+                "model = singular-scalar\n"
+                "ic = singular-cos\n"
+                "nx = 256\n"
+                "ny = 256\n"
+                "dt = 0\n"
+                "cfl = 0.40000000000000002\n"
+                "t_end = 0.5\n"
+                "max_grad = 1000000\n"
+                "output.dir = out\n"
+                "output.snapshot_interval = 0\n"
+                "output.series_interval = 0.01\n",
+            ),
+        ],
+        ids=["every-key", "defaults"],
+    )
+    def test_echo_text_is_pinned(self, text, echo):
+        assert config_echo(parse_config(text)) == echo
+
+    def test_every_key_is_set_in_the_full_config(self):
+        assert {line.split(" = ", 1)[0] for line in FULL.strip().splitlines()} == set(_SCHEMA)
+
     def test_roundtrip_through_echo(self):
         cfg = parse_config(MINIMAL + "dt = 0.002\nnx = 64\nny = 64\n")
         again = parse_config(config_echo(cfg))

@@ -249,7 +249,7 @@ class TestConservationReport:
         solution = WedgeSolution(PROFILES["sin"])
         grid = Grid2D(64, 256)
         _, x2 = grid.mesh()
-        linf0, linf1 = (float(np.max(np.abs(solution.theta(x2, t)))) for t in (0.0, 1.0))
+        linf0, linf1 = (float(np.max(np.abs(solution.sample(0.0, x2, t).theta))) for t in (0.0, 1.0))
         assert abs(linf1 - linf0) / linf0 < 1e-3
 
     def test_run_conservation(self, tmp_path):

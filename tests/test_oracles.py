@@ -76,9 +76,6 @@ class TestWedge:
         assert up.u2 == -0.5 and down.u2 == 0.5
         assert up.psi == pytest.approx(0.125 - 0.5)
 
-    def test_boundary_metadata(self):
-        assert "2*x1" in WEDGE.boundary()
-
 
 class TestSigma:
     def test_identity_profile(self):

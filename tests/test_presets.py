@@ -63,3 +63,13 @@ class TestExpressions:
         # so a tower such as 9**9**9**9 overflows at once instead of growing an integer
         with pytest.raises(ConfigError, match="range"):
             presets._eval_expr("2**2**20", GRID)
+
+
+class TestOracleRegistry:
+    @pytest.mark.parametrize(
+        "family, first",
+        [("wedge", "sin"), ("moving-domain", "identity"), ("modified", "linear"), ("stationary", "const")],
+    )
+    def test_no_preset_means_the_first_one(self, family, first):
+        assert next(iter(presets.ORACLE_FAMILIES[family][2])) == first
+        assert presets.oracle_solution(family) == presets.oracle_solution(family, first)
