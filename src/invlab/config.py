@@ -70,6 +70,8 @@ class RunConfig:
             raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.max_grad <= 0:
             raise ConfigError(f"max_grad must be positive, got {self.max_grad}")
+        if not self.output_dir:
+            raise ConfigError("output.dir must not be empty")
         if self.snapshot_interval < 0 or self.series_interval < 0:
             raise ConfigError("output intervals must be nonnegative")
         for name in self.diagnostics:

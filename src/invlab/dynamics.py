@@ -193,6 +193,24 @@ class IntegrationResult:
     steps: int
 
 
+def _widened(coeffs: np.ndarray, width: int) -> np.ndarray:
+    """A copy of coeffs with at least `width` columns, the added ones zero."""
+    out = np.zeros((coeffs.shape[0], max(width, coeffs.shape[1])), dtype=coeffs.dtype)
+    out[:, : coeffs.shape[1]] = coeffs
+    return out
+
+
+def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b for half spectra of any widths: the narrower one adds into the
+    leading columns of the wider one, whose other columns it holds at zero."""
+    if a.shape == b.shape:
+        return a + b
+    wide, narrow = (a, b) if a.shape[1] > b.shape[1] else (b, a)
+    out = wide.copy()
+    out[:, : narrow.shape[1]] += narrow
+    return out
+
+
 def _velocity_hat(model: ModelKind, theta_hat: Spectrum, omega_hat: Optional[Spectrum]):
     """Stream-function inversion on half spectra; returns (u1_hat, u2_hat)."""
     grid = theta_hat.grid
@@ -204,7 +222,7 @@ def _velocity_hat(model: ModelKind, theta_hat: Spectrum, omega_hat: Optional[Spe
         # reduces to the plain inversion when the mean modes vanish.  Only
         # the k2 = +1 column is stored; its k2 = -1 partner is implied.
         mean = theta_hat.coeffs[:, 0].copy()
-        core = Spectrum(grid, theta_hat.coeffs.copy())
+        core = Spectrum(grid, _widened(theta_hat.coeffs, 2))
         core.coeffs[:, 0] = 0.0
         psi = antideriv_x2(core)
         u1 = ddx2(psi)
@@ -228,9 +246,10 @@ def _velocity_hat(model: ModelKind, theta_hat: Spectrum, omega_hat: Optional[Spe
 def tendency(state: State) -> tuple[Field, Optional[Field]]:
     """Right-hand side fields (dtheta/dt, domega/dt or None).
 
-    Every nonlinear product is dealiased by the two-thirds rule.  The
-    fields come as half spectra; their nodal values are computed only if
-    read.
+    Every nonlinear product is dealiased by the two-thirds rule, so the
+    fields come as band spectra (see spectral.dealias), wider only where a
+    linear term of a wider theta enters; their nodal values are computed
+    only if read.
     """
     grid = state.grid
     kin = state.kinematics
@@ -248,7 +267,7 @@ def tendency(state: State) -> tuple[Field, Optional[Field]]:
 
     domega_hat = -advect(*gradient(state.omega))
     if state.model is ModelKind.BOUSSINESQ:
-        domega_hat += ddx1(state.theta.hat).coeffs
+        domega_hat = _add(domega_hat, ddx1(state.theta.hat).coeffs)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             squared = state.theta.values**2
@@ -300,12 +319,14 @@ def rk4_step(state: State, ctrl: StepControl, dt: Optional[float] = None) -> Sta
     t0 = state.t
     y0 = [f.hat.coeffs for f in state.fields]
     k1 = rhs(state)
-    k2 = rhs(at(t0 + dt / 2, [y + dt / 2 * k for y, k in zip(y0, k1)]))
-    k3 = rhs(at(t0 + dt / 2, [y + dt / 2 * k for y, k in zip(y0, k2)]))
-    k4 = rhs(at(t0 + dt, [y + dt * k for y, k in zip(y0, k3)]))
+    # y0 keeps the width of the state's data, which may exceed the band of
+    # the k; the k of one field share one width
+    k2 = rhs(at(t0 + dt / 2, [_add(y, dt / 2 * k) for y, k in zip(y0, k1)]))
+    k3 = rhs(at(t0 + dt / 2, [_add(y, dt / 2 * k) for y, k in zip(y0, k2)]))
+    k4 = rhs(at(t0 + dt, [_add(y, dt * k) for y, k in zip(y0, k3)]))
     return at(
         t0 + dt,
-        [y + dt / 6 * (a + 2 * b + 2 * c + d) for y, a, b, c, d in zip(y0, k1, k2, k3, k4)],
+        [_add(y, dt / 6 * (a + 2 * b + 2 * c + d)) for y, a, b, c, d in zip(y0, k1, k2, k3, k4)],
     )
 
 

@@ -29,13 +29,14 @@ from .oracles import (
     WedgeSolution,
     PROFILES,
 )
-from .spectral import Field, Grid2D
+from .spectral import Field, Grid2D, dealias, forward
 
 __all__ = [
     "IC_PRESETS",
     "SOLVER_PRESETS",
     "ORACLE_FAMILIES",
     "build_initial_state",
+    "oracle_preset",
     "oracle_solution",
     "grid_for",
 ]
@@ -117,8 +118,15 @@ SOLVER_PRESETS = {
 }
 
 
+def _band_field(grid: Grid2D, values: np.ndarray) -> Field:
+    """The two-thirds-band projection of sampled nodal values."""
+    return Field(grid, hat=dealias(forward(grid, values)))
+
+
 def build_initial_state(cfg: RunConfig, grid: Grid2D) -> State:
-    """Fields at t = 0 from the config's ic / ic_omega entries."""
+    """Fields at t = 0: the two-thirds-band projection of the config's ic /
+    ic_omega data sampled on the grid, so every state of a run stores band
+    spectra (see spectral.dealias)."""
     theta_expr = cfg.ic
     omega_expr = cfg.ic_omega or None
     if not cfg.ic.startswith(_EXPR_PREFIX):
@@ -134,14 +142,14 @@ def build_initial_state(cfg: RunConfig, grid: Grid2D) -> State:
                 f"ic preset {cfg.ic!r} belongs to model {model.value}, config says {cfg.model.value}"
             )
         theta_expr = _EXPR_PREFIX + " " + theta_expr
-    theta = Field(grid, _eval_expr(theta_expr[len(_EXPR_PREFIX):], grid))
+    theta = _band_field(grid, _eval_expr(theta_expr[len(_EXPR_PREFIX):], grid))
     omega = None
     if cfg.model.evolves_vorticity:
         if omega_expr is None:
             raise ConfigError(f"model {cfg.model.value} needs an ic_omega expression")
         if not omega_expr.startswith(_EXPR_PREFIX):
             raise ConfigError(f"ic_omega must be an '{_EXPR_PREFIX} ...' expression")
-        omega = Field(grid, _eval_expr(omega_expr[len(_EXPR_PREFIX):], grid))
+        omega = _band_field(grid, _eval_expr(omega_expr[len(_EXPR_PREFIX):], grid))
     elif cfg.ic_omega:
         raise ConfigError("the scalar model takes no ic_omega")
     return State(cfg.model, 0.0, theta, omega)
@@ -173,13 +181,20 @@ ORACLE_FAMILIES = {
 }
 
 
-def oracle_solution(family: str, preset: str | None = None):
-    """A closed-form family's solution; returns (solution, model, envelope interval)."""
+def oracle_preset(family: str, preset: str | None = None) -> str:
+    """The name of the preset that runs: `preset`, or the family's first if None."""
     if family not in ORACLE_FAMILIES:
         known = ", ".join(sorted(ORACLE_FAMILIES))
         raise ConfigError(f"unknown oracle family {family!r}; known: {known}")
-    model, interval, solutions = ORACLE_FAMILIES[family]
+    solutions = ORACLE_FAMILIES[family][2]
     preset = preset or next(iter(solutions))
     if preset not in solutions:
         raise ConfigError(f"unknown {family} preset {preset!r}; known: {', '.join(solutions)}")
+    return preset
+
+
+def oracle_solution(family: str, preset: str | None = None):
+    """A closed-form family's solution; returns (solution, model, envelope interval)."""
+    preset = oracle_preset(family, preset)
+    model, interval, solutions = ORACLE_FAMILIES[family]
     return solutions[preset], model, interval

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from contextlib import ExitStack
@@ -16,7 +17,7 @@ from .config import ConfigError, RunConfig, config_echo
 from .diagnostics import l2_norm, min_axis_slope, residual, symmetry_error
 from .dynamics import ModelKind, State, StepControl, integrate
 from .oracles import growth_envelope
-from .presets import SOLVER_PRESETS, build_initial_state, grid_for, oracle_solution
+from .presets import SOLVER_PRESETS, build_initial_state, grid_for, oracle_preset, oracle_solution
 from .snapshots import state_fields, write_snapshot
 
 __all__ = ["RunArtifacts", "run", "OracleCheckReport", "oracle_check", "convergence", "ConvergenceRow"]
@@ -28,11 +29,33 @@ CSV_COLUMNS = {
     "symmetry": ("t", "symmetry_error_theta", "symmetry_error_omega"),
 }
 RESIDUAL_THRESHOLD = 1e-10
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters of glibc's malloc.h
+
+
+@functools.cache
+def _retain_freed_memory() -> None:
+    """Keep freed memory in the process instead of handing it back to the kernel.
+
+    Each step frees arrays of a few MB; under glibc's default thresholds
+    they go back to the kernel and the next ones fault their pages in anew,
+    thousands of minor faults a step.  Both thresholds are set, because
+    setting either one also stops glibc from moving them itself.  Outputs
+    do not change.  Without a mallopt symbol (not glibc) this does nothing.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
 @dataclass
 class RunArtifacts:
-    outdir: Path
     blowup: Optional[object]
     series_path: Path
     snapshot_paths: list[Path]
@@ -101,6 +124,7 @@ def run(cfg: RunConfig, output_dir: Optional[Path] = None) -> RunArtifacts:
     is recorded in meta.txt and reported in the returned artifacts.
     """
     start = time.perf_counter()
+    _retain_freed_memory()
     outdir = Path(output_dir) if output_dir is not None else Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     grid = grid_for(cfg)
@@ -162,7 +186,7 @@ def run(cfg: RunConfig, output_dir: Optional[Path] = None) -> RunArtifacts:
     else:
         lines.append("blowup = none")
     (outdir / "meta.txt").write_text("\n".join(lines) + "\n")
-    return RunArtifacts(outdir, result.blowup, series_path, snapshot_paths, result.steps)
+    return RunArtifacts(result.blowup, series_path, snapshot_paths, result.steps)
 
 
 @dataclass
@@ -191,6 +215,7 @@ def oracle_check(
     """
     if npoints < 1:
         raise ConfigError(f"npoints must be at least 1, got {npoints}")
+    preset = oracle_preset(family, preset)
     solution, model, interval = oracle_solution(family, preset)
     rng = np.random.default_rng(seed)
     x1 = rng.uniform(-2.0, 2.0, npoints)
@@ -208,8 +233,7 @@ def oracle_check(
         columns = [("sup_dtheta_dx2", theta_env)]
         if model.evolves_vorticity:
             columns.append(("sup_domega_dx2", growth_envelope(solution, interval, times, field="omega")))
-        name = preset or "default"
-        envelope_path = outdir / f"{family}-{name}-envelope.csv"
+        envelope_path = outdir / f"{family}-{preset}-envelope.csv"
         header = "t," + ",".join(label for label, _ in columns)
         rows = []
         for i, tv in enumerate(times):
@@ -218,9 +242,7 @@ def oracle_check(
             )
         envelope_path.write_text(header + "\n" + "\n".join(rows) + "\n")
 
-    return OracleCheckReport(
-        family, preset or "default", max_theta, max_omega, passed, npoints, envelope_path
-    )
+    return OracleCheckReport(family, preset, max_theta, max_omega, passed, npoints, envelope_path)
 
 
 @dataclass
@@ -262,6 +284,7 @@ def convergence(cfg: RunConfig, levels: int, mode: str = "temporal") -> list[Con
     sol = BurgersSolution(_COS_PROFILE)
     if cfg.t_end >= sol.tstar:
         raise ConfigError(f"t_end must precede the axis blowup time {sol.tstar}")
+    _retain_freed_memory()
 
     if mode == "temporal":
         dt0 = cfg.dt if cfg.dt is not None else 8e-3

@@ -4,6 +4,9 @@ Fields live on a uniform doubly periodic grid; spectra hold normalized
 Fourier coefficients (coefficient of the constant mode equals the mean)
 in the half layout of the real transform: shape (nx, ny/2 + 1), modes
 k2 = 0 .. ny/2 only.  The modes k2 < 0 follow by Hermitian symmetry.
+A spectrum may store only the leading columns of that layout, the rest
+being zero: dealias() returns the two-thirds band k2 = 0 .. ny/3, and
+every operator keeps the width it is given.
 forward() and inverse() are the one real-transform pair; the derivative,
 inversion and dealiasing operators are pure functions on half spectra.
 A Field keeps the representation it computed on first use (see Field).
@@ -198,10 +201,11 @@ class Field:
 
 @dataclass
 class Spectrum:
-    """Complex Fourier coefficients in the half layout, shape (nx, ny/2 + 1).
+    """Complex Fourier coefficients in the half layout, shape (nx, w).
 
     Axis 0 holds k1 in standard FFT order (Nyquist stored negative), axis
-    1 holds k2 = 0 .. ny/2: the rfft2 layout.  Spectra of real fields are
+    1 holds k2 = 0 .. w - 1 of the rfft2 layout, w <= ny/2 + 1; the
+    columns k2 >= w are zero and not stored.  Spectra of real fields are
     Hermitian-symmetric, coeff(-k) = conj(coeff(k)), so the k2 < 0 modes
     are stored only through that symmetry, except in the columns k2 = 0
     and k2 = ny/2: those are self-conjugate, holding both coeff(k1, k2)
@@ -214,11 +218,17 @@ class Spectrum:
 
     def __post_init__(self) -> None:
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if self.coeffs.shape != self.grid.half_shape:
+        nx, half = self.grid.half_shape
+        if self.coeffs.ndim != 2 or self.coeffs.shape[0] != nx or not 1 <= self.coeffs.shape[1] <= half:
             raise ValueError(
-                f"coeffs shape {self.coeffs.shape} does not match the half layout "
+                f"coeffs shape {self.coeffs.shape} does not fit the half layout "
                 f"{self.grid.half_shape} of the grid"
             )
+
+    @property
+    def width(self) -> int:
+        """Number of stored k2 columns."""
+        return self.coeffs.shape[1]
 
 
 def forward(grid: Grid2D, values: np.ndarray) -> Spectrum:
@@ -236,7 +246,11 @@ def forward(grid: Grid2D, values: np.ndarray) -> Spectrum:
 
 
 def inverse(s: Spectrum) -> np.ndarray:
-    """Real inverse transform (irfft2): the nodal values of a half spectrum."""
+    """Real inverse transform (irfft2): the nodal values of a half spectrum.
+
+    irfft2 zero-pads the absent columns itself, after its k1 pass, so that
+    pass runs over the stored columns only.
+    """
     return np.fft.irfft2(s.coeffs, s=s.grid.shape, norm="forward")
 
 
@@ -247,7 +261,7 @@ def ddx1(s: Spectrum) -> Spectrum:
 
 def ddx2(s: Spectrum) -> Spectrum:
     """Spectral d/dx2 (Nyquist mode of the x2 direction zeroed)."""
-    return Spectrum(s.grid, s.coeffs * (1j * s.grid.ky_deriv)[None, :])
+    return Spectrum(s.grid, s.coeffs * (1j * s.grid.ky_deriv[: s.width])[None, :])
 
 
 def poisson_solve(omega: Spectrum) -> Spectrum:
@@ -262,7 +276,7 @@ def poisson_solve(omega: Spectrum) -> Spectrum:
             f"vorticity has nonzero mean {omega.coeffs[0, 0]:.3e}; "
             "the periodic Poisson problem is not solvable"
         )
-    k2 = omega.grid.k_squared.copy()
+    k2 = omega.grid.k_squared[:, : omega.width].copy()
     k2[0, 0] = 1.0
     psi = -omega.coeffs / k2
     psi[0, 0] = 0.0
@@ -286,17 +300,23 @@ def antideriv_x2(theta: Spectrum) -> Spectrum:
             f"x2-mean mode at k1 index {k1_bad} is {theta.coeffs[k1_bad, 0]:.3e}; "
             "no periodic x2-antiderivative exists for this data"
         )
-    ky = grid.ky.copy()
+    ky = grid.ky[: theta.width].copy()
     ky[0] = 1.0
     psi = -theta.coeffs / (1j * ky)[None, :]
     psi[:, 0] = 0.0
-    psi[:, grid.ny // 2] = 0.0
+    if theta.width > grid.ny // 2:
+        psi[:, grid.ny // 2] = 0.0
     return Spectrum(grid, psi)
 
 
 def dealias(s: Spectrum) -> Spectrum:
-    """Two-thirds rule: zero every mode with |k1| > nx/3 or |k2| > ny/3."""
-    return Spectrum(s.grid, s.coeffs * s.grid.dealias_keep)
+    """Two-thirds rule: keep the band k2 <= ny/3, with the rows |k1| > nx/3 zeroed.
+
+    The result stores no column beyond the band, so it is at most
+    (nx, ny//3 + 1) and C-contiguous.
+    """
+    w = min(s.width, s.grid.ny // 3 + 1)
+    return Spectrum(s.grid, s.coeffs[:, :w] * s.grid.dealias_keep[:, :w])
 
 
 def gradient(f: Field) -> tuple[np.ndarray, np.ndarray]:

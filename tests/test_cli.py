@@ -1,3 +1,4 @@
+import ctypes
 import os
 import subprocess
 import sys
@@ -23,6 +24,14 @@ ORACLE_PAIRS = (
     ("modified", "paper-printed"),
     ("stationary", "const"),
 )
+
+
+def glibc_mallopt() -> bool:
+    """Whether this process runs on glibc and can call its mallopt."""
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION")) and hasattr(ctypes.CDLL(None), "mallopt")
+    except (ValueError, OSError, TypeError):
+        return False
 
 
 def run_cli(*argv):
@@ -144,6 +153,38 @@ class TestRun:
         assert run_cli("run", str(cfg), *override, "--output", str(tmp_path / "out")) == EXIT_VALIDATION
         assert f"unknown key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("via", ["file", "override"])
+    def test_empty_output_dir_exits_2(self, tmp_path, monkeypatch, capsys, via):
+        # an empty output.dir would write every artifact into the working directory
+        monkeypatch.chdir(tmp_path)
+        text = "model = singular-scalar\nic = singular-cos\nt_end = 0.01\nnx = 16\nny = 16\n"
+        override = ["--set", "output.dir="] if via == "override" else []
+        if via == "file":
+            text += "output.dir =\n"
+        (tmp_path / "run.cfg").write_text(text)
+        assert run_cli("run", "run.cfg", *override) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: output.dir must not be empty\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    @pytest.mark.skipif(not glibc_mallopt(), reason="needs glibc's mallopt")
+    def test_second_run_in_a_process_takes_few_page_faults(self, tmp_path):
+        # a run keeps the memory it frees, so a second identical run reuses
+        # those pages instead of faulting in fresh ones (about 28,000 faults
+        # at 256^2 with glibc's default thresholds)
+        script = (
+            "import resource\n"
+            "from invlab import runner\n"
+            "from invlab.config import parse_config\n"
+            "cfg = parse_config('model = singular-scalar\\nic = singular-cos\\nt_end = 0.02\\n'\n"
+            "                   'nx = 256\\nny = 256\\ndt = 0.001\\n')\n"
+            f"runner.run(cfg, {str(tmp_path / 'first')!r})\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            f"runner.run(cfg, {str(tmp_path / 'second')!r})\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        faults = int(run_fresh_interpreter(script).splitlines()[-1])
+        assert faults < 1000
 
     def test_unexpected_error_exits_1_with_one_line(self, monkeypatch, capsys):
         def failing_run(cfg, output_dir=None):
@@ -293,6 +334,16 @@ class TestOracleCheck:
         assert run_cli("oracle-check", "wedge", "sin", "--output", str(tmp_path)) == EXIT_OK
         env = (tmp_path / "wedge-sin-envelope.csv").read_text().splitlines()
         assert env[0] == "t,sup_dtheta_dx2,sup_domega_dx2"
+
+    def test_no_preset_names_the_first_one(self, tmp_path, capsys):
+        # the report line and the envelope file name the preset that ran
+        default, explicit = tmp_path / "default", tmp_path / "explicit"
+        assert run_cli("oracle-check", "wedge", "--npoints", "20", "--output", str(default)) == EXIT_OK
+        assert "family wedge preset sin:" in capsys.readouterr().out
+        assert run_cli("oracle-check", "wedge", "sin", "--npoints", "20", "--output", str(explicit)) == EXIT_OK
+        name = "wedge-sin-envelope.csv"
+        assert [p.name for p in default.iterdir()] == [p.name for p in explicit.iterdir()] == [name]
+        assert (default / name).read_bytes() == (explicit / name).read_bytes()
 
     def test_all_consistent_presets_pass(self):
         assert run_cli("oracle-check", "moving-domain", "identity", "--npoints", "60") == EXIT_OK

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from invlab import presets
-from invlab.config import ConfigError
-from invlab.spectral import Grid2D
+from invlab.config import ConfigError, parse_config
+from invlab.dynamics import ModelKind
+from invlab.spectral import Grid2D, dealias, forward, inverse
 
 GRID = Grid2D(32, 16, 2 * math.pi, 3.0)
 
@@ -73,3 +74,24 @@ class TestOracleRegistry:
     def test_no_preset_means_the_first_one(self, family, first):
         assert next(iter(presets.ORACLE_FAMILIES[family][2])) == first
         assert presets.oracle_solution(family) == presets.oracle_solution(family, first)
+
+
+class TestInitialState:
+    @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
+    def test_fields_are_the_band_projection_of_the_sampled_data(self, model):
+        text = f"model = {model.value}\nt_end = 1\nnx = 32\nny = 16\n"
+        if model is ModelKind.SINGULAR_SCALAR:
+            text += "ic = singular-cos\n"
+            exprs = ["cos(x1)*cos(x2)"]
+        else:
+            text += "ic = expr: sin(x2)*(1 + 0.5*cos(x1))\nic_omega = expr: sin(x2)*cos(x1)\n"
+            exprs = ["sin(x2)*(1 + 0.5*cos(x1))", "sin(x2)*cos(x1)"]
+        cfg = parse_config(text)
+        grid = presets.grid_for(cfg)
+        state = presets.build_initial_state(cfg, grid)
+        assert len(state.fields) == len(exprs)
+        for field, expr in zip(state.fields, exprs):
+            band = dealias(forward(grid, presets._eval_expr(expr, grid)))
+            assert field.hat.coeffs.shape == (grid.nx, grid.ny // 3 + 1)
+            assert np.array_equal(field.hat.coeffs, band.coeffs)
+            assert np.array_equal(field.values, inverse(band))
