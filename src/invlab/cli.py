@@ -77,6 +77,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    if args.preset and args.preset_flag and args.preset != args.preset_flag:
+        raise ConfigError(f"conflicting presets {args.preset!r} and --preset {args.preset_flag!r}")
     preset = args.preset_flag or args.preset
     outdir = Path(args.output) if args.output else None
     report = oracle_check(args.family, preset, npoints=args.npoints, seed=args.seed, output_dir=outdir)

@@ -2,9 +2,15 @@
 
 Three inviscid models share one transport core:
 
-  singular scalar      d theta/dt + u.grad(theta) = 0,   u1 = theta via -d(psi)/dx2 = theta
-  Boussinesq           adds vorticity with forcing  +d(theta)/dx1,  Delta psi = omega
-  modified Boussinesq  vorticity forcing            -d(theta^2)/dx2, Delta psi = omega
+  singular scalar      d theta/dt + u.grad(theta) = 0
+  Boussinesq           adds vorticity with forcing  +d(theta)/dx1
+  modified Boussinesq  vorticity forcing            -d(theta^2)/dx2
+
+The velocity u = (-d(psi)/dx2, d(psi)/dx1) of the stream function psi
+never forms psi: each component multiplies a spectrum by its Fourier
+symbol.  In the scalar model -d(psi)/dx2 = theta, so u1 = theta and
+u2 = -(k1/k2) theta (k2 != 0); in the vorticity models Delta psi = omega,
+so u1 = i k2 omega/|k|^2 and u2 = -i k1 omega/|k|^2.
 
 The RK4 stages run on half spectra (see invlab.spectral): a stage hands
 the next one its spectrum, never nodal values to transform straight back.
@@ -29,14 +35,12 @@ from .spectral import (
     Grid2D,
     NonFiniteFieldError,
     Spectrum,
-    antideriv_x2,
     ddx1,
     ddx2,
     dealias,
     forward,
     gradient,
     inverse,
-    poisson_solve,
 )
 
 __all__ = [
@@ -144,7 +148,7 @@ class StepControl:
     """Time-stepping parameters.
 
     dt is the maximum step (None lets the CFL bound pick it); cfl is the
-    safety factor for dt <= cfl * min(dx, dy) / max|u|.
+    safety factor for dt <= cfl * min(dx, dy) / max|u|.  NaN fails every check.
     """
 
     dt: Optional[float] = None
@@ -152,12 +156,12 @@ class StepControl:
     max_grad: float = 1e6
 
     def __post_init__(self) -> None:
-        if self.dt is not None and self.dt <= 0:
+        if self.dt is not None and not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not 0 < self.cfl <= 1:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.max_grad <= 0:
-            raise ValueError("gradient ceiling must be positive")
+        if not self.max_grad > 0:
+            raise ValueError(f"gradient ceiling must be positive, got {self.max_grad}")
 
 
 @dataclass
@@ -212,35 +216,41 @@ def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _velocity_hat(model: ModelKind, theta_hat: Spectrum, omega_hat: Optional[Spectrum]):
-    """Stream-function inversion on half spectra; returns (u1_hat, u2_hat)."""
+    """Velocity spectra (u1_hat, u2_hat) from the Fourier symbols of the model."""
     grid = theta_hat.grid
     if model is ModelKind.SINGULAR_SCALAR:
-        # The x2-mean modes m(x1) of theta have no periodic primitive in x2.
-        # Carry them with the divergence-free closure
-        #   u1 += m(x1) cos(q x2),  u2 -= m'(x1) sin(q x2)/q,  q = 2 pi / ly,
+        # The x2-mean modes m(x1) of theta (the k2 = 0 column) have no
+        # periodic primitive in x2.  Carry them with the divergence-free closure
+        #   u1 += m(x1) cos x2,  u2 -= m'(x1) sin x2,
         # which is exact on the x2 = 0 axis (u1 = theta, u2 unchanged) and
-        # reduces to the plain inversion when the mean modes vanish.  Only
-        # the k2 = +1 column is stored; its k2 = -1 partner is implied.
-        mean = theta_hat.coeffs[:, 0].copy()
-        core = Spectrum(grid, _widened(theta_hat.coeffs, 2))
-        core.coeffs[:, 0] = 0.0
-        psi = antideriv_x2(core)
-        u1 = ddx2(psi)
-        u1.coeffs *= -1.0
-        u2 = ddx1(psi)
-        q = 2.0 * math.pi / grid.ly
-        u1.coeffs[0, 0] += mean[0]
-        m = mean.copy()
+        # vanishes with the mean modes.  Only the k2 = +1 column is stored;
+        # its k2 = -1 partner is implied.  The mean of theta stays in u1.
+        u1 = _widened(theta_hat.coeffs, 2)
+        m = u1[:, 0].copy()
         m[0] = 0.0
-        u1.coeffs[:, 1] += 0.5 * m
-        dm = 1j * grid.kx_deriv * m
-        u2.coeffs[:, 1] += (1j / (2.0 * q)) * dm
-        return u1, u2
-    psi = poisson_solve(omega_hat)
-    u1 = ddx2(psi)
-    u1.coeffs *= -1.0
-    u2 = ddx1(psi)
-    return u1, u2
+        u1[1:, 0] = 0.0
+        if u1.shape[1] > grid.ny // 2:
+            u1[:, grid.ny // 2] = 0.0  # the derivative convention: no Nyquist content
+        k2 = grid.k2int[: u1.shape[1]].copy()
+        k2[0] = 1.0  # the k2 = 0 column of u1 holds only the mean, whose k1 factor is 0
+        u2 = u1 * (-grid.kx_deriv)[:, None]
+        u2 /= k2
+        u1[:, 1] += 0.5 * m
+        u2[:, 1] -= 0.5 * grid.kx_deriv * m
+        return Spectrum(grid, u1), Spectrum(grid, u2)
+    mean = omega_hat.coeffs[0, 0]
+    if abs(mean) > 1e-10:
+        raise ValueError(
+            f"vorticity has nonzero mean {mean:.3e}; "
+            "the periodic Poisson problem is not solvable"
+        )
+    w = omega_hat.width
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = omega_hat.coeffs / grid.k_squared[:, :w]
+    scaled[0, 0] = 0.0  # the zero-mean gauge of psi
+    u1 = scaled * (1j * grid.ky_deriv[:w])[None, :]
+    u2 = scaled * (-1j * grid.kx_deriv)[:, None]
+    return Spectrum(grid, u1), Spectrum(grid, u2)
 
 
 def tendency(state: State) -> tuple[Field, Optional[Field]]:

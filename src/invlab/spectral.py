@@ -1,14 +1,16 @@
-"""Periodic spectral toolbox: grids, transforms, derivatives, inversions.
+"""Periodic spectral toolbox: grid, transforms, derivatives, dealiasing.
 
-Fields live on a uniform doubly periodic grid; spectra hold normalized
-Fourier coefficients (coefficient of the constant mode equals the mean)
-in the half layout of the real transform: shape (nx, ny/2 + 1), modes
-k2 = 0 .. ny/2 only.  The modes k2 < 0 follow by Hermitian symmetry.
+Fields live on a uniform grid of the doubly periodic box [0, 2 pi)^2, so
+the wavenumbers are the integer mode numbers k1, k2.  Spectra hold
+normalized Fourier coefficients (coefficient of the constant mode equals
+the mean) in the half layout of the real transform: shape (nx, ny/2 + 1),
+modes k2 = 0 .. ny/2 only.  The modes k2 < 0 follow by Hermitian symmetry.
 A spectrum may store only the leading columns of that layout, the rest
 being zero: dealias() returns the two-thirds band k2 = 0 .. ny/3, and
 every operator keeps the width it is given.
-forward() and inverse() are the one real-transform pair; the derivative,
-inversion and dealiasing operators are pure functions on half spectra.
+forward() and inverse() are the one real-transform pair.  A derivative
+multiplies each coefficient by its Fourier symbol, i k1 for d/dx1 and
+i k2 for d/dx2, with the unpaired Nyquist mode of that direction zeroed.
 A Field keeps the representation it computed on first use (see Field).
 """
 
@@ -30,8 +32,6 @@ __all__ = [
     "inverse",
     "ddx1",
     "ddx2",
-    "poisson_solve",
-    "antideriv_x2",
     "dealias",
     "gradient",
 ]
@@ -45,25 +45,22 @@ class NonFiniteFieldError(ValueError):
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Uniform grid on the periodic box [0, lx) x [0, ly).
+    """Uniform grid on the periodic box [0, 2 pi)^2.
 
-    Node (j, k) sits at (j*lx/nx, k*ly/ny).  Nodal arrays are indexed
-    [j, k] in C order, so x2 is the fastest-varying direction.
+    Node (j, k) sits at (j*dx, k*dy), dx = 2 pi/nx and dy = 2 pi/ny.
+    Nodal arrays are indexed [j, k] in C order, so x2 is the
+    fastest-varying direction.
 
     nx, ny must be even and at least 8; powers of two transform fastest.
     """
 
     nx: int
     ny: int
-    lx: float = TWO_PI
-    ly: float = TWO_PI
 
     def __post_init__(self) -> None:
         for name, n in (("nx", self.nx), ("ny", self.ny)):
             if n < 8 or n % 2 != 0:
                 raise ValueError(f"{name} must be even and >= 8, got {n}")
-        if self.lx <= 0 or self.ly <= 0:
-            raise ValueError(f"domain periods must be positive, got lx={self.lx}, ly={self.ly}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -76,11 +73,11 @@ class Grid2D:
 
     @property
     def dx(self) -> float:
-        return self.lx / self.nx
+        return TWO_PI / self.nx
 
     @property
     def dy(self) -> float:
-        return self.ly / self.ny
+        return TWO_PI / self.ny
 
     @cached_property
     def x1(self) -> np.ndarray:
@@ -105,33 +102,23 @@ class Grid2D:
         return np.fft.rfftfreq(self.ny, d=1.0 / self.ny)
 
     @cached_property
-    def kx(self) -> np.ndarray:
-        """Angular wavenumbers along x1."""
-        return (TWO_PI / self.lx) * self.k1int
-
-    @cached_property
-    def ky(self) -> np.ndarray:
-        """Angular wavenumbers along x2, half layout."""
-        return (TWO_PI / self.ly) * self.k2int
-
-    @cached_property
     def kx_deriv(self) -> np.ndarray:
         # Nyquist zeroed: the odd derivative of the unpaired mode is
         # sign-ambiguous and zeroing keeps real fields real.
-        k = self.kx.copy()
+        k = self.k1int.copy()
         k[self.nx // 2] = 0.0
         return k
 
     @cached_property
     def ky_deriv(self) -> np.ndarray:
-        k = self.ky.copy()
+        k = self.k2int.copy()
         k[self.ny // 2] = 0.0
         return k
 
     @cached_property
     def k_squared(self) -> np.ndarray:
         """|k|^2 on the half coefficient grid (Nyquist included; even power)."""
-        return self.kx[:, None] ** 2 + self.ky[None, :] ** 2
+        return self.k1int[:, None] ** 2 + self.k2int[None, :] ** 2
 
     @cached_property
     def dealias_keep(self) -> np.ndarray:
@@ -262,51 +249,6 @@ def ddx1(s: Spectrum) -> Spectrum:
 def ddx2(s: Spectrum) -> Spectrum:
     """Spectral d/dx2 (Nyquist mode of the x2 direction zeroed)."""
     return Spectrum(s.grid, s.coeffs * (1j * s.grid.ky_deriv[: s.width])[None, :])
-
-
-def poisson_solve(omega: Spectrum) -> Spectrum:
-    """Invert the Laplacian: returns psi with Delta psi = omega.
-
-    Requires zero-mean omega (solvability on the torus); the result is
-    gauged to zero mean.
-    """
-    mean = abs(omega.coeffs[0, 0])
-    if mean > 1e-10:
-        raise ValueError(
-            f"vorticity has nonzero mean {omega.coeffs[0, 0]:.3e}; "
-            "the periodic Poisson problem is not solvable"
-        )
-    k2 = omega.grid.k_squared[:, : omega.width].copy()
-    k2[0, 0] = 1.0
-    psi = -omega.coeffs / k2
-    psi[0, 0] = 0.0
-    return Spectrum(omega.grid, psi)
-
-
-def antideriv_x2(theta: Spectrum) -> Spectrum:
-    """Invert -d/dx2: returns psi with -ddx2(psi) = theta.
-
-    Every k1 row of theta must have zero x2-mean (the k2 = 0 column),
-    otherwise no periodic primitive exists.  The k2 = 0 column of the
-    result is gauged to zero; the k2 Nyquist column is zeroed to match the
-    derivative convention, so theta should carry no Nyquist content
-    (dealiased data never does).
-    """
-    grid = theta.grid
-    mean_col = np.abs(theta.coeffs[:, 0])
-    if np.max(mean_col) > 1e-10:
-        k1_bad = int(np.argmax(mean_col))
-        raise ValueError(
-            f"x2-mean mode at k1 index {k1_bad} is {theta.coeffs[k1_bad, 0]:.3e}; "
-            "no periodic x2-antiderivative exists for this data"
-        )
-    ky = grid.ky[: theta.width].copy()
-    ky[0] = 1.0
-    psi = -theta.coeffs / (1j * ky)[None, :]
-    psi[:, 0] = 0.0
-    if theta.width > grid.ny // 2:
-        psi[:, grid.ny // 2] = 0.0
-    return Spectrum(grid, psi)
 
 
 def dealias(s: Spectrum) -> Spectrum:

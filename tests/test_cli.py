@@ -129,6 +129,19 @@ class TestRun:
         last = (out / "series.csv").read_text().splitlines()[-1]
         assert last.endswith("nan")
 
+    def test_vorticity_with_nonzero_mean_exits_2(self, tmp_path, capsys):
+        # no periodic stream function has a vorticity of nonzero mean
+        cfg = tmp_path / "mean.cfg"
+        cfg.write_text(
+            "model = boussinesq\nic = expr: sin(x2)\nic_omega = expr: 1 + sin(x2)\n"
+            "t_end = 0.05\nnx = 16\nny = 16\ndt = 0.005\n"
+        )
+        assert run_cli("run", str(cfg), "--output", str(tmp_path / "out")) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: vorticity has nonzero mean 1.000e+00")
+        assert err.endswith("; the periodic Poisson problem is not solvable\n")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("expr", ["().__class__.__base__.__subclasses__()", "[x1 for _ in ()]"])
     def test_expression_outside_the_grammar_exits_2(self, tmp_path, capsys, expr):
         cfg = tmp_path / "escape.cfg"
@@ -344,6 +357,18 @@ class TestOracleCheck:
         name = "wedge-sin-envelope.csv"
         assert [p.name for p in default.iterdir()] == [p.name for p in explicit.iterdir()] == [name]
         assert (default / name).read_bytes() == (explicit / name).read_bytes()
+
+    def test_conflicting_presets_exit_2(self, tmp_path, capsys):
+        code = run_cli("oracle-check", "modified", "linear", "--preset", "oscillatory", "--output", str(tmp_path))
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == "error: conflicting presets 'linear' and --preset 'oscillatory'\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_same_preset_twice_is_valid(self, capsys):
+        assert run_cli("oracle-check", "modified", "linear", "--preset", "linear", "--npoints", "20") == EXIT_OK
+        assert "family modified preset linear:" in capsys.readouterr().out
 
     def test_all_consistent_presets_pass(self):
         assert run_cli("oracle-check", "moving-domain", "identity", "--npoints", "60") == EXIT_OK

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -25,9 +23,16 @@ def cos_cos_state(grid=GRID):
     return State(ModelKind.SINGULAR_SCALAR, 0.0, theta)
 
 
+def band_spectrum(grid, seed, zero_mean=False):
+    """The two-thirds band of random data, as dealias stores it."""
+    s = dealias(forward(grid, np.random.default_rng(seed).standard_normal(grid.shape)))
+    if zero_mean:
+        s.coeffs[0, 0] = 0.0
+    return s
+
+
 def random_band_limited(grid, seed, zero_x2_mean=False):
-    rng = np.random.default_rng(seed)
-    s = dealias(forward(grid, rng.standard_normal(grid.shape)))
+    s = band_spectrum(grid, seed)
     if zero_x2_mean:
         s.coeffs[:, 0] = 0.0
     return Field(grid, inverse(s))
@@ -112,6 +117,50 @@ class TestVelocity:
             u1, u2 = nodal_velocity(State(model, 0.0, theta, omega))
             assert divergence_max(u1, u2) < 1e-12
 
+    def test_pure_x2_mode(self):
+        # theta = sin x2 has no x2-mean: u1 = theta and u2 = -(k1/k2) theta = 0
+        theta = Field.from_function(GRID, lambda x1, x2: np.sin(x2))
+        u1, u2 = nodal_velocity(State(ModelKind.SINGULAR_SCALAR, 0.0, theta))
+        assert np.max(np.abs(u1 - theta.values)) < 1e-13
+        assert np.max(np.abs(u2)) < 1e-13
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("model", [ModelKind.BOUSSINESQ, ModelKind.MODIFIED_BOUSSINESQ], ids=lambda m: m.value)
+    def test_curl_is_the_vorticity(self, model, seed):
+        # spectral d(u2)/dx1 - d(u1)/dx2 = omega for random zero-mean omega
+        omega = band_spectrum(GRID, seed, zero_mean=True)
+        u1, u2 = _velocity_hat(model, band_spectrum(GRID, seed + 10), omega)
+        curl = ddx1(u2).coeffs - ddx2(u1).coeffs
+        assert np.max(np.abs(curl - omega.coeffs)) < 1e-13 * np.max(np.abs(omega.coeffs))
+
+    @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
+    def test_velocity_spectra_keep_the_band_width(self, model):
+        # the velocity of band data is the leading columns of the velocity of
+        # the same data zero-padded to the half layout, and nothing beyond
+        theta, omega = band_spectrum(GRID, 1), band_spectrum(GRID, 2, zero_mean=True)
+
+        def pad(s):
+            coeffs = np.zeros(GRID.half_shape, dtype=complex)
+            coeffs[:, : s.width] = s.coeffs
+            return Spectrum(GRID, coeffs)
+
+        band = _velocity_hat(model, theta, omega)
+        full = _velocity_hat(model, pad(theta), pad(omega))
+        for b, f in zip(band, full):
+            assert b.width == theta.width
+            assert np.array_equal(b.coeffs, f.coeffs[:, : b.width])
+            assert np.all(f.coeffs[:, b.width :] == 0.0)
+
+    @pytest.mark.parametrize("model", [ModelKind.BOUSSINESQ, ModelKind.MODIFIED_BOUSSINESQ], ids=lambda m: m.value)
+    def test_rejects_vorticity_with_nonzero_mean(self, model):
+        # the periodic Poisson problem Delta psi = omega needs zero-mean omega
+        state = State(model, 0.0, Field.zeros(GRID), Field(GRID, np.full(GRID.shape, 1.0)))
+        with pytest.raises(ValueError) as err:
+            state.kinematics
+        assert str(err.value) == (
+            "vorticity has nonzero mean 1.000e+00+0.000e+00j; the periodic Poisson problem is not solvable"
+        )
+
     def test_closure_is_exact_on_the_axis(self):
         # theta with nonzero x2-mean still satisfies u1 = theta at x2 = 0
         theta = random_band_limited(GRID, 11)
@@ -150,6 +199,14 @@ class TestTendency:
         assert abs(np.mean(dtheta.values)) < 1e-13
 
 
+class TestStepControl:
+    @pytest.mark.parametrize("key", ["dt", "cfl", "max_grad"])
+    def test_rejects_nan(self, key):
+        # a NaN dt would step with NaN, a NaN max_grad switch the ceiling off
+        with pytest.raises(ValueError, match="nan"):
+            StepControl(**{key: np.nan})
+
+
 class TestRk4Step:
     def test_stationary_state_unchanged(self):
         state = State(ModelKind.SINGULAR_SCALAR, 0.0, Field(GRID, np.full(GRID.shape, 1.5)))
@@ -157,18 +214,26 @@ class TestRk4Step:
         assert np.max(np.abs(new.theta.values - state.theta.values)) < 1e-14
         assert new.t == pytest.approx(1e-2)
 
-    def test_fourth_order_convergence(self):
-        # errors against a tiny-dt reference shrink ~16x per dt halving
-        grid = Grid2D(64, 64)
-        t_end = 0.2
+    # initial fields and grid size per model; the vorticity models take the
+    # vorticity-256 benchmark data
+    ORDER_DATA = {
+        ModelKind.SINGULAR_SCALAR: (64, [lambda x1, x2: np.cos(x1) * np.cos(x2)]),
+        **dict.fromkeys(
+            (ModelKind.BOUSSINESQ, ModelKind.MODIFIED_BOUSSINESQ),
+            (32, [lambda x1, x2: np.sin(x2) * (1 + 0.5 * np.cos(x1)), lambda x1, x2: np.sin(x2) * np.cos(x1)]),
+        ),
+    }
+
+    @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
+    def test_fourth_order_convergence(self, model):
+        # errors at t = 0.2 against a tiny-dt reference shrink ~16x per dt halving
+        n, fns = self.ORDER_DATA[model]
+        grid = Grid2D(n, n)
+        fields = [Field.from_function(grid, fn) for fn in fns]
 
         def run(dt):
-            state = State(
-                ModelKind.SINGULAR_SCALAR,
-                0.0,
-                Field.from_function(grid, lambda x1, x2: np.cos(x1) * np.cos(x2)),
-            )
-            return integrate(state, StepControl(dt=dt), t_end).state.theta.values
+            final = integrate(State(model, 0.0, *fields), StepControl(dt=dt), 0.2).state
+            return np.concatenate([f.values.ravel() for f in final.fields])
 
         reference = run(2.5e-4)
         errors = [np.max(np.abs(run(dt) - reference)) for dt in (8e-3, 4e-3, 2e-3)]
@@ -263,14 +328,13 @@ def random_state(model, grid, seed):
 
 def complex_fft_rk4_step(state, dt):
     """One RK4 step on nodal arrays with full complex transforms, written out here
-    as an independent reference for the half-spectrum step.  Its wavenumbers
-    cover every mode and come from np.fft.fftfreq, not from Grid2D."""
+    as an independent reference for the half-spectrum step.  It inverts through
+    the stream function psi.  Its wavenumbers cover every mode and come from
+    np.fft.fftfreq, not from Grid2D; on the 2 pi box they are the integers."""
     grid = state.grid
     k1int = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)
     k2int = np.fft.fftfreq(grid.ny, d=1.0 / grid.ny)
-    kx = (2 * np.pi / grid.lx) * k1int
-    ky = (2 * np.pi / grid.ly) * k2int
-    kx_deriv, ky_deriv = kx.copy(), ky.copy()
+    kx_deriv, ky_deriv = k1int.copy(), k2int.copy()
     kx_deriv[grid.nx // 2] = 0.0
     ky_deriv[grid.ny // 2] = 0.0
     ikx = 1j * kx_deriv[:, None]
@@ -285,23 +349,23 @@ def complex_fft_rk4_step(state, dt):
 
     def velocity_coeffs(theta_c, omega_c):
         if state.model is ModelKind.SINGULAR_SCALAR:
-            ky_safe = ky.copy()
+            ky_safe = k2int.copy()
             ky_safe[0] = 1.0
             psi = -theta_c / (1j * ky_safe)[None, :]
             psi[:, 0] = 0.0
             psi[:, grid.ny // 2] = 0.0
             u1, u2 = -iky * psi, ikx * psi
-            # the closure that carries the x2-mean modes m(x1), on both k2 = +-1 columns
+            # the closure u1 += m cos x2, u2 -= m' sin x2 that carries the
+            # x2-mean modes m(x1), on both k2 = +-1 columns
             m = theta_c[:, 0].copy()
             u1[0, 0] += m[0]
             m[0] = 0.0
-            q = 2.0 * math.pi / grid.ly
             u1[:, 1] += 0.5 * m
             u1[:, -1] += 0.5 * m
-            u2[:, 1] += (1j / (2.0 * q)) * ikx[:, 0] * m
-            u2[:, -1] -= (1j / (2.0 * q)) * ikx[:, 0] * m
+            u2[:, 1] += 0.5j * ikx[:, 0] * m
+            u2[:, -1] -= 0.5j * ikx[:, 0] * m
             return u1, u2
-        k2 = kx[:, None] ** 2 + ky[None, :] ** 2
+        k2 = k1int[:, None] ** 2 + k2int[None, :] ** 2
         k2[0, 0] = 1.0
         psi = -omega_c / k2
         psi[0, 0] = 0.0
@@ -408,7 +472,7 @@ class TestNarrowSpectra:
 class TestExactVorticityFamilies:
     """Every advection term vanishes and the fields are linear in t, which RK4
     integrates exactly, so long runs must match to roundoff.  These pin the
-    forcing signs, the Poisson inversion and the dealiased theta^2 forcing."""
+    forcing signs, the velocity of omega and the dealiased theta^2 forcing."""
 
     FAMILIES = {
         # theta = sin x1, omega = t cos x1: u = (0, t sin x1) is normal to grad theta

@@ -8,7 +8,7 @@ from invlab.config import ConfigError, parse_config
 from invlab.dynamics import ModelKind
 from invlab.spectral import Grid2D, dealias, forward, inverse
 
-GRID = Grid2D(32, 16, 2 * math.pi, 3.0)
+GRID = Grid2D(32, 16)
 
 # expressions of the README, the test configs and the benchmark's initial data
 DOCUMENTED = [
