@@ -16,7 +16,8 @@ The RK4 stages run on half spectra (see invlab.spectral): a stage hands
 the next one its spectrum, never nodal values to transform straight back.
 The nodal velocity and grad theta of each state are computed once
 (State.kinematics) and feed the CFL bound, the gradient ceiling and the
-first stage of the next step.
+first stage of the next step, which then releases them: the state keeps
+only their maxima (State.max_speed, State.max_grad).
 """
 
 from __future__ import annotations
@@ -71,24 +72,12 @@ class ModelKind(Enum):
 
 @dataclass
 class Kinematics:
-    """Nodal velocity and grad theta of one state, with their maxima.
-
-    The maxima are computed on first use: the CFL bound and the gradient
-    ceiling read them for accepted states, never for RK4 stages.
-    """
+    """Nodal velocity and grad theta of one state: four (nx, ny) arrays."""
 
     u1: np.ndarray
     u2: np.ndarray
     dtheta_dx1: np.ndarray
     dtheta_dx2: np.ndarray
-
-    @cached_property
-    def max_speed(self) -> float:
-        return _max_norm(self.u1, self.u2)
-
-    @cached_property
-    def max_grad(self) -> float:
-        return _max_norm(self.dtheta_dx1, self.dtheta_dx2)
 
 
 def _max_norm(a: np.ndarray, b: np.ndarray) -> float:
@@ -106,8 +95,9 @@ class State:
 
     theta holds the active scalar (called rho in the modified model);
     omega is present exactly when the model evolves vorticity.  A state
-    is not changed after it is built: its kinematics are computed once
-    and kept.
+    is not changed after it is built.  Its kinematics are computed on
+    first use and kept until rk4_step releases them after its first
+    stage; the maxima max_speed and max_grad are floats the state keeps.
     """
 
     model: ModelKind
@@ -141,6 +131,20 @@ class State:
         omega_hat = self.omega.hat if self.omega is not None else None
         u1_hat, u2_hat = _velocity_hat(self.model, self.theta.hat, omega_hat)
         return Kinematics(inverse(u1_hat), inverse(u2_hat), *gradient(self.theta))
+
+    # The maxima are computed on first use: the CFL bound and the gradient
+    # ceiling read them for accepted states, never for RK4 stages.
+    @cached_property
+    def max_speed(self) -> float:
+        """max|u| over the grid nodes."""
+        kin = self.kinematics
+        return _max_norm(kin.u1, kin.u2)
+
+    @cached_property
+    def max_grad(self) -> float:
+        """max|grad theta| over the grid nodes."""
+        kin = self.kinematics
+        return _max_norm(kin.dtheta_dx1, kin.dtheta_dx2)
 
 
 @dataclass
@@ -287,7 +291,7 @@ def tendency(state: State) -> tuple[Field, Optional[Field]]:
 
 def admissible_dt(state: State, ctrl: StepControl) -> float:
     """CFL-admissible step for the state; inf when the flow is at rest."""
-    umax = state.kinematics.max_speed
+    umax = state.max_speed
     if umax == 0.0:
         return math.inf
     return ctrl.cfl * min(state.grid.dx, state.grid.dy) / umax
@@ -297,7 +301,8 @@ def rk4_step(state: State, ctrl: StepControl, dt: Optional[float] = None) -> Sta
     """One classical four-stage Runge-Kutta step of size dt (default ctrl.dt).
 
     Validates the CFL bound at the step start; raises BlowupDetected if the
-    step produces non-finite fields.
+    step produces non-finite fields.  Releases the start state's kinematics
+    once its first stage has read them.
     """
     if dt is None:
         dt = ctrl.dt
@@ -306,11 +311,12 @@ def rk4_step(state: State, ctrl: StepControl, dt: Optional[float] = None) -> Sta
     adm = admissible_dt(state, ctrl)
     if dt > adm * (1.0 + 1e-9):
         raise CFLViolationError(dt, adm)
+    max_grad = state.max_grad  # blowup() reports it after the release below
 
     grid = state.grid
 
     def blowup(t: float) -> BlowupDetected:
-        return BlowupDetected(t, state.kinematics.max_grad, "non-finite")
+        return BlowupDetected(t, max_grad, "non-finite")
 
     def at(t: float, coeffs: Sequence[np.ndarray]) -> State:
         for c in coeffs:
@@ -329,6 +335,7 @@ def rk4_step(state: State, ctrl: StepControl, dt: Optional[float] = None) -> Sta
     t0 = state.t
     y0 = [f.hat.coeffs for f in state.fields]
     k1 = rhs(state)
+    del state.kinematics  # k1 was their last reader; each later stage has its own
     # y0 keeps the width of the state's data, which may exceed the band of
     # the k; the k of one field share one width
     k2 = rhs(at(t0 + dt / 2, [_add(y, dt / 2 * k) for y, k in zip(y0, k1)]))
@@ -365,7 +372,7 @@ def integrate(
         except BlowupDetected as exc:
             signal = BlowupSignal(exc.t, exc.max_grad, exc.reason, list(trace))
             return IntegrationResult(current, signal, steps)
-        grad = new.kinematics.max_grad
+        grad = new.max_grad
         if not math.isfinite(grad):
             signal = BlowupSignal(new.t, grad, "non-finite", list(trace))
             return IntegrationResult(current, signal, steps)

@@ -94,7 +94,7 @@ def _walk(node: ast.AST, names: dict):
 def _eval_expr(expr: str, grid: Grid2D) -> np.ndarray:
     """Field of an expression in x1, x2 and pi: numbers, + - * / **, unary -/+,
     and calls of the _NAMESPACE functions."""
-    x1, x2 = grid.mesh()
+    x1, x2 = np.meshgrid(grid.x1, grid.x2, indexing="ij", sparse=True)
     try:
         values = _walk(ast.parse(expr.strip(), mode="eval").body, {"x1": x1, "x2": x2, "pi": math.pi})
     except Exception as exc:

@@ -65,7 +65,7 @@ class RunArtifacts:
 def _measure(state: State, diagnostics: tuple) -> dict[str, Optional[float]]:
     """One output row: the series columns, plus those of each requested diagnostic.
 
-    max|grad theta| is the state's cached kinematics; None marks a column
+    max|grad theta| is the state's cached maximum; None marks a column
     of a field the model does not evolve.
     """
     theta = state.theta
@@ -74,7 +74,7 @@ def _measure(state: State, diagnostics: tuple) -> dict[str, Optional[float]]:
         "t": state.t,
         "l2_theta": l2_norm(theta),
         "linf_theta": float(np.max(np.abs(theta.values))),
-        "sup_grad_theta": state.kinematics.max_grad,
+        "sup_grad_theta": state.max_grad,
         "min_axis_slope": min_axis_slope(theta) if scalar else math.nan,
     }
     omega = state.omega

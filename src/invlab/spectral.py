@@ -221,7 +221,8 @@ class Spectrum:
 def forward(grid: Grid2D, values: np.ndarray) -> Spectrum:
     """Real forward transform (rfft2), normalized so coeff(0,0) is the mean.
 
-    Rejects non-finite input, naming the first offending node.
+    Rejects non-finite input, naming the first offending node.  Both
+    passes of rfft2 write into one half-layout buffer.
     """
     if not np.all(np.isfinite(values)):
         j, k = np.argwhere(~np.isfinite(values))[0]
@@ -229,7 +230,8 @@ def forward(grid: Grid2D, values: np.ndarray) -> Spectrum:
             f"non-finite field value {values[j, k]!r} at node ({j}, {k}), "
             f"x = ({j * grid.dx:.6g}, {k * grid.dy:.6g})"
         )
-    return Spectrum(grid, np.fft.rfft2(values, norm="forward"))
+    out = np.empty(grid.half_shape, dtype=np.complex128)
+    return Spectrum(grid, np.fft.rfft2(values, norm="forward", out=out))
 
 
 def inverse(s: Spectrum) -> np.ndarray:

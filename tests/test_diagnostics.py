@@ -40,8 +40,8 @@ class TestTimeSeries:
 
 
 def sup_grad(f: Field) -> float:
-    """The series column sup_grad_theta: max|grad theta| from the state's kinematics."""
-    return State(ModelKind.SINGULAR_SCALAR, 0.0, f).kinematics.max_grad
+    """The series column sup_grad_theta: max|grad theta| of the state."""
+    return State(ModelKind.SINGULAR_SCALAR, 0.0, f).max_grad
 
 
 class TestSupGrad:
@@ -216,6 +216,19 @@ class TestResidualFromStates:
             errors.append(max(res_theta, res_omega))
         assert errors[0] < 1e-3
         assert 3.0 < errors[0] / errors[1] < 5.0
+
+    @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
+    def test_a_middle_state_already_stepped_from_gives_the_same_residual(self, model):
+        # stepping from mid releases its kinematics; the residual computes them anew
+        fns = [lambda x1, x2: np.sin(x1) * np.cos(x2), lambda x1, x2: np.cos(x1) * np.sin(2 * x2)]
+        fields = [Field.from_function(GRID, fn) for fn in fns[: 2 if model.evolves_vorticity else 1]]
+        ctrl = StepControl(dt=1e-2)
+        prev = State(model, 0.0, *fields)
+        mid = rk4_step(prev, ctrl)
+        fresh = State(model, mid.t, *mid.fields)
+        nxt = rk4_step(mid, ctrl)
+        assert "kinematics" not in vars(mid)
+        assert residual_from_states(prev, mid, nxt) == residual_from_states(prev, fresh, nxt)
 
     def test_rejects_unordered_snapshots(self):
         prev, mid, nxt = self._snapshot_triple(1e-2)

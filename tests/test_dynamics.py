@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,31 @@ def divergence_max(u1, u2):
     return float(np.max(np.abs(inverse(Spectrum(GRID, div)))))
 
 
+# initial fields per model; the vorticity models take the vorticity-256
+# benchmark data
+INITIAL_DATA = {
+    ModelKind.SINGULAR_SCALAR: [lambda x1, x2: np.cos(x1) * np.cos(x2)],
+    **dict.fromkeys(
+        (ModelKind.BOUSSINESQ, ModelKind.MODIFIED_BOUSSINESQ),
+        [lambda x1, x2: np.sin(x2) * (1 + 0.5 * np.cos(x1)), lambda x1, x2: np.sin(x2) * np.cos(x1)],
+    ),
+}
+
+
+def count_transforms(monkeypatch):
+    """Counts of the calls of np.fft.rfft2 and np.fft.irfft2 from now on."""
+    counts = {"rfft2": 0, "irfft2": 0}
+    for name in counts:
+        transform = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _transform=transform, **kwargs):
+            counts[_name] += 1
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
 def nodal_velocity(state):
     kin = state.kinematics
     return kin.u1, kin.u2
@@ -68,10 +95,11 @@ class TestKinematics:
     def test_maxima_agree_with_hypot(self, scale):
         # at 1e200 the squares overflow while every input and hypot stay finite
         a, b = scale * np.random.default_rng(3).standard_normal((2, 16, 16))
-        k = Kinematics(a, b, b, -a)
+        state = cos_cos_state(Grid2D(16, 16))
+        state.kinematics = Kinematics(a, b, b, -a)
         expected = float(np.max(np.hypot(a, b)))
-        assert k.max_speed == pytest.approx(expected, rel=4e-16)
-        assert k.max_grad == pytest.approx(expected, rel=4e-16)
+        assert state.max_speed == pytest.approx(expected, rel=4e-16)
+        assert state.max_grad == pytest.approx(expected, rel=4e-16)
 
 
 class TestVelocity:
@@ -214,29 +242,29 @@ class TestRk4Step:
         assert np.max(np.abs(new.theta.values - state.theta.values)) < 1e-14
         assert new.t == pytest.approx(1e-2)
 
-    # initial fields and grid size per model; the vorticity models take the
-    # vorticity-256 benchmark data
-    ORDER_DATA = {
-        ModelKind.SINGULAR_SCALAR: (64, [lambda x1, x2: np.cos(x1) * np.cos(x2)]),
-        **dict.fromkeys(
-            (ModelKind.BOUSSINESQ, ModelKind.MODIFIED_BOUSSINESQ),
-            (32, [lambda x1, x2: np.sin(x2) * (1 + 0.5 * np.cos(x1)), lambda x1, x2: np.sin(x2) * np.cos(x1)]),
-        ),
+    # grid size, horizon, the three dt and the reference dt per model.  The
+    # scalar blows up at t* = 1, so it stops at 0.2.  The vorticity models
+    # run to t = 1 on longer steps, so that their finest error (7e-11 and
+    # 2e-9) stays far above roundoff.
+    ORDER_RUNS = {
+        ModelKind.SINGULAR_SCALAR: (64, 0.2, (8e-3, 4e-3, 2e-3), 2.5e-4),
+        ModelKind.BOUSSINESQ: (32, 1.0, (4e-2, 2e-2, 1e-2), 1.25e-3),
+        ModelKind.MODIFIED_BOUSSINESQ: (32, 1.0, (4e-2, 2e-2, 1e-2), 1.25e-3),
     }
 
     @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
     def test_fourth_order_convergence(self, model):
-        # errors at t = 0.2 against a tiny-dt reference shrink ~16x per dt halving
-        n, fns = self.ORDER_DATA[model]
+        # errors against a tiny-dt reference shrink ~16x per dt halving
+        n, t_end, dts, dt_reference = self.ORDER_RUNS[model]
         grid = Grid2D(n, n)
-        fields = [Field.from_function(grid, fn) for fn in fns]
+        fields = [Field.from_function(grid, fn) for fn in INITIAL_DATA[model]]
 
         def run(dt):
-            final = integrate(State(model, 0.0, *fields), StepControl(dt=dt), 0.2).state
+            final = integrate(State(model, 0.0, *fields), StepControl(dt=dt), t_end).state
             return np.concatenate([f.values.ravel() for f in final.fields])
 
-        reference = run(2.5e-4)
-        errors = [np.max(np.abs(run(dt) - reference)) for dt in (8e-3, 4e-3, 2e-3)]
+        reference = run(dt_reference)
+        errors = [np.max(np.abs(run(dt) - reference)) for dt in dts]
         for e_coarse, e_fine in zip(errors, errors[1:]):
             assert 12.8 < e_coarse / e_fine < 19.2
 
@@ -250,6 +278,54 @@ class TestRk4Step:
     def test_missing_dt_rejected(self):
         with pytest.raises(ValueError, match="dt"):
             rk4_step(cos_cos_state(), StepControl())
+
+
+class TestKinematicsRelease:
+    # real transforms (forward, inverse) per fixed-dt step
+    STEP_TRANSFORMS = {
+        ModelKind.SINGULAR_SCALAR: (4, 16),
+        ModelKind.BOUSSINESQ: (8, 24),
+        ModelKind.MODIFIED_BOUSSINESQ: (12, 28),
+    }
+
+    @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
+    def test_transforms_per_step_are_pinned(self, model, monkeypatch):
+        # a state of band spectra: the run's only transforms beyond the steps
+        # are the four inverses of the start state's kinematics, so anything
+        # that computes kinematics a second time changes the count
+        fields = [Field(GRID, hat=dealias(Field.from_function(GRID, fn).hat)) for fn in INITIAL_DATA[model]]
+        state = State(model, 0.0, *fields)
+        counts = count_transforms(monkeypatch)
+        steps = 3
+        result = integrate(state, StepControl(dt=1e-2), steps * 1e-2)
+        assert result.steps == steps
+        forwards, inverses = self.STEP_TRANSFORMS[model]
+        assert counts == {"rfft2": steps * forwards, "irfft2": steps * inverses + 4}
+
+    def test_a_step_releases_the_start_kinematics_and_keeps_their_maxima(self, monkeypatch):
+        start = cos_cos_state()
+        ctrl = StepControl(dt=1e-2)
+        rk4_step(start, ctrl)
+        assert "kinematics" not in vars(start)
+        counts = count_transforms(monkeypatch)
+        maxima = (start.max_speed, start.max_grad, admissible_dt(start, ctrl))
+        assert counts == {"rfft2": 0, "irfft2": 0}
+        fresh = cos_cos_state()
+        assert maxima == (fresh.max_speed, fresh.max_grad, admissible_dt(fresh, ctrl))
+
+    def test_a_step_peaks_below_twelve_nodal_arrays(self):
+        # the start state's kinematics are gone before stages k2-k4 build theirs
+        grid = Grid2D(256, 256)
+        tracemalloc.start()
+        try:
+            theta = Field(grid, hat=dealias(Field.from_function(grid, INITIAL_DATA[ModelKind.SINGULAR_SCALAR][0]).hat))
+            start = State(ModelKind.SINGULAR_SCALAR, 0.0, theta)
+            new = rk4_step(start, StepControl(dt=1e-3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert new.t == 1e-3
+        assert peak <= 12 * grid.nx * grid.ny * 8
 
 
 class TestIntegrate:

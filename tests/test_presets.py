@@ -16,6 +16,7 @@ DOCUMENTED = [
     "sin(x1)*cos(x2)",
     "sin(x1)*sin(x2)",
     "sin(x2)",
+    # the benchmark's initial data
     "cos(x1 + 2.718281828459045)*cos(x2)",
     "sin(x2)*(1 + 0.5*cos(x1 + 0.8853386244618939))",
     "sin(x2)*cos(x1 + 0.8853386244618939)",
@@ -36,6 +37,14 @@ class TestExpressions:
     def test_fields_match_python_evaluation_bit_for_bit(self, expr):
         field = presets._eval_expr(" " + expr, GRID)
         assert field.tobytes() == python_eval(expr).tobytes()
+
+    @pytest.mark.parametrize("expr", DOCUMENTED[4:7] + ["1", "x1", "sin(x2)"])
+    def test_sparse_coordinates_give_writable_full_arrays(self, expr):
+        # the expression sees broadcast (nx, 1) and (1, ny) coordinates
+        field = presets._eval_expr(expr, GRID)
+        assert field.shape == GRID.shape
+        assert field.flags.writeable
+        assert np.array_equal(field, python_eval(expr))
 
     def test_constant_expression_fills_the_grid(self):
         assert np.all(presets._eval_expr("2**-1*pi", GRID) == 0.5 * math.pi)
