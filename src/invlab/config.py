@@ -6,7 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .dynamics import ModelKind
+from .dynamics import ModelKind, StepControl
+from .spectral import Grid2D
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "parse_entries", "build_config", "config_echo"]
 
@@ -61,15 +62,11 @@ class RunConfig:
                 raise ConfigError(f"{key} must be finite, got {value}")
         if self.t_end < 0:
             raise ConfigError(f"t_end must be nonnegative, got {self.t_end}")
-        for name, n in (("nx", self.nx), ("ny", self.ny)):
-            if n < 8 or n % 2 != 0:
-                raise ConfigError(f"{name} must be even and >= 8, got {n}")
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigError(f"dt must be positive when given, got {self.dt}")
-        if not 0 < self.cfl <= 1:
-            raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.max_grad <= 0:
-            raise ConfigError(f"max_grad must be positive, got {self.max_grad}")
+        try:  # the grid and the step control each check their own keys
+            Grid2D(self.nx, self.ny)
+            StepControl(self.dt, self.cfl, self.max_grad)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not self.output_dir:
             raise ConfigError("output.dir must not be empty")
         if self.snapshot_interval < 0 or self.series_interval < 0:

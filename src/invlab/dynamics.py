@@ -165,7 +165,7 @@ class StepControl:
         if not 0 < self.cfl <= 1:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not self.max_grad > 0:
-            raise ValueError(f"gradient ceiling must be positive, got {self.max_grad}")
+            raise ValueError(f"max_grad must be positive, got {self.max_grad}")
 
 
 @dataclass
@@ -201,24 +201,6 @@ class IntegrationResult:
     steps: int
 
 
-def _widened(coeffs: np.ndarray, width: int) -> np.ndarray:
-    """A copy of coeffs with at least `width` columns, the added ones zero."""
-    out = np.zeros((coeffs.shape[0], max(width, coeffs.shape[1])), dtype=coeffs.dtype)
-    out[:, : coeffs.shape[1]] = coeffs
-    return out
-
-
-def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a + b for half spectra of any widths: the narrower one adds into the
-    leading columns of the wider one, whose other columns it holds at zero."""
-    if a.shape == b.shape:
-        return a + b
-    wide, narrow = (a, b) if a.shape[1] > b.shape[1] else (b, a)
-    out = wide.copy()
-    out[:, : narrow.shape[1]] += narrow
-    return out
-
-
 def _velocity_hat(model: ModelKind, theta_hat: Spectrum, omega_hat: Optional[Spectrum]):
     """Velocity spectra (u1_hat, u2_hat) from the Fourier symbols of the model."""
     grid = theta_hat.grid
@@ -229,12 +211,10 @@ def _velocity_hat(model: ModelKind, theta_hat: Spectrum, omega_hat: Optional[Spe
         # which is exact on the x2 = 0 axis (u1 = theta, u2 unchanged) and
         # vanishes with the mean modes.  Only the k2 = +1 column is stored;
         # its k2 = -1 partner is implied.  The mean of theta stays in u1.
-        u1 = _widened(theta_hat.coeffs, 2)
+        u1 = theta_hat.coeffs.copy()
         m = u1[:, 0].copy()
         m[0] = 0.0
         u1[1:, 0] = 0.0
-        if u1.shape[1] > grid.ny // 2:
-            u1[:, grid.ny // 2] = 0.0  # the derivative convention: no Nyquist content
         k2 = grid.k2int[: u1.shape[1]].copy()
         k2[0] = 1.0  # the k2 = 0 column of u1 holds only the mean, whose k1 factor is 0
         u2 = u1 * (-grid.kx_deriv)[:, None]
@@ -261,9 +241,8 @@ def tendency(state: State) -> tuple[Field, Optional[Field]]:
     """Right-hand side fields (dtheta/dt, domega/dt or None).
 
     Every nonlinear product is dealiased by the two-thirds rule, so the
-    fields come as band spectra (see spectral.dealias), wider only where a
-    linear term of a wider theta enters; their nodal values are computed
-    only if read.
+    fields come as band spectra (see spectral.dealias); their nodal values
+    are computed only if read.
     """
     grid = state.grid
     kin = state.kinematics
@@ -277,16 +256,16 @@ def tendency(state: State) -> tuple[Field, Optional[Field]]:
     dtheta_hat = -advect(kin.dtheta_dx1, kin.dtheta_dx2)
 
     if state.model is ModelKind.SINGULAR_SCALAR:
-        return Field(grid, hat=Spectrum(grid, dtheta_hat)), None
+        return Field(grid, Spectrum(grid, dtheta_hat)), None
 
     domega_hat = -advect(*gradient(state.omega))
     if state.model is ModelKind.BOUSSINESQ:
-        domega_hat = _add(domega_hat, ddx1(state.theta.hat).coeffs)
+        domega_hat += ddx1(state.theta.hat).coeffs
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             squared = state.theta.values**2
         domega_hat -= ddx2(dealias(forward(grid, squared))).coeffs
-    return Field(grid, hat=Spectrum(grid, dtheta_hat)), Field(grid, hat=Spectrum(grid, domega_hat))
+    return Field(grid, Spectrum(grid, dtheta_hat)), Field(grid, Spectrum(grid, domega_hat))
 
 
 def admissible_dt(state: State, ctrl: StepControl) -> float:
@@ -322,7 +301,7 @@ def rk4_step(state: State, ctrl: StepControl, dt: Optional[float] = None) -> Sta
         for c in coeffs:
             if not np.all(np.isfinite(c)):
                 raise blowup(t)
-        return State(state.model, t, *(Field(grid, hat=Spectrum(grid, c)) for c in coeffs))
+        return State(state.model, t, *(Field(grid, Spectrum(grid, c)) for c in coeffs))
 
     def rhs(stage: State) -> list[np.ndarray]:
         try:
@@ -336,15 +315,10 @@ def rk4_step(state: State, ctrl: StepControl, dt: Optional[float] = None) -> Sta
     y0 = [f.hat.coeffs for f in state.fields]
     k1 = rhs(state)
     del state.kinematics  # k1 was their last reader; each later stage has its own
-    # y0 keeps the width of the state's data, which may exceed the band of
-    # the k; the k of one field share one width
-    k2 = rhs(at(t0 + dt / 2, [_add(y, dt / 2 * k) for y, k in zip(y0, k1)]))
-    k3 = rhs(at(t0 + dt / 2, [_add(y, dt / 2 * k) for y, k in zip(y0, k2)]))
-    k4 = rhs(at(t0 + dt, [_add(y, dt * k) for y, k in zip(y0, k3)]))
-    return at(
-        t0 + dt,
-        [_add(y, dt / 6 * (a + 2 * b + 2 * c + d)) for y, a, b, c, d in zip(y0, k1, k2, k3, k4)],
-    )
+    k2 = rhs(at(t0 + dt / 2, [y + dt / 2 * k for y, k in zip(y0, k1)]))
+    k3 = rhs(at(t0 + dt / 2, [y + dt / 2 * k for y, k in zip(y0, k2)]))
+    k4 = rhs(at(t0 + dt, [y + dt * k for y, k in zip(y0, k3)]))
+    return at(t0 + dt, [y + dt / 6 * (a + 2 * b + 2 * c + d) for y, a, b, c, d in zip(y0, k1, k2, k3, k4)])
 
 
 def integrate(
@@ -362,6 +336,7 @@ def integrate(
         raise ValueError(f"t_end = {t_end} lies before the state time {state.t}")
     trace: deque = deque(maxlen=32)
     current = state
+    del state  # so the initial state is freed once the first step replaces it
     steps = 0
     eps = 1e-12 * max(1.0, abs(t_end))
     while current.t < t_end - eps:

@@ -58,7 +58,9 @@ PROFILES = {
     "identity": Profile1D(lambda s: s * 1.0, lambda s: np.ones_like(np.asarray(s, dtype=float)),
                           lambda s: np.zeros_like(np.asarray(s, dtype=float)), name="identity"),
     "sin": Profile1D(np.sin, np.cos, lambda s: -np.sin(s), name="sin"),
-    "sign": Profile1D(np.sign, lambda s: np.zeros_like(np.asarray(s, dtype=float)), name="sign"),
+    # +-1 with the x2 >= 0 branch at 0, where np.sign would give 0
+    "sign": Profile1D(lambda s: np.where(s >= 0, 1.0, -1.0), lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+                      name="sign"),
 }
 
 

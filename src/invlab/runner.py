@@ -127,8 +127,8 @@ def run(cfg: RunConfig, output_dir: Optional[Path] = None) -> RunArtifacts:
     _retain_freed_memory()
     outdir = Path(output_dir) if output_dir is not None else Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    grid = grid_for(cfg)
-    state = build_initial_state(cfg, grid)
+    # built before any file is opened, so that bad initial data leaves no artifact
+    pending = [build_initial_state(cfg, grid_for(cfg))]
     ctrl = StepControl(dt=cfg.dt, cfl=cfg.cfl, max_grad=cfg.max_grad)
 
     series_path = outdir / "series.csv"
@@ -154,8 +154,8 @@ def run(cfg: RunConfig, output_dir: Optional[Path] = None) -> RunArtifacts:
                 f.write(",".join(_csv_value(row[c]) for c in columns) + "\n")
                 f.flush()
 
-        series_due = _Schedule(state.t, cfg.series_interval)
-        snapshot_due = _Schedule(state.t, cfg.snapshot_interval)
+        series_due = _Schedule(pending[0].t, cfg.series_interval)
+        snapshot_due = _Schedule(pending[0].t, cfg.snapshot_interval)
 
         def observer(s: State) -> None:
             if series_due.due(s.t):
@@ -163,9 +163,11 @@ def run(cfg: RunConfig, output_dir: Optional[Path] = None) -> RunArtifacts:
             if snapshot_due.due(s.t):
                 snapshot(s)
 
-        write_row(state)
-        snapshot(state)
-        result = integrate(state, ctrl, cfg.t_end, observers=[observer])
+        write_row(pending[0])
+        snapshot(pending[0])
+        # popped, so integrate holds the initial state's only reference and
+        # frees it once the first step replaces it
+        result = integrate(pending.pop(), ctrl, cfg.t_end, observers=[observer])
         final = result.state
         if series_due.missed(final.t):
             write_row(final)
@@ -260,9 +262,7 @@ _COS_PROFILE = AxisProfile(np.cos, lambda x: -np.sin(x))
 def _axis_error(cfg: RunConfig, nx: int, dt: float, sol: BurgersSolution) -> float:
     level_cfg = RunConfig(model=cfg.model, ic=cfg.ic, t_end=cfg.t_end, nx=nx, ny=nx, dt=dt, cfl=cfg.cfl)
     grid = grid_for(level_cfg)
-    state = build_initial_state(level_cfg, grid)
-    ctrl = StepControl(dt=dt, cfl=cfg.cfl)
-    result = integrate(state, ctrl, cfg.t_end)
+    result = integrate(build_initial_state(level_cfg, grid), StepControl(dt=dt, cfl=cfg.cfl), cfg.t_end)
     axis = result.state.theta.values[:, 0]
     oracle = evaluate_many(sol, grid.x1, cfg.t_end)
     return float(np.max(np.abs(axis - oracle)))

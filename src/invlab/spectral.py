@@ -6,12 +6,14 @@ normalized Fourier coefficients (coefficient of the constant mode equals
 the mean) in the half layout of the real transform: shape (nx, ny/2 + 1),
 modes k2 = 0 .. ny/2 only.  The modes k2 < 0 follow by Hermitian symmetry.
 A spectrum may store only the leading columns of that layout, the rest
-being zero: dealias() returns the two-thirds band k2 = 0 .. ny/3, and
-every operator keeps the width it is given.
+being zero: forward() returns the full half layout, dealias() the
+two-thirds band k2 = 0 .. ny/3, and every operator keeps the width it is
+given.
 forward() and inverse() are the one real-transform pair.  A derivative
 multiplies each coefficient by its Fourier symbol, i k1 for d/dx1 and
 i k2 for d/dx2, with the unpaired Nyquist mode of that direction zeroed.
-A Field keeps the representation it computed on first use (see Field).
+A Field is a band spectrum; its nodal values are computed on first use
+and kept (see Field).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -72,6 +73,11 @@ class Grid2D:
         return (self.nx, self.ny // 2 + 1)
 
     @property
+    def band_shape(self) -> tuple[int, int]:
+        """Shape of the two-thirds band: k2 = 0 .. ny/3."""
+        return (self.nx, self.ny // 3 + 1)
+
+    @property
     def dx(self) -> float:
         return TWO_PI / self.nx
 
@@ -120,70 +126,33 @@ class Grid2D:
         """|k|^2 on the half coefficient grid (Nyquist included; even power)."""
         return self.k1int[:, None] ** 2 + self.k2int[None, :] ** 2
 
-    @cached_property
-    def dealias_keep(self) -> np.ndarray:
-        """Boolean mask of modes kept by the two-thirds rule."""
-        keep1 = np.abs(self.k1int) <= self.nx / 3.0
-        keep2 = np.abs(self.k2int) <= self.ny / 3.0
-        return keep1[:, None] & keep2[None, :]
-
 
 class Field:
-    """Real field on a Grid2D, known by its nodal values, its half spectrum, or both.
+    """Real field on a Grid2D, known by its two-thirds band spectrum.
 
-    Nodal values have shape (nx, ny); `hat` is forward() of the values.
-    Whichever of the two was not given is computed on first use and
-    kept, so both are read-only: replace `values` by assignment, which
-    drops the kept spectrum.
+    `hat` is a Spectrum of shape grid.band_shape, as dealias() returns it:
+    the columns k2 = 0 .. ny/3 with the rows |k1| > nx/3 zero.  The nodal
+    values, shape (nx, ny), are inverse(hat), computed on first use and
+    kept; neither is changed after the field is built.
     """
 
-    __slots__ = ("grid", "_values", "_hat")
+    __slots__ = ("grid", "hat", "_values")
 
-    def __init__(self, grid: Grid2D, values: Optional[np.ndarray] = None, *, hat: Optional["Spectrum"] = None):
+    def __init__(self, grid: Grid2D, hat: "Spectrum"):
+        if hat.grid != grid or hat.coeffs.shape != grid.band_shape:
+            raise ValueError(
+                f"a field takes the two-thirds band spectrum of its grid, shape {grid.band_shape}; "
+                f"got shape {hat.coeffs.shape} on grid {hat.grid.shape}"
+            )
         self.grid = grid
-        self._hat = None
+        self.hat = hat
         self._values = None
-        if values is not None:
-            self.values = values
-        elif hat is None:
-            raise ValueError("a field needs nodal values or a half spectrum")
-        if hat is not None:
-            if hat.grid != grid:
-                raise ValueError("hat must be a spectrum on the field's grid")
-            self._hat = hat
 
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._values = inverse(self._hat)
+            self._values = inverse(self.hat)
         return self._values
-
-    @values.setter
-    def values(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != self.grid.shape:
-            raise ValueError(
-                f"values shape {values.shape} does not match grid {self.grid.shape}"
-            )
-        self._values = values
-        self._hat = None
-
-    @property
-    def hat(self) -> "Spectrum":
-        """Half spectrum; rejects non-finite values, naming the first offending node."""
-        if self._hat is None:
-            self._hat = forward(self.grid, self._values)
-        return self._hat
-
-    @classmethod
-    def zeros(cls, grid: Grid2D) -> "Field":
-        return cls(grid, np.zeros(grid.shape))
-
-    @classmethod
-    def from_function(cls, grid: Grid2D, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> "Field":
-        """Sample fn(x1, x2) on the grid nodes."""
-        x1, x2 = grid.mesh()
-        return cls(grid, np.broadcast_to(np.asarray(fn(x1, x2), dtype=np.float64), grid.shape).copy())
 
 
 @dataclass
@@ -256,18 +225,17 @@ def ddx2(s: Spectrum) -> Spectrum:
 def dealias(s: Spectrum) -> Spectrum:
     """Two-thirds rule: keep the band k2 <= ny/3, with the rows |k1| > nx/3 zeroed.
 
-    The result stores no column beyond the band, so it is at most
-    (nx, ny//3 + 1) and C-contiguous.
+    The result is a C-contiguous copy of at most grid.band_shape: a
+    spectrum narrower than the band keeps its width.
     """
-    w = min(s.width, s.grid.ny // 3 + 1)
-    return Spectrum(s.grid, s.coeffs[:, :w] * s.grid.dealias_keep[:, :w])
+    grid = s.grid
+    m = grid.nx // 3  # rows 0 .. m and nx - m .. nx - 1 hold |k1| <= nx/3
+    coeffs = s.coeffs[:, : grid.band_shape[1]].copy()
+    coeffs[m + 1 : grid.nx - m] = 0.0
+    return Spectrum(grid, coeffs)
 
 
 def gradient(f: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral (df/dx1, df/dx2) as nodal arrays.
-
-    Costs one real forward transform, unless f already knows its half
-    spectrum, and one real inverse transform per component.
-    """
+    """Spectral (df/dx1, df/dx2) as nodal arrays: one real inverse transform each."""
     hat = f.hat
     return inverse(ddx1(hat)), inverse(ddx2(hat))

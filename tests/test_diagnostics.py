@@ -21,7 +21,10 @@ from invlab.presets import oracle_solution
 from invlab.runner import run
 from invlab.spectral import Field, Grid2D
 
+from helpers import band_field
+
 GRID = Grid2D(32, 32)
+X1, X2 = GRID.mesh()
 
 
 class TestTimeSeries:
@@ -46,14 +49,14 @@ def sup_grad(f: Field) -> float:
 
 class TestSupGrad:
     def test_single_mode_x2(self):
-        f = Field.from_function(GRID, lambda x1, x2: np.sin(x2))
+        f = band_field(GRID, np.sin(X2))
         assert sup_grad(f) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant(self):
-        assert sup_grad(Field(GRID, np.full(GRID.shape, 4.0))) < 1e-13
+        assert sup_grad(band_field(GRID, np.full(GRID.shape, 4.0))) < 1e-13
 
     def test_cos_cos(self):
-        f = Field.from_function(GRID, lambda x1, x2: np.cos(x1) * np.cos(x2))
+        f = band_field(GRID, np.cos(X1) * np.cos(X2))
         value = sup_grad(f)
         # dense brute force on the closed form
         xs = np.linspace(0, 2 * math.pi, 400)
@@ -64,7 +67,7 @@ class TestSupGrad:
 
     def test_mode_amplitude_rule(self):
         # |grad| of A cos(k.x) peaks at |A| |k|
-        f = Field.from_function(GRID, lambda x1, x2: 2.5 * np.cos(3 * x1 + 4 * x2))
+        f = band_field(GRID, 2.5 * np.cos(3 * X1 + 4 * X2))
         assert sup_grad(f) == pytest.approx(2.5 * 5.0, rel=1e-10)
 
 
@@ -200,8 +203,9 @@ class TestResidual:
 class TestResidualFromStates:
     def _snapshot_triple(self, dt):
         grid = Grid2D(48, 48)
-        theta = Field.from_function(grid, lambda x1, x2: np.sin(x1) * np.cos(x2))
-        omega = Field.from_function(grid, lambda x1, x2: np.cos(x1) * np.sin(2 * x2))
+        x1, x2 = grid.mesh()
+        theta = band_field(grid, np.sin(x1) * np.cos(x2))
+        omega = band_field(grid, np.cos(x1) * np.sin(2 * x2))
         state = State(ModelKind.BOUSSINESQ, 0.0, theta, omega)
         ctrl = StepControl(dt=dt)
         s1 = rk4_step(state, ctrl)
@@ -221,7 +225,7 @@ class TestResidualFromStates:
     def test_a_middle_state_already_stepped_from_gives_the_same_residual(self, model):
         # stepping from mid releases its kinematics; the residual computes them anew
         fns = [lambda x1, x2: np.sin(x1) * np.cos(x2), lambda x1, x2: np.cos(x1) * np.sin(2 * x2)]
-        fields = [Field.from_function(GRID, fn) for fn in fns[: 2 if model.evolves_vorticity else 1]]
+        fields = [band_field(GRID, fn(X1, X2)) for fn in fns[: 2 if model.evolves_vorticity else 1]]
         ctrl = StepControl(dt=1e-2)
         prev = State(model, 0.0, *fields)
         mid = rk4_step(prev, ctrl)
@@ -238,20 +242,20 @@ class TestResidualFromStates:
 
 class TestSymmetryError:
     def test_even_field(self):
-        f = Field.from_function(GRID, lambda x1, x2: np.cos(x2))
+        f = band_field(GRID, np.cos(X2))
         assert symmetry_error(f, "even") < 1e-15
 
     def test_sine_against_even(self):
-        f = Field.from_function(GRID, lambda x1, x2: np.sin(x2))
+        f = band_field(GRID, np.sin(X2))
         assert symmetry_error(f, "even") == pytest.approx(2.0, abs=1e-12)
 
     def test_sine_is_odd(self):
-        f = Field.from_function(GRID, lambda x1, x2: np.sin(x2))
+        f = band_field(GRID, np.sin(X2))
         assert symmetry_error(f, "odd") < 1e-15
 
     def test_unknown_parity(self):
         with pytest.raises(ValueError):
-            symmetry_error(Field.zeros(GRID), "sideways")
+            symmetry_error(band_field(GRID, np.zeros(GRID.shape)), "sideways")
 
 
 class TestConservationReport:
@@ -287,9 +291,9 @@ class TestConservationReport:
 
 class TestAxisSlope:
     def test_matches_full_gradient_on_axis(self):
-        f = Field.from_function(GRID, lambda x1, x2: np.cos(x1) * np.cos(x2))
+        f = band_field(GRID, np.cos(X1) * np.cos(X2))
         assert min_axis_slope(f) == pytest.approx(-1.0, abs=1e-12)
 
     def test_l2_norm_of_unit_constant(self):
-        f = Field(GRID, np.ones(GRID.shape))
+        f = band_field(GRID, np.ones(GRID.shape))
         assert l2_norm(f) == pytest.approx(2 * math.pi, rel=1e-14)

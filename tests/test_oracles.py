@@ -216,8 +216,10 @@ class TestCommonStructure:
             assert solution.sample(x1, x2, t).u2 == pytest.approx(-x2, rel=1e-15)
 
     def test_axis_evaluation_uses_upper_branch(self):
-        s = WEDGE.sample(1.0, 0.0, 0.0)
-        assert s.omega == 1.0  # x2 >= 0 branch
+        # every family whose omega is piecewise across x2 = 0
+        for solution in (WEDGE, MODIFIED_LINEAR, MODIFIED_OSC, PrintedOscillatorySolution()):
+            for t in (0.0, 0.7):
+                assert solution.sample(0.3, 0.0, t).omega == 1.0, solution  # x2 >= 0 branch
 
 
 class TestGrowthEnvelope:

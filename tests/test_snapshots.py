@@ -3,15 +3,17 @@ import pytest
 
 from invlab.snapshots import MAGIC, read_snapshot, write_snapshot, state_fields
 from invlab.dynamics import ModelKind, State
-from invlab.spectral import Field, Grid2D
+from invlab.spectral import Grid2D
+
+from helpers import band_field
 
 GRID = Grid2D(16, 32)
 
 
 def test_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
-    theta = Field(GRID, rng.standard_normal(GRID.shape))
-    omega = Field(GRID, rng.standard_normal(GRID.shape))
+    theta = band_field(GRID, rng.standard_normal(GRID.shape))
+    omega = band_field(GRID, rng.standard_normal(GRID.shape))
     path = tmp_path / "snap.bin"
     write_snapshot(path, 0.125, {"theta": theta, "omega": omega})
     t, fields, (nx, ny) = read_snapshot(path)
@@ -24,7 +26,7 @@ def test_roundtrip_bit_exact(tmp_path):
 
 def test_header_layout(tmp_path):
     path = tmp_path / "snap.bin"
-    write_snapshot(path, 1.0, {"theta": Field.zeros(GRID)})
+    write_snapshot(path, 1.0, {"theta": band_field(GRID, np.zeros(GRID.shape))})
     raw = path.read_bytes()
     header, rest = raw.split(b"\n", 1)
     assert header == f"{MAGIC} 16 32 1 1".encode()
@@ -34,19 +36,19 @@ def test_header_layout(tmp_path):
 
 
 def test_payload_is_little_endian_x2_fastest(tmp_path):
-    values = np.arange(16 * 32, dtype=float).reshape(16, 32)
+    theta = band_field(GRID, np.arange(16 * 32, dtype=float).reshape(16, 32))
     path = tmp_path / "snap.bin"
-    write_snapshot(path, 0.0, {"theta": Field(GRID, values)})
+    write_snapshot(path, 0.0, {"theta": theta})
     raw = path.read_bytes()
     offset = raw.index(b"theta\n") + len(b"theta\n")
     first_two = np.frombuffer(raw, dtype="<f8", count=2, offset=offset)
-    assert first_two[0] == values[0, 0]
-    assert first_two[1] == values[0, 1]  # x2 neighbor follows immediately
+    assert first_two[0] == theta.values[0, 0]
+    assert first_two[1] == theta.values[0, 1]  # x2 neighbor follows immediately
 
 
 def test_rewrite_is_bit_identical(tmp_path):
     rng = np.random.default_rng(3)
-    theta = Field(GRID, rng.standard_normal(GRID.shape))
+    theta = band_field(GRID, rng.standard_normal(GRID.shape))
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
     write_snapshot(a, 0.25, {"theta": theta})
     write_snapshot(b, 0.25, {"theta": theta})
@@ -54,7 +56,8 @@ def test_rewrite_is_bit_identical(tmp_path):
 
 
 def test_state_fields_order():
-    state = State(ModelKind.BOUSSINESQ, 0.0, Field.zeros(GRID), Field.zeros(GRID))
+    zero = band_field(GRID, np.zeros(GRID.shape))
+    state = State(ModelKind.BOUSSINESQ, 0.0, zero, zero)
     assert list(state_fields(state)) == ["theta", "omega"]
 
 
@@ -67,7 +70,7 @@ def test_rejects_corrupt_header(tmp_path):
 
 def test_rejects_truncated_payload(tmp_path):
     path = tmp_path / "short.bin"
-    write_snapshot(path, 0.0, {"theta": Field.zeros(GRID)})
+    write_snapshot(path, 0.0, {"theta": band_field(GRID, np.zeros(GRID.shape))})
     data = path.read_bytes()
     path.write_bytes(data[:-8])
     with pytest.raises(ValueError, match="payload"):

@@ -15,6 +15,8 @@ from invlab.spectral import (
     inverse,
 )
 
+from helpers import band_field
+
 
 def random_values(grid, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
@@ -70,7 +72,6 @@ class TestGrid2D:
     def test_operator_arrays_are_half_layout(self):
         grid = Grid2D(16, 32)
         assert grid.k_squared.shape == grid.half_shape
-        assert grid.dealias_keep.shape == grid.half_shape
 
     @pytest.mark.parametrize("nx,ny", [(7, 16), (16, 7), (4, 16), (16, 0)])
     def test_rejects_bad_sizes(self, nx, ny):
@@ -86,10 +87,26 @@ class TestSpectrum:
 
     def test_field_values_and_hat_are_the_transform_pair(self):
         grid = Grid2D(16, 32)
-        values = random_values(grid, 5)
-        assert np.array_equal(Field(grid, values).hat.coeffs, forward(grid, values).coeffs)
-        s = forward(grid, values)
-        assert np.array_equal(Field(grid, hat=s).values, inverse(s))
+        s = dealias(forward(grid, random_values(grid, 5)))
+        assert np.array_equal(Field(grid, s).values, inverse(s))
+
+
+class TestField:
+    GRID = Grid2D(16, 32)
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        [
+            lambda grid: forward(grid, random_values(grid)),
+            lambda grid: Spectrum(grid, dealias(forward(grid, random_values(grid))).coeffs[:, :4]),
+            lambda grid: dealias(forward(Grid2D(16, 30), random_values(Grid2D(16, 30)))),
+        ],
+        ids=["full-width", "narrower", "other-grid"],
+    )
+    def test_takes_only_the_band_spectrum_of_its_grid(self, spectrum):
+        # the other grid's band has the same shape, (16, 11)
+        with pytest.raises(ValueError, match=r"band spectrum of its grid, shape \(16, 11\)"):
+            Field(self.GRID, spectrum(self.GRID))
 
 
 class TestForward:
@@ -115,7 +132,7 @@ class TestForward:
         with pytest.raises(ValueError, match=r"\(3, 7\)"):
             forward(grid, values)
         with pytest.raises(ValueError, match=r"\(3, 7\)"):
-            Field(grid, values).hat
+            band_field(grid, values)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_roundtrip(self, seed):
@@ -195,7 +212,7 @@ class TestDerivatives:
     def test_gradient_returns_nodal_arrays(self):
         grid = Grid2D(32, 16)
         x1, x2 = grid.mesh()
-        gx, gy = gradient(Field(grid, np.sin(x1) * np.cos(2 * x2)))
+        gx, gy = gradient(band_field(grid, np.sin(x1) * np.cos(2 * x2)))
         assert np.max(np.abs(gx - np.cos(x1) * np.cos(2 * x2))) < 1e-13
         assert np.max(np.abs(gy + 2 * np.sin(x1) * np.sin(2 * x2))) < 1e-13
 
