@@ -29,9 +29,7 @@ __all__ = [
     "AxisProfile",
     "BurgersSolution",
     "blowup_time",
-    "evaluate",
     "evaluate_many",
-    "eval_slope",
     "min_slope_series",
 ]
 
@@ -172,28 +170,10 @@ def _evaluate_array(sol: BurgersSolution, xs: np.ndarray, t: float) -> np.ndarra
     return 0.5 * (lo + hi)
 
 
-def evaluate(sol: BurgersSolution, x: float, t: float) -> float:
-    """Value theta(x, t) on the axis, exact by characteristics."""
-    _check_time(sol, t)
-    return float(_evaluate_array(sol, np.asarray([x], dtype=float), t)[0])
-
-
 def evaluate_many(sol: BurgersSolution, xs, t: float) -> np.ndarray:
-    """Vectorized evaluate over an array of axis positions."""
+    """Values theta(x, t) on the axis at an array of positions, exact by characteristics."""
     _check_time(sol, t)
     return _evaluate_array(sol, np.asarray(xs, dtype=float), t)
-
-
-def _slope_array(sol: BurgersSolution, xs: np.ndarray, t: float) -> np.ndarray:
-    theta = _evaluate_array(sol, xs, t)
-    s0 = _sample(sol.profile.dg, xs - t * theta)
-    return s0 / (1.0 + t * s0)
-
-
-def eval_slope(sol: BurgersSolution, x: float, t: float) -> float:
-    """Slope d(theta)/dx at (x, t): dg(xi) / (1 + t*dg(xi)) along the characteristic."""
-    _check_time(sol, t)
-    return float(_slope_array(sol, np.asarray([x], dtype=float), t)[0])
 
 
 def min_slope_series(sol: BurgersSolution, times) -> TimeSeries:

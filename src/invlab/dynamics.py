@@ -12,7 +12,7 @@ symbol.  In the scalar model -d(psi)/dx2 = theta, so u1 = theta and
 u2 = -(k1/k2) theta (k2 != 0); in the vorticity models Delta psi = omega,
 so u1 = i k2 omega/|k|^2 and u2 = -i k1 omega/|k|^2.
 
-The RK4 stages run on half spectra (see invlab.spectral): a stage hands
+The RK4 stages run on band spectra (see invlab.spectral): a stage hands
 the next one its spectrum, never nodal values to transform straight back.
 The nodal velocity and grad theta of each state are computed once
 (State.kinematics) and feed the CFL bound, the gradient ceiling and the
@@ -35,10 +35,8 @@ from .spectral import (
     Field,
     Grid2D,
     NonFiniteFieldError,
-    Spectrum,
     ddx1,
     ddx2,
-    dealias,
     forward,
     gradient,
     inverse,
@@ -129,8 +127,9 @@ class State:
     def kinematics(self) -> Kinematics:
         """Velocity and grad theta: four real inverse transforms, once per state."""
         omega_hat = self.omega.hat if self.omega is not None else None
-        u1_hat, u2_hat = _velocity_hat(self.model, self.theta.hat, omega_hat)
-        return Kinematics(inverse(u1_hat), inverse(u2_hat), *gradient(self.theta))
+        grid = self.grid
+        u1_hat, u2_hat = _velocity_hat(self.model, grid, self.theta.hat, omega_hat)
+        return Kinematics(inverse(grid, u1_hat), inverse(grid, u2_hat), *gradient(self.theta))
 
     # The maxima are computed on first use: the CFL bound and the gradient
     # ceiling read them for accepted states, never for RK4 stages.
@@ -201,9 +200,8 @@ class IntegrationResult:
     steps: int
 
 
-def _velocity_hat(model: ModelKind, theta_hat: Spectrum, omega_hat: Optional[Spectrum]):
+def _velocity_hat(model: ModelKind, grid: Grid2D, theta_hat: np.ndarray, omega_hat: Optional[np.ndarray]):
     """Velocity spectra (u1_hat, u2_hat) from the Fourier symbols of the model."""
-    grid = theta_hat.grid
     if model is ModelKind.SINGULAR_SCALAR:
         # The x2-mean modes m(x1) of theta (the k2 = 0 column) have no
         # periodic primitive in x2.  Carry them with the divergence-free closure
@@ -211,38 +209,36 @@ def _velocity_hat(model: ModelKind, theta_hat: Spectrum, omega_hat: Optional[Spe
         # which is exact on the x2 = 0 axis (u1 = theta, u2 unchanged) and
         # vanishes with the mean modes.  Only the k2 = +1 column is stored;
         # its k2 = -1 partner is implied.  The mean of theta stays in u1.
-        u1 = theta_hat.coeffs.copy()
+        u1 = theta_hat.copy()
         m = u1[:, 0].copy()
         m[0] = 0.0
         u1[1:, 0] = 0.0
-        k2 = grid.k2int[: u1.shape[1]].copy()
+        k2 = grid.ky_deriv.copy()
         k2[0] = 1.0  # the k2 = 0 column of u1 holds only the mean, whose k1 factor is 0
         u2 = u1 * (-grid.kx_deriv)[:, None]
         u2 /= k2
         u1[:, 1] += 0.5 * m
         u2[:, 1] -= 0.5 * grid.kx_deriv * m
-        return Spectrum(grid, u1), Spectrum(grid, u2)
-    mean = omega_hat.coeffs[0, 0]
+        return u1, u2
+    mean = omega_hat[0, 0]
     if abs(mean) > 1e-10:
         raise ValueError(
             f"vorticity has nonzero mean {mean:.3e}; "
             "the periodic Poisson problem is not solvable"
         )
-    w = omega_hat.width
     with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = omega_hat.coeffs / grid.k_squared[:, :w]
+        scaled = omega_hat / grid.k_squared
     scaled[0, 0] = 0.0  # the zero-mean gauge of psi
-    u1 = scaled * (1j * grid.ky_deriv[:w])[None, :]
+    u1 = scaled * (1j * grid.ky_deriv)[None, :]
     u2 = scaled * (-1j * grid.kx_deriv)[:, None]
-    return Spectrum(grid, u1), Spectrum(grid, u2)
+    return u1, u2
 
 
-def tendency(state: State) -> tuple[Field, Optional[Field]]:
-    """Right-hand side fields (dtheta/dt, domega/dt or None).
+def tendency(state: State) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Right-hand side band spectra (dtheta/dt, domega/dt or None).
 
-    Every nonlinear product is dealiased by the two-thirds rule, so the
-    fields come as band spectra (see spectral.dealias); their nodal values
-    are computed only if read.
+    Every nonlinear product goes through forward(), so it is dealiased by
+    the two-thirds rule.
     """
     grid = state.grid
     kin = state.kinematics
@@ -251,21 +247,21 @@ def tendency(state: State) -> tuple[Field, Optional[Field]]:
         with np.errstate(over="ignore", invalid="ignore"):
             # overflow here is a detected blowup, reported by forward()
             product = kin.u1 * gx + kin.u2 * gy
-        return dealias(forward(grid, product)).coeffs
+        return forward(grid, product)
 
     dtheta_hat = -advect(kin.dtheta_dx1, kin.dtheta_dx2)
 
     if state.model is ModelKind.SINGULAR_SCALAR:
-        return Field(grid, Spectrum(grid, dtheta_hat)), None
+        return dtheta_hat, None
 
     domega_hat = -advect(*gradient(state.omega))
     if state.model is ModelKind.BOUSSINESQ:
-        domega_hat += ddx1(state.theta.hat).coeffs
+        domega_hat += ddx1(grid, state.theta.hat)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             squared = state.theta.values**2
-        domega_hat -= ddx2(dealias(forward(grid, squared))).coeffs
-    return Field(grid, Spectrum(grid, dtheta_hat)), Field(grid, Spectrum(grid, domega_hat))
+        domega_hat -= ddx2(grid, forward(grid, squared))
+    return dtheta_hat, domega_hat
 
 
 def admissible_dt(state: State, ctrl: StepControl) -> float:
@@ -297,11 +293,11 @@ def rk4_step(state: State, ctrl: StepControl, dt: Optional[float] = None) -> Sta
     def blowup(t: float) -> BlowupDetected:
         return BlowupDetected(t, max_grad, "non-finite")
 
-    def at(t: float, coeffs: Sequence[np.ndarray]) -> State:
-        for c in coeffs:
-            if not np.all(np.isfinite(c)):
+    def at(t: float, hats: Sequence[np.ndarray]) -> State:
+        for hat in hats:
+            if not np.all(np.isfinite(hat)):
                 raise blowup(t)
-        return State(state.model, t, *(Field(grid, Spectrum(grid, c)) for c in coeffs))
+        return State(state.model, t, *(Field(grid, hat) for hat in hats))
 
     def rhs(stage: State) -> list[np.ndarray]:
         try:
@@ -309,10 +305,10 @@ def rk4_step(state: State, ctrl: StepControl, dt: Optional[float] = None) -> Sta
         except NonFiniteFieldError:
             # a finite stage can still overflow inside the nonlinear products
             raise blowup(stage.t) from None
-        return [d.hat.coeffs for d in derivs if d is not None]
+        return [d for d in derivs if d is not None]
 
     t0 = state.t
-    y0 = [f.hat.coeffs for f in state.fields]
+    y0 = [f.hat for f in state.fields]
     k1 = rhs(state)
     del state.kinematics  # k1 was their last reader; each later stage has its own
     k2 = rhs(at(t0 + dt / 2, [y + dt / 2 * k for y, k in zip(y0, k1)]))

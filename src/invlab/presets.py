@@ -29,7 +29,7 @@ from .oracles import (
     WedgeSolution,
     PROFILES,
 )
-from .spectral import Field, Grid2D, dealias, forward
+from .spectral import Field, Grid2D, forward
 
 __all__ = [
     "IC_PRESETS",
@@ -119,9 +119,8 @@ SOLVER_PRESETS = {
 
 
 def build_initial_state(cfg: RunConfig, grid: Grid2D) -> State:
-    """Fields at t = 0: the two-thirds-band projection of the config's ic /
-    ic_omega data sampled on the grid, so every state of a run stores band
-    spectra (see spectral.dealias)."""
+    """Fields at t = 0: the band spectra (see spectral.forward) of the
+    config's ic / ic_omega data sampled on the grid."""
     theta_expr = cfg.ic
     omega_expr = cfg.ic_omega or None
     if not cfg.ic.startswith(_EXPR_PREFIX):
@@ -137,14 +136,14 @@ def build_initial_state(cfg: RunConfig, grid: Grid2D) -> State:
                 f"ic preset {cfg.ic!r} belongs to model {model.value}, config says {cfg.model.value}"
             )
         theta_expr = _EXPR_PREFIX + " " + theta_expr
-    theta = Field(grid, dealias(forward(grid, _eval_expr(theta_expr[len(_EXPR_PREFIX):], grid))))
+    theta = Field(grid, forward(grid, _eval_expr(theta_expr[len(_EXPR_PREFIX):], grid)))
     omega = None
     if cfg.model.evolves_vorticity:
         if omega_expr is None:
             raise ConfigError(f"model {cfg.model.value} needs an ic_omega expression")
         if not omega_expr.startswith(_EXPR_PREFIX):
             raise ConfigError(f"ic_omega must be an '{_EXPR_PREFIX} ...' expression")
-        omega = Field(grid, dealias(forward(grid, _eval_expr(omega_expr[len(_EXPR_PREFIX):], grid))))
+        omega = Field(grid, forward(grid, _eval_expr(omega_expr[len(_EXPR_PREFIX):], grid)))
     elif cfg.ic_omega:
         raise ConfigError("the scalar model takes no ic_omega")
     return State(cfg.model, 0.0, theta, omega)

@@ -10,8 +10,6 @@ from invlab.burgers import (
     AxisProfile,
     BurgersSolution,
     blowup_time,
-    eval_slope,
-    evaluate,
     evaluate_many,
     min_slope_series,
 )
@@ -80,18 +78,18 @@ class TestEvaluate:
     def test_stationary_characteristic(self):
         # the characteristic through pi/2 carries value 0 and does not move
         sol = BurgersSolution(COS)
-        assert abs(evaluate(sol, math.pi / 2, 0.5)) < 1e-12
+        assert abs(evaluate_many(sol, [math.pi / 2], 0.5)[0]) < 1e-12
 
     def test_initial_data(self):
         sol = BurgersSolution(COS)
         for x in np.linspace(0, 2 * math.pi, 7):
-            assert evaluate(sol, float(x), 0.0) == pytest.approx(math.cos(x), abs=1e-14)
+            assert evaluate_many(sol, [float(x)], 0.0)[0] == pytest.approx(math.cos(x), abs=1e-14)
 
     def test_implicit_root_against_independent_solver(self):
         sol = BurgersSolution(COS)
         expected = brentq(lambda th: th - math.cos(0.0 - 0.5 * th), -1.5, 1.5, xtol=1e-14)
         assert expected == pytest.approx(0.9004, abs=1e-4)  # root of theta = cos(theta/2)
-        assert abs(evaluate(sol, 0.0, 0.5) - expected) < 1e-12
+        assert abs(evaluate_many(sol, [0.0], 0.5)[0] - expected) < 1e-12
 
     def test_implicit_equation_satisfied(self):
         sol = BurgersSolution(COS)
@@ -99,7 +97,7 @@ class TestEvaluate:
         for _ in range(50):
             x = float(rng.uniform(0, 2 * math.pi))
             t = float(rng.uniform(0, 0.95))
-            theta = evaluate(sol, x, t)
+            theta = evaluate_many(sol, [x], t)[0]
             assert abs(theta - math.cos(x - t * theta)) < 1e-13
 
     def test_conservation_along_characteristics(self):
@@ -109,55 +107,20 @@ class TestEvaluate:
         for _ in range(100):
             x = float(rng.uniform(0, 2 * math.pi))
             v = math.cos(x)
-            assert abs(evaluate(sol, x + t * v, t) - v) < 1e-12
+            assert abs(evaluate_many(sol, [x + t * v], t)[0] - v) < 1e-12
 
     def test_rejects_singular_times(self):
         sol = BurgersSolution(COS)
         with pytest.raises(ValueError, match="singular"):
-            evaluate(sol, 0.0, 1.0)
+            evaluate_many(sol, [0.0], 1.0)
         with pytest.raises(ValueError):
-            evaluate(sol, 0.0, -0.1)
+            evaluate_many(sol, [0.0], -0.1)
 
     def test_peak_across_the_seam(self):
         # g peaks between the last scan node and the period; the root bracket
         # [min g, max g] must still hold the value 1 carried from that peak
         sol = BurgersSolution(AxisProfile(lambda x: np.cos(x - SEAM), lambda x: -np.sin(x - SEAM)))
-        assert abs(evaluate(sol, SEAM + 0.5, 0.5) - 1.0) <= 1e-12
-
-    def test_vectorized_matches_scalar(self):
-        sol = BurgersSolution(COS)
-        xs = np.linspace(0, 2 * math.pi, 17)
-        many = evaluate_many(sol, xs, 0.7)
-        one_by_one = np.array([evaluate(sol, float(x), 0.7) for x in xs])
-        assert np.max(np.abs(many - one_by_one)) < 1e-13
-
-
-class TestSlope:
-    def test_initial_slope_is_dg(self):
-        sol = BurgersSolution(COS)
-        for x in np.linspace(0.3, 6.0, 5):
-            assert eval_slope(sol, float(x), 0.0) == pytest.approx(-math.sin(x), abs=1e-13)
-
-    def test_constant_profile_has_zero_slope(self):
-        sol = BurgersSolution(AxisProfile(lambda x: 0 * x + 1.0, lambda x: 0 * x))
-        assert eval_slope(sol, 1.0, 5.0) == 0.0
-
-    def test_steepening_law_at_the_crossing_point(self):
-        # the stationary characteristic through pi/2 has s0 = -1, so the
-        # slope there follows s0/(1 + s0 t) = -1/(1 - t)
-        sol = BurgersSolution(COS)
-        for t in (0.25, 0.5, 0.9):
-            assert eval_slope(sol, math.pi / 2, t) == pytest.approx(-1 / (1 - t), rel=1e-10)
-
-    def test_matches_finite_differences_of_eval(self):
-        sol = BurgersSolution(COS)
-        h = 1e-5
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            x = float(rng.uniform(0, 2 * math.pi))
-            t = float(rng.uniform(0, 0.8))
-            fd = (evaluate(sol, x + h, t) - evaluate(sol, x - h, t)) / (2 * h)
-            assert abs(eval_slope(sol, x, t) - fd) < 1e-7
+        assert abs(evaluate_many(sol, [SEAM + 0.5], 0.5)[0] - 1.0) <= 1e-12
 
 
 class TestMinSlopeSeries:

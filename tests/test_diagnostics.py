@@ -19,9 +19,8 @@ from invlab.dynamics import ModelKind, State, StepControl, rk4_step
 from invlab.oracles import ModifiedSolution, MovingDomainSolution, UniformScalarSolution, WedgeSolution, PROFILES
 from invlab.presets import oracle_solution
 from invlab.runner import run
-from invlab.spectral import Field, Grid2D
+from invlab.spectral import Field, Grid2D, forward
 
-from helpers import band_field
 
 GRID = Grid2D(32, 32)
 X1, X2 = GRID.mesh()
@@ -49,14 +48,14 @@ def sup_grad(f: Field) -> float:
 
 class TestSupGrad:
     def test_single_mode_x2(self):
-        f = band_field(GRID, np.sin(X2))
+        f = Field(GRID, forward(GRID, np.sin(X2)))
         assert sup_grad(f) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant(self):
-        assert sup_grad(band_field(GRID, np.full(GRID.shape, 4.0))) < 1e-13
+        assert sup_grad(Field(GRID, forward(GRID, np.full(GRID.shape, 4.0)))) < 1e-13
 
     def test_cos_cos(self):
-        f = band_field(GRID, np.cos(X1) * np.cos(X2))
+        f = Field(GRID, forward(GRID, np.cos(X1) * np.cos(X2)))
         value = sup_grad(f)
         # dense brute force on the closed form
         xs = np.linspace(0, 2 * math.pi, 400)
@@ -67,7 +66,7 @@ class TestSupGrad:
 
     def test_mode_amplitude_rule(self):
         # |grad| of A cos(k.x) peaks at |A| |k|
-        f = band_field(GRID, 2.5 * np.cos(3 * X1 + 4 * X2))
+        f = Field(GRID, forward(GRID, 2.5 * np.cos(3 * X1 + 4 * X2)))
         assert sup_grad(f) == pytest.approx(2.5 * 5.0, rel=1e-10)
 
 
@@ -201,31 +200,33 @@ class TestResidual:
 
 
 class TestResidualFromStates:
-    def _snapshot_triple(self, dt):
+    def _snapshot_triple(self, dt, model=ModelKind.BOUSSINESQ):
         grid = Grid2D(48, 48)
         x1, x2 = grid.mesh()
-        theta = band_field(grid, np.sin(x1) * np.cos(x2))
-        omega = band_field(grid, np.cos(x1) * np.sin(2 * x2))
-        state = State(ModelKind.BOUSSINESQ, 0.0, theta, omega)
+        theta = Field(grid, forward(grid, np.sin(x1) * np.cos(x2)))
+        omega = Field(grid, forward(grid, np.cos(x1) * np.sin(2 * x2)))
+        state = State(model, 0.0, theta, omega)
         ctrl = StepControl(dt=dt)
         s1 = rk4_step(state, ctrl)
         s2 = rk4_step(s1, ctrl)
         return state, s1, s2
 
     def test_second_order_in_snapshot_spacing(self):
-        errors = []
-        for dt in (1e-2, 5e-3):
-            prev, mid, nxt = self._snapshot_triple(dt)
-            res_theta, res_omega = residual_from_states(prev, mid, nxt)
-            errors.append(max(res_theta, res_omega))
-        assert errors[0] < 1e-3
-        assert 3.0 < errors[0] / errors[1] < 5.0
+        # both vorticity forcings: d(theta)/dx1, and the band-projected d(theta^2)/dx2
+        for model in (ModelKind.BOUSSINESQ, ModelKind.MODIFIED_BOUSSINESQ):
+            errors = []
+            for dt in (1e-2, 5e-3):
+                prev, mid, nxt = self._snapshot_triple(dt, model)
+                res_theta, res_omega = residual_from_states(prev, mid, nxt)
+                errors.append(max(res_theta, res_omega))
+            assert errors[0] < 1e-3, model
+            assert 3.0 < errors[0] / errors[1] < 5.0, model
 
     @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
     def test_a_middle_state_already_stepped_from_gives_the_same_residual(self, model):
         # stepping from mid releases its kinematics; the residual computes them anew
         fns = [lambda x1, x2: np.sin(x1) * np.cos(x2), lambda x1, x2: np.cos(x1) * np.sin(2 * x2)]
-        fields = [band_field(GRID, fn(X1, X2)) for fn in fns[: 2 if model.evolves_vorticity else 1]]
+        fields = [Field(GRID, forward(GRID, fn(X1, X2))) for fn in fns[: 2 if model.evolves_vorticity else 1]]
         ctrl = StepControl(dt=1e-2)
         prev = State(model, 0.0, *fields)
         mid = rk4_step(prev, ctrl)
@@ -242,20 +243,20 @@ class TestResidualFromStates:
 
 class TestSymmetryError:
     def test_even_field(self):
-        f = band_field(GRID, np.cos(X2))
+        f = Field(GRID, forward(GRID, np.cos(X2)))
         assert symmetry_error(f, "even") < 1e-15
 
     def test_sine_against_even(self):
-        f = band_field(GRID, np.sin(X2))
+        f = Field(GRID, forward(GRID, np.sin(X2)))
         assert symmetry_error(f, "even") == pytest.approx(2.0, abs=1e-12)
 
     def test_sine_is_odd(self):
-        f = band_field(GRID, np.sin(X2))
+        f = Field(GRID, forward(GRID, np.sin(X2)))
         assert symmetry_error(f, "odd") < 1e-15
 
     def test_unknown_parity(self):
         with pytest.raises(ValueError):
-            symmetry_error(band_field(GRID, np.zeros(GRID.shape)), "sideways")
+            symmetry_error(Field(GRID, forward(GRID, np.zeros(GRID.shape))), "sideways")
 
 
 class TestConservationReport:
@@ -291,9 +292,9 @@ class TestConservationReport:
 
 class TestAxisSlope:
     def test_matches_full_gradient_on_axis(self):
-        f = band_field(GRID, np.cos(X1) * np.cos(X2))
+        f = Field(GRID, forward(GRID, np.cos(X1) * np.cos(X2)))
         assert min_axis_slope(f) == pytest.approx(-1.0, abs=1e-12)
 
     def test_l2_norm_of_unit_constant(self):
-        f = band_field(GRID, np.ones(GRID.shape))
+        f = Field(GRID, forward(GRID, np.ones(GRID.shape)))
         assert l2_norm(f) == pytest.approx(2 * math.pi, rel=1e-14)

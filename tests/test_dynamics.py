@@ -16,38 +16,37 @@ from invlab.dynamics import (
     rk4_step,
     tendency,
 )
-from invlab.spectral import Field, Grid2D, Spectrum, dealias, ddx1, ddx2, forward, inverse
+from invlab.spectral import Field, Grid2D, ddx1, ddx2, forward, inverse
 
-from helpers import band_field
 
 GRID = Grid2D(32, 32)
 X1, X2 = GRID.mesh()
-ZERO = band_field(GRID, np.zeros(GRID.shape))
+ZERO = Field(GRID, forward(GRID, np.zeros(GRID.shape)))
 
 
 def cos_cos_state(grid=GRID):
     x1, x2 = grid.mesh()
-    return State(ModelKind.SINGULAR_SCALAR, 0.0, band_field(grid, np.cos(x1) * np.cos(x2)))
+    return State(ModelKind.SINGULAR_SCALAR, 0.0, Field(grid, forward(grid, np.cos(x1) * np.cos(x2))))
 
 
 def band_spectrum(grid, seed, zero_mean=False):
-    """The two-thirds band of random data, as dealias stores it."""
-    s = dealias(forward(grid, np.random.default_rng(seed).standard_normal(grid.shape)))
+    """The two-thirds band of random data, as forward returns it."""
+    hat = forward(grid, np.random.default_rng(seed).standard_normal(grid.shape))
     if zero_mean:
-        s.coeffs[0, 0] = 0.0
-    return s
+        hat[0, 0] = 0.0
+    return hat
 
 
 def random_band_limited(grid, seed, zero_x2_mean=False):
-    s = band_spectrum(grid, seed)
+    hat = band_spectrum(grid, seed)
     if zero_x2_mean:
-        s.coeffs[:, 0] = 0.0
-    return Field(grid, s)
+        hat[:, 0] = 0.0
+    return Field(grid, hat)
 
 
 def divergence_max(u1, u2):
-    div = ddx1(forward(GRID, u1)).coeffs + ddx2(forward(GRID, u2)).coeffs
-    return float(np.max(np.abs(inverse(Spectrum(GRID, div)))))
+    div = ddx1(GRID, forward(GRID, u1)) + ddx2(GRID, forward(GRID, u2))
+    return float(np.max(np.abs(inverse(GRID, div))))
 
 
 # initial fields per model; the vorticity models take the vorticity-256
@@ -123,7 +122,7 @@ class TestVelocity:
             assert np.max(np.abs(u2)) == 0.0
 
     def test_boussinesq_eigenfunction(self):
-        omega = band_field(GRID, -2 * np.sin(X1) * np.sin(X2))
+        omega = Field(GRID, forward(GRID, -2 * np.sin(X1) * np.sin(X2)))
         state = State(ModelKind.BOUSSINESQ, 0.0, ZERO, omega)
         u1, u2 = nodal_velocity(state)
         assert np.max(np.abs(u1 + np.sin(X1) * np.cos(X2))) < 1e-12
@@ -149,7 +148,7 @@ class TestVelocity:
 
     def test_pure_x2_mode(self):
         # theta = sin x2 has no x2-mean: u1 = theta and u2 = -(k1/k2) theta = 0
-        theta = band_field(GRID, np.sin(X2))
+        theta = Field(GRID, forward(GRID, np.sin(X2)))
         u1, u2 = nodal_velocity(State(ModelKind.SINGULAR_SCALAR, 0.0, theta))
         assert np.max(np.abs(u1 - theta.values)) < 1e-13
         assert np.max(np.abs(u2)) < 1e-13
@@ -159,32 +158,14 @@ class TestVelocity:
     def test_curl_is_the_vorticity(self, model, seed):
         # spectral d(u2)/dx1 - d(u1)/dx2 = omega for random zero-mean omega
         omega = band_spectrum(GRID, seed, zero_mean=True)
-        u1, u2 = _velocity_hat(model, band_spectrum(GRID, seed + 10), omega)
-        curl = ddx1(u2).coeffs - ddx2(u1).coeffs
-        assert np.max(np.abs(curl - omega.coeffs)) < 1e-13 * np.max(np.abs(omega.coeffs))
-
-    @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
-    def test_velocity_spectra_keep_the_band_width(self, model):
-        # the velocity of band data is the leading columns of the velocity of
-        # the same data zero-padded to the half layout, and nothing beyond
-        theta, omega = band_spectrum(GRID, 1), band_spectrum(GRID, 2, zero_mean=True)
-
-        def pad(s):
-            coeffs = np.zeros(GRID.half_shape, dtype=complex)
-            coeffs[:, : s.width] = s.coeffs
-            return Spectrum(GRID, coeffs)
-
-        band = _velocity_hat(model, theta, omega)
-        full = _velocity_hat(model, pad(theta), pad(omega))
-        for b, f in zip(band, full):
-            assert b.width == theta.width
-            assert np.array_equal(b.coeffs, f.coeffs[:, : b.width])
-            assert np.all(f.coeffs[:, b.width :] == 0.0)
+        u1, u2 = _velocity_hat(model, GRID, band_spectrum(GRID, seed + 10), omega)
+        curl = ddx1(GRID, u2) - ddx2(GRID, u1)
+        assert np.max(np.abs(curl - omega)) < 1e-13 * np.max(np.abs(omega))
 
     @pytest.mark.parametrize("model", [ModelKind.BOUSSINESQ, ModelKind.MODIFIED_BOUSSINESQ], ids=lambda m: m.value)
     def test_rejects_vorticity_with_nonzero_mean(self, model):
         # the periodic Poisson problem Delta psi = omega needs zero-mean omega
-        state = State(model, 0.0, ZERO, band_field(GRID, np.full(GRID.shape, 1.0)))
+        state = State(model, 0.0, ZERO, Field(GRID, forward(GRID, np.full(GRID.shape, 1.0))))
         with pytest.raises(ValueError) as err:
             state.kinematics
         assert str(err.value) == (
@@ -195,7 +176,7 @@ class TestVelocity:
         # theta with nonzero x2-mean still satisfies u1 = theta at x2 = 0
         theta = random_band_limited(GRID, 11)
         even = 0.5 * (theta.values + np.roll(theta.values[:, ::-1], 1, axis=1))
-        state = State(ModelKind.SINGULAR_SCALAR, 0.0, band_field(GRID, even))
+        state = State(ModelKind.SINGULAR_SCALAR, 0.0, Field(GRID, forward(GRID, even)))
         u1, u2 = nodal_velocity(state)
         assert np.max(np.abs(u1[:, 0] - even[:, 0])) < 1e-12
         assert np.max(np.abs(u2[:, 0])) < 1e-12
@@ -203,28 +184,28 @@ class TestVelocity:
 
 class TestTendency:
     def test_constant_scalar_is_stationary(self):
-        state = State(ModelKind.SINGULAR_SCALAR, 0.0, band_field(GRID, np.full(GRID.shape, 2.0)))
+        state = State(ModelKind.SINGULAR_SCALAR, 0.0, Field(GRID, forward(GRID, np.full(GRID.shape, 2.0))))
         dtheta, domega = tendency(state)
-        assert np.max(np.abs(dtheta.values)) < 1e-13
+        assert np.max(np.abs(inverse(GRID, dtheta))) < 1e-13
         assert domega is None
 
     def test_boussinesq_pure_forcing(self):
-        state = State(ModelKind.BOUSSINESQ, 0.0, band_field(GRID, np.sin(X1)), ZERO)
+        state = State(ModelKind.BOUSSINESQ, 0.0, Field(GRID, forward(GRID, np.sin(X1))), ZERO)
         dtheta, domega = tendency(state)
-        assert np.max(np.abs(dtheta.values)) < 1e-13
-        assert np.max(np.abs(domega.values - np.cos(X1))) < 1e-12
+        assert np.max(np.abs(inverse(GRID, dtheta))) < 1e-13
+        assert np.max(np.abs(inverse(GRID, domega) - np.cos(X1))) < 1e-12
 
     def test_modified_quadratic_forcing(self):
-        state = State(ModelKind.MODIFIED_BOUSSINESQ, 0.0, band_field(GRID, np.sin(X2)), ZERO)
+        state = State(ModelKind.MODIFIED_BOUSSINESQ, 0.0, Field(GRID, forward(GRID, np.sin(X2))), ZERO)
         dtheta, domega = tendency(state)
         expected = -np.sin(2 * X2)
-        assert np.max(np.abs(dtheta.values)) < 1e-13
-        assert np.max(np.abs(domega.values - expected)) < 1e-12
+        assert np.max(np.abs(inverse(GRID, dtheta))) < 1e-13
+        assert np.max(np.abs(inverse(GRID, domega) - expected)) < 1e-12
 
     def test_transport_has_zero_mean(self):
         state = cos_cos_state()
         dtheta, _ = tendency(state)
-        assert abs(np.mean(dtheta.values)) < 1e-13
+        assert abs(np.mean(inverse(GRID, dtheta))) < 1e-13
 
 
 class TestStepControl:
@@ -237,7 +218,7 @@ class TestStepControl:
 
 class TestRk4Step:
     def test_stationary_state_unchanged(self):
-        state = State(ModelKind.SINGULAR_SCALAR, 0.0, band_field(GRID, np.full(GRID.shape, 1.5)))
+        state = State(ModelKind.SINGULAR_SCALAR, 0.0, Field(GRID, forward(GRID, np.full(GRID.shape, 1.5))))
         new = rk4_step(state, StepControl(dt=1e-2))
         assert np.max(np.abs(new.theta.values - state.theta.values)) < 1e-14
         assert new.t == pytest.approx(1e-2)
@@ -257,7 +238,7 @@ class TestRk4Step:
         # errors against a tiny-dt reference shrink ~16x per dt halving
         n, t_end, dts, dt_reference = self.ORDER_RUNS[model]
         grid = Grid2D(n, n)
-        fields = [band_field(grid, fn(*grid.mesh())) for fn in INITIAL_DATA[model]]
+        fields = [Field(grid, forward(grid, fn(*grid.mesh()))) for fn in INITIAL_DATA[model]]
 
         def run(dt):
             final = integrate(State(model, 0.0, *fields), StepControl(dt=dt), t_end).state
@@ -293,7 +274,7 @@ class TestKinematicsRelease:
         # a state of band spectra: the run's only transforms beyond the steps
         # are the four inverses of the start state's kinematics, so anything
         # that computes kinematics a second time changes the count
-        fields = [band_field(GRID, fn(X1, X2)) for fn in INITIAL_DATA[model]]
+        fields = [Field(GRID, forward(GRID, fn(X1, X2))) for fn in INITIAL_DATA[model]]
         state = State(model, 0.0, *fields)
         counts = count_transforms(monkeypatch)
         steps = 3
@@ -318,7 +299,7 @@ class TestKinematicsRelease:
         grid = Grid2D(256, 256)
         tracemalloc.start()
         try:
-            theta = band_field(grid, INITIAL_DATA[ModelKind.SINGULAR_SCALAR][0](*grid.mesh()))
+            theta = Field(grid, forward(grid, INITIAL_DATA[ModelKind.SINGULAR_SCALAR][0](*grid.mesh())))
             start = State(ModelKind.SINGULAR_SCALAR, 0.0, theta)
             new = rk4_step(start, StepControl(dt=1e-3))
             peak = tracemalloc.get_traced_memory()[1]
@@ -344,8 +325,8 @@ class TestIntegrate:
         assert abs(after - before) / before < 1e-8
 
     def test_x1_independent_modified_stays_x1_independent(self):
-        rho = band_field(GRID, np.sin(X2))
-        omega = band_field(GRID, np.sin(2 * X2))
+        rho = Field(GRID, forward(GRID, np.sin(X2)))
+        omega = Field(GRID, forward(GRID, np.sin(2 * X2)))
         state = State(ModelKind.MODIFIED_BOUSSINESQ, 0.0, rho, omega)
         result = integrate(state, StepControl(dt=5e-3), 1.0)
         for values in (result.state.theta.values, result.state.omega.values):
@@ -355,7 +336,7 @@ class TestIntegrate:
     def test_overflow_mid_step_becomes_blowup_signal(self):
         # huge but finite data overflows inside the nonlinear products;
         # the run must end with a signal, not a crash
-        theta = band_field(GRID, 1e160 * np.cos(X1) * np.cos(X2))
+        theta = Field(GRID, forward(GRID, 1e160 * np.cos(X1) * np.cos(X2)))
         state = State(ModelKind.SINGULAR_SCALAR, 0.0, theta)
         result = integrate(state, StepControl(), 1.0)
         assert result.blowup is not None
@@ -402,17 +383,17 @@ class TestIntegrate:
 def random_state(model, grid, seed):
     """The two-thirds band of random nodal data: every band mode is excited."""
     rng = np.random.default_rng(seed)
-    theta = band_field(grid, rng.standard_normal(grid.shape))
+    theta = Field(grid, forward(grid, rng.standard_normal(grid.shape)))
     omega = None
     if model.evolves_vorticity:
         w = rng.standard_normal(grid.shape)
-        omega = band_field(grid, w - w.mean())
+        omega = Field(grid, forward(grid, w - w.mean()))
     return State(model, 0.0, theta, omega)
 
 
 def complex_fft_rk4_step(state, dt):
     """One RK4 step on nodal arrays with full complex transforms, written out here
-    as an independent reference for the half-spectrum step.  It inverts through
+    as an independent reference for the band-spectrum step.  It inverts through
     the stream function psi.  Its wavenumbers cover every mode and come from
     np.fft.fftfreq, not from Grid2D; on the 2 pi box they are the integers."""
     grid = state.grid
@@ -487,18 +468,18 @@ def max_rel(a, b):
 
 
 class TestHalfSpectrumStep:
-    """The step inverts half spectra with irfft2, which silently keeps only the
+    """The step inverts band spectra with irfft2, which silently keeps only the
     Hermitian part of the self-conjugate column k2 = 0 and runs no Hermitian
-    check.  So every half spectrum it makes must already be the spectrum of a
+    check.  So every band spectrum it makes must already be the spectrum of a
     real field."""
 
     GRID = Grid2D(32, 32)
 
     @staticmethod
-    def assert_real_field_spectrum(s):
-        again = np.fft.rfft2(np.fft.irfft2(s.coeffs, s=s.grid.shape))
-        half = np.zeros(s.grid.half_shape, dtype=complex)
-        half[:, : s.width] = s.coeffs
+    def assert_real_field_spectrum(grid, hat):
+        again = np.fft.rfft2(np.fft.irfft2(hat, s=grid.shape))
+        half = np.zeros(grid.half_shape, dtype=complex)
+        half[:, : hat.shape[1]] = hat
         assert max_rel(again, half) <= 1e-13
 
     @pytest.mark.parametrize("model", list(ModelKind))
@@ -507,11 +488,11 @@ class TestHalfSpectrumStep:
         ctrl = StepControl(dt=0.5 * admissible_dt(state, StepControl()))
         for s in (state, rk4_step(state, ctrl)):
             omega_hat = s.omega.hat if s.omega is not None else None
-            for u_hat in _velocity_hat(model, s.theta.hat, omega_hat):
-                self.assert_real_field_spectrum(u_hat)
+            for u_hat in _velocity_hat(model, self.GRID, s.theta.hat, omega_hat):
+                self.assert_real_field_spectrum(self.GRID, u_hat)
             for d in tendency(s):
                 if d is not None:
-                    self.assert_real_field_spectrum(d.hat)
+                    self.assert_real_field_spectrum(self.GRID, d)
 
     @pytest.mark.parametrize("model", list(ModelKind))
     def test_step_matches_complex_fft_reference(self, model):
@@ -546,7 +527,7 @@ class TestExactVorticityFamilies:
         grid = Grid2D(32, 32)
         theta0, omega_at = self.FAMILIES[model]
         x1, x2 = grid.mesh()
-        state = State(model, 0.0, band_field(grid, theta0(x1, x2)), band_field(grid, omega_at(x1, x2, 0.0)))
+        state = State(model, 0.0, Field(grid, forward(grid, theta0(x1, x2))), Field(grid, forward(grid, omega_at(x1, x2, 0.0))))
         result = integrate(state, StepControl(dt=0.02), 1.0)
         assert result.blowup is None
         assert result.steps == 50

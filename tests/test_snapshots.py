@@ -3,17 +3,16 @@ import pytest
 
 from invlab.snapshots import MAGIC, read_snapshot, write_snapshot, state_fields
 from invlab.dynamics import ModelKind, State
-from invlab.spectral import Grid2D
+from invlab.spectral import Field, Grid2D, forward
 
-from helpers import band_field
 
 GRID = Grid2D(16, 32)
 
 
 def test_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
-    theta = band_field(GRID, rng.standard_normal(GRID.shape))
-    omega = band_field(GRID, rng.standard_normal(GRID.shape))
+    theta = Field(GRID, forward(GRID, rng.standard_normal(GRID.shape)))
+    omega = Field(GRID, forward(GRID, rng.standard_normal(GRID.shape)))
     path = tmp_path / "snap.bin"
     write_snapshot(path, 0.125, {"theta": theta, "omega": omega})
     t, fields, (nx, ny) = read_snapshot(path)
@@ -26,7 +25,7 @@ def test_roundtrip_bit_exact(tmp_path):
 
 def test_header_layout(tmp_path):
     path = tmp_path / "snap.bin"
-    write_snapshot(path, 1.0, {"theta": band_field(GRID, np.zeros(GRID.shape))})
+    write_snapshot(path, 1.0, {"theta": Field(GRID, forward(GRID, np.zeros(GRID.shape)))})
     raw = path.read_bytes()
     header, rest = raw.split(b"\n", 1)
     assert header == f"{MAGIC} 16 32 1 1".encode()
@@ -36,7 +35,7 @@ def test_header_layout(tmp_path):
 
 
 def test_payload_is_little_endian_x2_fastest(tmp_path):
-    theta = band_field(GRID, np.arange(16 * 32, dtype=float).reshape(16, 32))
+    theta = Field(GRID, forward(GRID, np.arange(16 * 32, dtype=float).reshape(16, 32)))
     path = tmp_path / "snap.bin"
     write_snapshot(path, 0.0, {"theta": theta})
     raw = path.read_bytes()
@@ -48,7 +47,7 @@ def test_payload_is_little_endian_x2_fastest(tmp_path):
 
 def test_rewrite_is_bit_identical(tmp_path):
     rng = np.random.default_rng(3)
-    theta = band_field(GRID, rng.standard_normal(GRID.shape))
+    theta = Field(GRID, forward(GRID, rng.standard_normal(GRID.shape)))
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
     write_snapshot(a, 0.25, {"theta": theta})
     write_snapshot(b, 0.25, {"theta": theta})
@@ -56,7 +55,7 @@ def test_rewrite_is_bit_identical(tmp_path):
 
 
 def test_state_fields_order():
-    zero = band_field(GRID, np.zeros(GRID.shape))
+    zero = Field(GRID, forward(GRID, np.zeros(GRID.shape)))
     state = State(ModelKind.BOUSSINESQ, 0.0, zero, zero)
     assert list(state_fields(state)) == ["theta", "omega"]
 
@@ -70,7 +69,7 @@ def test_rejects_corrupt_header(tmp_path):
 
 def test_rejects_truncated_payload(tmp_path):
     path = tmp_path / "short.bin"
-    write_snapshot(path, 0.0, {"theta": band_field(GRID, np.zeros(GRID.shape))})
+    write_snapshot(path, 0.0, {"theta": Field(GRID, forward(GRID, np.zeros(GRID.shape)))})
     data = path.read_bytes()
     path.write_bytes(data[:-8])
     with pytest.raises(ValueError, match="payload"):

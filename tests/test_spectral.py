@@ -3,19 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from invlab.spectral import (
-    Field,
-    Grid2D,
-    Spectrum,
-    ddx1,
-    ddx2,
-    dealias,
-    forward,
-    gradient,
-    inverse,
-)
-
-from helpers import band_field
+from invlab.spectral import Field, Grid2D, ddx1, ddx2, forward, gradient, inverse
 
 
 def random_values(grid, seed=0, scale=1.0):
@@ -25,14 +13,20 @@ def random_values(grid, seed=0, scale=1.0):
 
 def random_band_limited(grid, seed=0):
     """Random real nodal values with no content outside the 2/3 band."""
-    return inverse(dealias(forward(grid, random_values(grid, seed))))
+    return inverse(grid, forward(grid, random_values(grid, seed)))
 
 
-def padded(s):
-    """A spectrum's coefficients zero-padded to the full half layout."""
-    out = np.zeros(s.grid.half_shape, dtype=complex)
-    out[:, : s.width] = s.coeffs
+def padded(grid, hat):
+    """A band spectrum zero-padded to the half layout of the real transform."""
+    out = np.zeros(grid.half_shape, dtype=complex)
+    out[:, : hat.shape[1]] = hat
     return out
+
+
+def outside_rows(grid, hat):
+    """The rows |k1| > nx/3 of a band spectrum."""
+    m = grid.nx // 3
+    return hat[m + 1 : grid.nx - m]
 
 
 def sampled(grid, fn):
@@ -58,8 +52,7 @@ class TestGrid2D:
         assert grid.k1int[1] == 1
         assert grid.k1int[8] == -8  # Nyquist stored negative
         assert grid.kx_deriv[8] == 0.0
-        assert list(grid.k2int) == list(range(9))  # half layout: k2 = 0 .. ny/2
-        assert grid.ky_deriv[8] == 0.0
+        assert list(grid.ky_deriv) == list(range(6))  # band: k2 = 0 .. ny/3
 
     def test_the_box_is_two_pi_periodic(self):
         # no period to set: the wavenumbers are the integer mode numbers
@@ -71,7 +64,7 @@ class TestGrid2D:
 
     def test_operator_arrays_are_half_layout(self):
         grid = Grid2D(16, 32)
-        assert grid.k_squared.shape == grid.half_shape
+        assert grid.k_squared.shape == grid.band_shape
 
     @pytest.mark.parametrize("nx,ny", [(7, 16), (16, 7), (4, 16), (16, 0)])
     def test_rejects_bad_sizes(self, nx, ny):
@@ -80,15 +73,10 @@ class TestGrid2D:
 
 
 class TestSpectrum:
-    def test_rejects_full_layout(self):
-        grid = Grid2D(16, 16)
-        with pytest.raises(ValueError, match="half layout"):
-            Spectrum(grid, np.zeros(grid.shape, dtype=complex))
-
     def test_field_values_and_hat_are_the_transform_pair(self):
         grid = Grid2D(16, 32)
-        s = dealias(forward(grid, random_values(grid, 5)))
-        assert np.array_equal(Field(grid, s).values, inverse(s))
+        hat = forward(grid, random_values(grid, 5))
+        assert np.array_equal(Field(grid, hat).values, inverse(grid, hat))
 
 
 class TestField:
@@ -97,14 +85,12 @@ class TestField:
     @pytest.mark.parametrize(
         "spectrum",
         [
-            lambda grid: forward(grid, random_values(grid)),
-            lambda grid: Spectrum(grid, dealias(forward(grid, random_values(grid))).coeffs[:, :4]),
-            lambda grid: dealias(forward(Grid2D(16, 30), random_values(Grid2D(16, 30)))),
+            lambda grid: np.fft.rfft2(random_values(grid), norm="forward"),
+            lambda grid: forward(grid, random_values(grid))[:, :4],
         ],
-        ids=["full-width", "narrower", "other-grid"],
+        ids=["full-width", "narrower"],
     )
     def test_takes_only_the_band_spectrum_of_its_grid(self, spectrum):
-        # the other grid's band has the same shape, (16, 11)
         with pytest.raises(ValueError, match=r"band spectrum of its grid, shape \(16, 11\)"):
             Field(self.GRID, spectrum(self.GRID))
 
@@ -112,18 +98,18 @@ class TestField:
 class TestForward:
     def test_constant_mode(self):
         grid = Grid2D(16, 16)
-        s = forward(grid, np.full(grid.shape, 3.25))
-        assert abs(s.coeffs[0, 0] - 3.25) < 1e-14
-        s.coeffs[0, 0] = 0.0
-        assert np.max(np.abs(s.coeffs)) < 1e-14
+        hat = forward(grid, np.full(grid.shape, 3.25))
+        assert abs(hat[0, 0] - 3.25) < 1e-14
+        hat[0, 0] = 0.0
+        assert np.max(np.abs(hat)) < 1e-14
 
     def test_single_cosine_mode(self):
         grid = Grid2D(16, 16)
-        s = forward(grid, sampled(grid, lambda x1, x2: np.cos(x1)))
-        assert abs(s.coeffs[1, 0] - 0.5) < 1e-14
-        assert abs(s.coeffs[-1, 0] - 0.5) < 1e-14
-        s.coeffs[1, 0] = s.coeffs[-1, 0] = 0.0
-        assert np.max(np.abs(s.coeffs)) < 1e-14
+        hat = forward(grid, sampled(grid, lambda x1, x2: np.cos(x1)))
+        assert abs(hat[1, 0] - 0.5) < 1e-14
+        assert abs(hat[-1, 0] - 0.5) < 1e-14
+        hat[1, 0] = hat[-1, 0] = 0.0
+        assert np.max(np.abs(hat)) < 1e-14
 
     def test_rejects_nonfinite_with_location(self):
         grid = Grid2D(16, 16)
@@ -131,14 +117,13 @@ class TestForward:
         values[3, 7] = np.nan
         with pytest.raises(ValueError, match=r"\(3, 7\)"):
             forward(grid, values)
-        with pytest.raises(ValueError, match=r"\(3, 7\)"):
-            band_field(grid, values)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_roundtrip(self, seed):
+        # exact on band-limited values only: forward projects onto the band
         grid = Grid2D(32, 48)
-        values = random_values(grid, seed)
-        back = inverse(forward(grid, values))
+        values = random_band_limited(grid, seed)
+        back = inverse(grid, forward(grid, values))
         scale = np.max(np.abs(values))
         assert np.max(np.abs(back - values)) < 1e-12 * scale
 
@@ -146,15 +131,15 @@ class TestForward:
 class TestInverse:
     def test_zero(self):
         grid = Grid2D(16, 16)
-        values = inverse(Spectrum(grid, np.zeros(grid.half_shape, dtype=complex)))
+        values = inverse(grid, np.zeros(grid.band_shape, dtype=complex))
         assert values.shape == grid.shape
         assert np.all(values == 0.0)
 
     def test_cosine_pair(self):
         grid = Grid2D(16, 16)
-        coeffs = np.zeros(grid.half_shape, dtype=complex)
-        coeffs[1, 0] = coeffs[-1, 0] = 0.5
-        values = inverse(Spectrum(grid, coeffs))
+        hat = np.zeros(grid.band_shape, dtype=complex)
+        hat[1, 0] = hat[-1, 0] = 0.5
+        values = inverse(grid, hat)
         expected = np.cos(grid.mesh()[0])
         assert np.max(np.abs(values - expected)) < 1e-13
 
@@ -162,57 +147,38 @@ class TestInverse:
         # the k2 = 0 column holds both k1 = 1 and its partner k1 = -1; a
         # coefficient without its partner becomes the Hermitian part, cos x1
         grid = Grid2D(16, 16)
-        coeffs = np.zeros(grid.half_shape, dtype=complex)
-        coeffs[1, 0] = 1.0
-        values = inverse(Spectrum(grid, coeffs))
+        hat = np.zeros(grid.band_shape, dtype=complex)
+        hat[1, 0] = 1.0
+        values = inverse(grid, hat)
         expected = np.cos(grid.mesh()[0])
         assert np.max(np.abs(values - expected)) < 1e-13
-
-    @pytest.mark.parametrize(
-        "fn,modes",
-        [
-            (lambda x1, x2: np.cos(8 * x2), {(0, 8): 1.0}),
-            (lambda x1, x2: np.cos(x1) * np.cos(8 * x2), {(1, 8): 0.5, (-1, 8): 0.5}),
-        ],
-        ids=["cos-ny/2-x2", "cos-x1-cos-ny/2-x2"],
-    )
-    def test_nyquist_column_roundtrips(self, fn, modes):
-        grid = Grid2D(16, 16)
-        values = sampled(grid, fn)
-        s = forward(grid, values)
-        for (k1, k2), c in modes.items():
-            assert abs(s.coeffs[k1, k2] - c) < 1e-14
-            s.coeffs[k1, k2] -= c
-        assert np.max(np.abs(s.coeffs)) < 1e-14
-        assert np.max(np.abs(inverse(forward(grid, values)) - values)) < 1e-14
 
     @pytest.mark.parametrize("seed", range(3))
     def test_spectral_roundtrip(self, seed):
         grid = Grid2D(32, 32)
-        s = forward(grid, random_values(grid, seed))
-        for col in (0, grid.ny // 2):
-            assert self_conjugate_defect(s.coeffs[:, col]) < 1e-14
-        again = forward(grid, inverse(s))
-        assert np.max(np.abs(again.coeffs - s.coeffs)) < 1e-12 * np.max(np.abs(s.coeffs))
+        hat = forward(grid, random_values(grid, seed))
+        assert self_conjugate_defect(hat[:, 0]) < 1e-14
+        again = forward(grid, inverse(grid, hat))
+        assert np.max(np.abs(again - hat)) < 1e-12 * np.max(np.abs(hat))
 
 
 class TestDerivatives:
     def test_ddx2_sine(self):
         grid = Grid2D(32, 32)
-        s = forward(grid, sampled(grid, lambda x1, x2: np.sin(x2)))
-        d = inverse(ddx2(s))
+        hat = forward(grid, sampled(grid, lambda x1, x2: np.sin(x2)))
+        d = inverse(grid, ddx2(grid, hat))
         expected = np.cos(grid.mesh()[1])
         assert np.max(np.abs(d - expected)) < 1e-12
 
     def test_ddx1_constant(self):
         grid = Grid2D(16, 16)
-        s = forward(grid, np.full(grid.shape, 2.0))
-        assert np.max(np.abs(ddx1(s).coeffs)) < 1e-15
+        hat = forward(grid, np.full(grid.shape, 2.0))
+        assert np.max(np.abs(ddx1(grid, hat))) < 1e-15
 
     def test_gradient_returns_nodal_arrays(self):
         grid = Grid2D(32, 16)
         x1, x2 = grid.mesh()
-        gx, gy = gradient(band_field(grid, np.sin(x1) * np.cos(2 * x2)))
+        gx, gy = gradient(Field(grid, forward(grid, np.sin(x1) * np.cos(2 * x2))))
         assert np.max(np.abs(gx - np.cos(x1) * np.cos(2 * x2))) < 1e-13
         assert np.max(np.abs(gy + 2 * np.sin(x1) * np.sin(2 * x2))) < 1e-13
 
@@ -222,7 +188,7 @@ class TestDerivatives:
         def fd_error(n):
             grid = Grid2D(n, 16)
             values = sampled(grid, lambda x1, x2: np.exp(np.sin(x1)) + 0 * x2)
-            spectral = inverse(ddx1(forward(grid, values)))
+            spectral = inverse(grid, ddx1(grid, forward(grid, values)))
             fd = (np.roll(values, -1, axis=0) - np.roll(values, 1, axis=0)) / (2 * grid.dx)
             return np.max(np.abs(fd - spectral))
 
@@ -231,9 +197,9 @@ class TestDerivatives:
 
     def test_derivatives_commute(self):
         grid = Grid2D(32, 32)
-        s = forward(grid, random_values(grid, 7))
-        a = ddx1(ddx2(s)).coeffs
-        b = ddx2(ddx1(s)).coeffs
+        hat = forward(grid, random_values(grid, 7))
+        a = ddx1(grid, ddx2(grid, hat))
+        b = ddx2(grid, ddx1(grid, hat))
         assert np.max(np.abs(a - b)) < 1e-15 * max(1.0, np.max(np.abs(a)))
 
     def test_spectral_accuracy_reaches_roundoff(self):
@@ -242,7 +208,7 @@ class TestDerivatives:
         def err(n):
             grid = Grid2D(n, 8)
             values = sampled(grid, lambda x1, x2: np.exp(np.sin(x1)) + 0 * x2)
-            d = inverse(ddx1(forward(grid, values)))
+            d = inverse(grid, ddx1(grid, forward(grid, values)))
             exact = np.cos(grid.mesh()[0]) * np.exp(np.sin(grid.mesh()[0]))
             return np.max(np.abs(d - exact))
 
@@ -251,66 +217,59 @@ class TestDerivatives:
 
 
 class TestDealias:
+    """forward() applies the two-thirds rule: the band k2 <= ny/3, with the rows
+    |k1| > nx/3 zeroed."""
+
     def test_band_limited_unchanged(self):
         grid = Grid2D(32, 32)
-        s = forward(grid, sampled(grid, lambda x1, x2: np.cos(8 * x1) * np.sin(8 * x2)))
-        assert np.max(np.abs(padded(dealias(s)) - s.coeffs)) < 1e-14
+        values = sampled(grid, lambda x1, x2: np.cos(8 * x1) * np.sin(8 * x2))
+        full = np.fft.rfft2(values, norm="forward")
+        assert np.max(np.abs(padded(grid, forward(grid, values)) - full)) < 1e-14
 
     def test_idempotent(self):
+        # projecting the nodal values of a band spectrum returns it
         grid = Grid2D(32, 32)
-        s = forward(grid, random_values(grid, 3))
-        once = dealias(s)
-        twice = dealias(once)
-        assert np.array_equal(once.coeffs, twice.coeffs)
+        once = forward(grid, random_values(grid, 3))
+        twice = forward(grid, inverse(grid, once))
+        assert np.all(outside_rows(grid, twice) == 0.0)
+        assert np.max(np.abs(twice - once)) < 1e-12 * np.max(np.abs(once))
 
     def test_cuts_high_modes(self):
         grid = Grid2D(32, 32)
-        s = dealias(forward(grid, sampled(grid, lambda x1, x2: np.cos(12 * x1))))
-        assert np.max(np.abs(s.coeffs)) < 1e-14
+        hat = forward(grid, sampled(grid, lambda x1, x2: np.cos(12 * x1)))
+        assert np.max(np.abs(hat)) < 1e-14
 
     def test_cuts_high_x2_modes(self):
         grid = Grid2D(32, 32)
-        s = dealias(forward(grid, sampled(grid, lambda x1, x2: np.cos(12 * x2))))
-        assert np.max(np.abs(s.coeffs)) < 1e-14
+        hat = forward(grid, sampled(grid, lambda x1, x2: np.cos(12 * x2)))
+        assert np.max(np.abs(hat)) < 1e-14
 
     def test_product_of_band_limited_fields_is_alias_free(self):
         # fields limited to n/6 multiply into the n/3 band, so the nodal
-        # product transforms without aliasing and dealias leaves it intact
+        # product transforms without aliasing and the band cut leaves it intact
         grid = Grid2D(48, 48)
         x1, x2 = grid.mesh()
         f = np.cos(3 * x1) * np.sin(2 * x2)
         g = np.sin(4 * x1 + x2)
-        back = inverse(dealias(forward(grid, f * g)))
+        back = inverse(grid, forward(grid, f * g))
         assert np.max(np.abs(back - f * g)) < 1e-12
 
 
 class TestBand:
-    """dealias stores the two-thirds band; the operators and the inverse take it as
-    the leading columns of the half spectrum, the rest being zero."""
+    """forward() returns the two-thirds band as a contiguous array; inverse() takes
+    it as the leading columns of the half layout, the rest being zero."""
 
     GRIDS = [Grid2D(32, 32), Grid2D(48, 48), Grid2D(30, 40)]
 
-    @staticmethod
-    def band(grid, seed=0):
-        return dealias(forward(grid, random_values(grid, seed)))
-
     @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
     def test_dealias_returns_the_contiguous_band(self, grid):
-        s = self.band(grid)
-        assert s.coeffs.shape == (grid.nx, grid.ny // 3 + 1)
-        assert s.coeffs.flags.c_contiguous
+        hat = forward(grid, random_values(grid))
+        assert hat.shape == grid.band_shape == (grid.nx, grid.ny // 3 + 1)
+        assert hat.flags.c_contiguous
+        assert np.all(outside_rows(grid, hat) == 0.0)
 
     @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
     def test_inverse_equals_the_padded_inverse_bit_for_bit(self, grid):
-        s = self.band(grid)
-        assert inverse(s).tobytes() == inverse(Spectrum(grid, padded(s))).tobytes()
-
-    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
-    @pytest.mark.parametrize("op", [ddx1, ddx2], ids=lambda f: f.__name__)
-    def test_operators_equal_the_leading_columns_on_padded_spectra(self, grid, op):
-        s = self.band(grid)
-        full = op(Spectrum(grid, padded(s))).coeffs
-        band = op(s).coeffs
-        assert band.shape == s.coeffs.shape
-        assert np.array_equal(band, full[:, : s.width])
-        assert np.all(full[:, s.width :] == 0.0)
+        hat = forward(grid, random_values(grid))
+        padded_inverse = np.fft.irfft2(padded(grid, hat), s=grid.shape, norm="forward")
+        assert inverse(grid, hat).tobytes() == padded_inverse.tobytes()
