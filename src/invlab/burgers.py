@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .diagnostics import TimeSeries
+from .spectral import TWO_PI
 
 __all__ = [
     "AxisProfile",
@@ -43,18 +44,13 @@ _REFINE_NODES = np.arange(REFINE_POINTS, dtype=float)
 
 @dataclass(frozen=True)
 class AxisProfile:
-    """Closed-form periodic axis trace g with its exact derivative dg.
+    """Closed-form axis trace g of period 2 pi with its exact derivative dg.
 
     g and dg must accept numpy arrays (plain ufunc expressions do).
     """
 
     g: Callable[[np.ndarray], np.ndarray]
     dg: Callable[[np.ndarray], np.ndarray]
-    period: float = 2.0 * math.pi
-
-    def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise ValueError(f"period must be positive, got {self.period}")
 
 
 def _sample(fn: Callable, xs: np.ndarray) -> np.ndarray:
@@ -92,10 +88,10 @@ def _refine_minimum(
     return best
 
 
-def _periodic_minimum(fn: Callable[[np.ndarray], np.ndarray], p: AxisProfile) -> float:
-    """Minimum of a function with the profile's period, scanned over one period."""
-    xs = np.linspace(0.0, p.period, SCAN_POINTS, endpoint=False)
-    return _refine_minimum(fn, xs, p.period)
+def _periodic_minimum(fn: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Minimum of a function of period 2 pi, scanned over [0, 2 pi)."""
+    xs = np.linspace(0.0, TWO_PI, SCAN_POINTS, endpoint=False)
+    return _refine_minimum(fn, xs, TWO_PI)
 
 
 def blowup_time(p: AxisProfile) -> float:
@@ -104,7 +100,7 @@ def blowup_time(p: AxisProfile) -> float:
     The minimum is located by a 4096-point scan over one period followed
     by rescans of the bracketing cell.
     """
-    min_dg = _periodic_minimum(p.dg, p)
+    min_dg = _periodic_minimum(p.dg)
     if min_dg >= 0.0:
         return math.inf
     return -1.0 / min_dg
@@ -122,8 +118,8 @@ class BurgersSolution:
     def __post_init__(self) -> None:
         object.__setattr__(self, "tstar", blowup_time(self.profile))
         g = self.profile.g
-        gmin = _periodic_minimum(g, self.profile)
-        gmax = -_periodic_minimum(lambda x: -_sample(g, x), self.profile)
+        gmin = _periodic_minimum(g)
+        gmax = -_periodic_minimum(lambda x: -_sample(g, x))
         object.__setattr__(self, "_gmin", gmin)
         object.__setattr__(self, "_gmax", gmax)
 
@@ -190,5 +186,5 @@ def min_slope_series(sol: BurgersSolution, times) -> TimeSeries:
             s = _sample(dg, xi)
             return s / (1.0 + t * s)
 
-        values.append(_periodic_minimum(label_slope, sol.profile))
+        values.append(_periodic_minimum(label_slope))
     return TimeSeries(times, np.asarray(values))

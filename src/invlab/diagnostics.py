@@ -116,12 +116,9 @@ def extrapolate_blowup(series: TimeSeries, window: Optional[tuple[float, float]]
     return BlowupEstimate(-intercept / slope, r2, window, warning)
 
 
-def min_axis_slope(f: Field) -> float:
-    """Min over the x2 = 0 row of the spectral d/dx1 of f."""
-    nx = f.grid.nx
-    row_hat = np.fft.rfft(f.values[:, 0])
-    slope = np.fft.irfft(row_hat * (1j * f.grid.kx_deriv[: nx // 2 + 1]), n=nx)
-    return float(np.min(slope))
+def min_axis_slope(state: State) -> float:
+    """Min over the x2 = 0 row of the state's spectral d(theta)/dx1."""
+    return float(np.min(state.kinematics.dtheta_dx1[:, 0]))
 
 
 def _require(value, name: str):

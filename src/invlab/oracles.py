@@ -12,7 +12,9 @@ profile structure f0(exp(t) x2):
 Formulas are piecewise across x2 = 0; evaluation at x2 = 0 uses the
 x2 >= 0 branch.  All evaluators are defined on the whole plane and take
 arrays of points: a family's `sample` evaluates every point in one set of
-array operations.
+array operations.  Each family states its x2-partials once, in its
+dtheta_dx2 / domega_dx2 methods; the shared sampler derives the other
+partials from them.
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ __all__ = [
 ]
 
 
+def _sign(s):
+    """+-1 with the x2 >= 0 branch at 0, where np.sign would give 0."""
+    return np.where(s >= 0, 1.0, -1.0)
+
+
 @dataclass(frozen=True)
 class Profile1D:
     """One-dimensional closed-form profile with exact derivatives.
@@ -58,9 +65,7 @@ PROFILES = {
     "identity": Profile1D(lambda s: s * 1.0, lambda s: np.ones_like(np.asarray(s, dtype=float)),
                           lambda s: np.zeros_like(np.asarray(s, dtype=float)), name="identity"),
     "sin": Profile1D(np.sin, np.cos, lambda s: -np.sin(s), name="sin"),
-    # +-1 with the x2 >= 0 branch at 0, where np.sign would give 0
-    "sign": Profile1D(lambda s: np.where(s >= 0, 1.0, -1.0), lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-                      name="sign"),
+    "sign": Profile1D(_sign, lambda s: np.zeros_like(np.asarray(s, dtype=float)), name="sign"),
 }
 
 
@@ -91,6 +96,24 @@ def _coords(x1, x2, t):
     return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x1, x2, t)))
 
 
+def _carried(family, x2, t, theta, omega=None, omega_source=0.0, **velocity) -> OracleSample:
+    """Sample of a family carried by u2 = -x2: fields of (e^t x2, t), independent of x1.
+
+    The x2-partials are the family's own dtheta_dx2 / domega_dx2.  Along
+    u2 = -x2 each t-partial is x2 times the x2-partial, plus the explicit
+    source omega_source of the vorticity; the x1-partials vanish.
+    velocity passes u1 and psi through.
+    """
+    zero = np.zeros_like(x2)
+    dtheta_dx2 = family.dtheta_dx2(x2, t)
+    if omega is not None:
+        dw = family.domega_dx2(x2, t)
+        velocity.update(omega=omega, domega_dt=x2 * dw + omega_source, domega_dx1=zero, domega_dx2=dw)
+    return OracleSample(
+        theta=theta, u2=-x2, dtheta_dt=x2 * dtheta_dx2, dtheta_dx1=zero, dtheta_dx2=dtheta_dx2, **velocity
+    )
+
+
 @dataclass(frozen=True)
 class WedgeSolution:
     """Fields on the wedge between x2 = 2 x1 and x2 = -2 x1.
@@ -110,24 +133,9 @@ class WedgeSolution:
 
     def sample(self, x1, x2, t) -> OracleSample:
         x1, x2, t = _coords(x1, x2, t)
-        sgn = np.where(x2 >= 0, 1.0, -1.0)
-        et = np.exp(t)
-        s = et * x2
-        df = self.theta0.df(s)
-        zero = np.zeros_like(s)
-        return OracleSample(
-            theta=self.theta0.f(s),
-            dtheta_dt=x2 * et * df,
-            dtheta_dx1=zero,
-            dtheta_dx2=et * df,
-            psi=sgn * x2 * x2 / 2.0 - x1 * x2,
-            u1=-sgn * x2 + x1,
-            u2=-x2,
-            omega=sgn,
-            domega_dt=zero,
-            domega_dx1=zero,
-            domega_dx2=zero,
-        )
+        sgn = _sign(x2)
+        theta = self.theta0.f(np.exp(t) * x2)
+        return _carried(self, x2, t, theta, sgn, psi=sgn * x2 * x2 / 2.0 - x1 * x2, u1=-sgn * x2 + x1)
 
 
 # Gauss-Legendre nodes of the sigma quadrature; the 2n-node rule checks the n-node one
@@ -174,7 +182,7 @@ def _sigma_terms(omega0: Profile1D, x2, t):
     x2, t = np.broadcast_arrays(np.asarray(x2, dtype=float), np.asarray(t, dtype=float))
     shape = x2.shape
     x2, t = x2.ravel(), t.ravel()
-    sgn = np.where(x2 >= 0, 1.0, -1.0)
+    sgn = _sign(x2)
     et = np.exp(t)
     f0, df0 = float(omega0.f(0.0)), float(omega0.df(0.0))
     sigma = sgn * (f0 + et * df0 * x2 / 3.0)
@@ -230,39 +238,20 @@ class MovingDomainSolution:
 
     def sample(self, x1, x2, t) -> OracleSample:
         x1, x2, t = _coords(x1, x2, t)
-        sgn = np.where(x2 >= 0, 1.0, -1.0)
-        et = np.exp(t)
-        s = et * x2
+        sgn = _sign(x2)
+        s = np.exp(t) * x2
         sigma, dsigma = _sigma_terms(self.omega0, x2, t)
-        dtheta = self.theta0.df(s)
-        domega = self.omega0.df(s)
-        zero = np.zeros_like(s)
-        return OracleSample(
-            theta=self.theta0.f(s),
-            dtheta_dt=x2 * et * dtheta,
-            dtheta_dx1=zero,
-            dtheta_dx2=et * dtheta,
+        return _carried(
+            self, x2, t, self.theta0.f(s), self.omega0.f(s),
             psi=sgn * sigma * x2 * x2 / 2.0 - x1 * x2,
             u1=-sgn * (sigma * x2 + 0.5 * x2 * x2 * dsigma) + x1,
-            u2=-x2,
-            omega=self.omega0.f(s),
-            domega_dt=x2 * et * domega,
-            domega_dx1=zero,
-            domega_dx2=et * domega,
         )
 
 
 def _modified_omega_terms(rho0: Profile1D, omega0: Profile1D, s, et):
-    """omega = omega0(s) - (e^t - 1) Q(s) with Q = (rho0^2)' = 2 rho0 rho0'.
-
-    Returns Q, omega and d omega/ds.
-    """
-    if rho0.d2f is None:
-        raise ValueError(f"profile {rho0.name or 'anonymous'} needs d2f for the modified family")
-    rho, drho = rho0.f(s), rho0.df(s)
-    q = 2.0 * rho * drho
-    dq = 2.0 * (drho**2 + rho * rho0.d2f(s))
-    return q, omega0.f(s) - (et - 1.0) * q, omega0.df(s) - (et - 1.0) * dq
+    """Q = (rho0^2)' = 2 rho0 rho0' and omega = omega0(s) - (e^t - 1) Q(s)."""
+    q = 2.0 * rho0.f(s) * rho0.df(s)
+    return q, omega0.f(s) - (et - 1.0) * q
 
 
 @dataclass(frozen=True)
@@ -293,21 +282,9 @@ class ModifiedSolution:
         x1, x2, t = _coords(x1, x2, t)
         et = np.exp(t)
         s = et * x2
-        q, omega, d_ds = _modified_omega_terms(self.rho0, self.omega0, s, et)
-        drho = self.rho0.df(s)
-        zero = np.zeros_like(s)
-        return OracleSample(
-            theta=self.rho0.f(s),
-            dtheta_dt=x2 * et * drho,
-            dtheta_dx1=zero,
-            dtheta_dx2=et * drho,
-            u2=-x2,
-            omega=omega,
-            # d/dt at fixed x2: chain rule through s = e^t x2 plus the explicit e^t factor
-            domega_dt=x2 * et * d_ds - et * q,
-            domega_dx1=zero,
-            domega_dx2=et * d_ds,
-        )
+        q, omega = _modified_omega_terms(self.rho0, self.omega0, s, et)
+        # the explicit e^t of the factor (e^t - 1) gives d omega/dt its source -e^t Q
+        return _carried(self, x2, t, self.rho0.f(s), omega, omega_source=-et * q)
 
 
 @dataclass(frozen=True)
@@ -330,22 +307,9 @@ class PrintedOscillatorySolution:
 
     def sample(self, x1, x2, t) -> OracleSample:
         x1, x2, t = _coords(x1, x2, t)
-        sgn = np.where(x2 >= 0, 1.0, -1.0)
         et = np.exp(t)
-        s2 = 2.0 * et * x2
-        sin2, cos2 = np.sin(s2), np.cos(s2)
-        zero = np.zeros_like(s2)
-        return OracleSample(
-            theta=sin2,
-            dtheta_dt=s2 * cos2,
-            dtheta_dx1=zero,
-            dtheta_dx2=2.0 * et * cos2,
-            u2=-x2,
-            omega=sgn - (et - 1.0) * sin2,
-            domega_dt=-et * sin2 - (et - 1.0) * s2 * cos2,
-            domega_dx1=zero,
-            domega_dx2=-(et - 1.0) * 2.0 * et * cos2,
-        )
+        sin2 = np.sin(2.0 * et * x2)
+        return _carried(self, x2, t, sin2, _sign(x2) - (et - 1.0) * sin2, omega_source=-et * sin2)
 
 
 @dataclass(frozen=True)
@@ -362,13 +326,7 @@ class UniformScalarSolution:
         c = np.full_like(x2, self.c)
         zero = np.zeros_like(x2)
         return OracleSample(
-            theta=c,
-            dtheta_dt=zero,
-            dtheta_dx1=zero,
-            dtheta_dx2=zero,
-            u1=c,
-            u2=zero,
-            psi=-self.c * x2,
+            theta=c, u2=zero, dtheta_dt=zero, dtheta_dx1=zero, dtheta_dx2=zero, u1=c, psi=-self.c * x2
         )
 
 

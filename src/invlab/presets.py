@@ -36,7 +36,6 @@ __all__ = [
     "SOLVER_PRESETS",
     "ORACLE_FAMILIES",
     "build_initial_state",
-    "oracle_preset",
     "oracle_solution",
     "grid_for",
 ]
@@ -175,20 +174,16 @@ ORACLE_FAMILIES = {
 }
 
 
-def oracle_preset(family: str, preset: str | None = None) -> str:
-    """The name of the preset that runs: `preset`, or the family's first if None."""
+def oracle_solution(family: str, preset: str | None = None):
+    """A closed-form family's preset: `preset`, or the family's first if None.
+
+    Returns (preset name, solution, model, envelope interval).
+    """
     if family not in ORACLE_FAMILIES:
         known = ", ".join(sorted(ORACLE_FAMILIES))
         raise ConfigError(f"unknown oracle family {family!r}; known: {known}")
-    solutions = ORACLE_FAMILIES[family][2]
+    model, interval, solutions = ORACLE_FAMILIES[family]
     preset = preset or next(iter(solutions))
     if preset not in solutions:
         raise ConfigError(f"unknown {family} preset {preset!r}; known: {', '.join(solutions)}")
-    return preset
-
-
-def oracle_solution(family: str, preset: str | None = None):
-    """A closed-form family's solution; returns (solution, model, envelope interval)."""
-    preset = oracle_preset(family, preset)
-    model, interval, solutions = ORACLE_FAMILIES[family]
-    return solutions[preset], model, interval
+    return preset, solutions[preset], model, interval

@@ -17,7 +17,7 @@ from .config import ConfigError, RunConfig, config_echo
 from .diagnostics import l2_norm, min_axis_slope, residual, symmetry_error
 from .dynamics import ModelKind, State, StepControl, integrate
 from .oracles import growth_envelope
-from .presets import SOLVER_PRESETS, build_initial_state, grid_for, oracle_preset, oracle_solution
+from .presets import SOLVER_PRESETS, build_initial_state, grid_for, oracle_solution
 from .snapshots import state_fields, write_snapshot
 
 __all__ = ["RunArtifacts", "run", "OracleCheckReport", "oracle_check", "convergence", "ConvergenceRow"]
@@ -65,8 +65,9 @@ class RunArtifacts:
 def _measure(state: State, diagnostics: tuple) -> dict[str, Optional[float]]:
     """One output row: the series columns, plus those of each requested diagnostic.
 
-    max|grad theta| is the state's cached maximum; None marks a column
-    of a field the model does not evolve.
+    max|grad theta| is the state's cached maximum and the axis slope is
+    read from the same kinematics; None marks a column of a field the
+    model does not evolve.
     """
     theta = state.theta
     scalar = state.model is ModelKind.SINGULAR_SCALAR
@@ -75,7 +76,7 @@ def _measure(state: State, diagnostics: tuple) -> dict[str, Optional[float]]:
         "l2_theta": l2_norm(theta),
         "linf_theta": float(np.max(np.abs(theta.values))),
         "sup_grad_theta": state.max_grad,
-        "min_axis_slope": min_axis_slope(theta) if scalar else math.nan,
+        "min_axis_slope": min_axis_slope(state) if scalar else math.nan,
     }
     omega = state.omega
     if "conservation" in diagnostics:
@@ -125,10 +126,10 @@ def run(cfg: RunConfig, output_dir: Optional[Path] = None) -> RunArtifacts:
     """
     start = time.perf_counter()
     _retain_freed_memory()
+    # built before the output directory is made, so that bad initial data leaves no artifact
+    pending = [build_initial_state(cfg, grid_for(cfg))]
     outdir = Path(output_dir) if output_dir is not None else Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    # built before any file is opened, so that bad initial data leaves no artifact
-    pending = [build_initial_state(cfg, grid_for(cfg))]
     ctrl = StepControl(dt=cfg.dt, cfl=cfg.cfl, max_grad=cfg.max_grad)
 
     series_path = outdir / "series.csv"
@@ -217,8 +218,7 @@ def oracle_check(
     """
     if npoints < 1:
         raise ConfigError(f"npoints must be at least 1, got {npoints}")
-    preset = oracle_preset(family, preset)
-    solution, model, interval = oracle_solution(family, preset)
+    preset, solution, model, interval = oracle_solution(family, preset)
     rng = np.random.default_rng(seed)
     x1 = rng.uniform(-2.0, 2.0, npoints)
     x2 = rng.uniform(0.05, 2.0, npoints) * rng.choice([-1.0, 1.0], npoints)

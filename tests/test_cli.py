@@ -149,6 +149,13 @@ class TestRun:
         assert run_cli("run", str(cfg), "--output", str(tmp_path / "out")) == EXIT_VALIDATION
         assert "not allowed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ic", ["nope", "expr: foo(x1)"])
+    def test_rejected_initial_data_leaves_no_directory(self, tmp_path, capsys, ic):
+        out = tmp_path / "out"
+        assert run_cli("run", "singular-cos", "--set", f"ic={ic}", "--output", str(out)) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("via", ["file", "override"])
     @pytest.mark.parametrize(
         "key, value",

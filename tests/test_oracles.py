@@ -175,8 +175,8 @@ class TestModified:
 class TestPartialsAgainstFiniteDifferences:
     @pytest.mark.parametrize(
         "solution",
-        [WEDGE, MODIFIED_OSC, PrintedOscillatorySolution(), UniformScalarSolution(0.7)],
-        ids=["wedge", "modified", "printed", "stationary"],
+        [WEDGE, MOVING, MODIFIED_LINEAR, MODIFIED_OSC, PrintedOscillatorySolution(), UniformScalarSolution(0.7)],
+        ids=["wedge", "moving", "modified-linear", "modified", "printed", "stationary"],
     )
     def test_time_and_space_partials(self, solution):
         h = 1e-5
@@ -220,6 +220,13 @@ class TestCommonStructure:
         for solution in (WEDGE, MODIFIED_LINEAR, MODIFIED_OSC, PrintedOscillatorySolution()):
             for t in (0.0, 0.7):
                 assert solution.sample(0.3, 0.0, t).omega == 1.0, solution  # x2 >= 0 branch
+
+    def test_stationary_velocity_is_uniform(self):
+        # u = (c, 0): the one family that u2 = -x2 does not carry
+        x1, x2, t = np.array(random_points(20, 5)).T
+        s = UniformScalarSolution(0.7).sample(x1, x2, t)
+        assert s.u1.shape == s.u2.shape == x2.shape
+        assert np.all(s.u1 == 0.7) and np.all(s.u2 == 0.0)
 
 
 class TestGrowthEnvelope:
