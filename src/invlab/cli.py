@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, build_config, parse_entries
+from .config import ConfigError, RunConfig, build_config, parse_entries
 from .diagnostics import TimeSeries, extrapolate_blowup, fit_growth_rate
 from .runner import convergence, oracle_check, resolve_run_config_text, run
 
@@ -56,17 +56,22 @@ def _load_series_column(path: str, column: str) -> TimeSeries:
     return TimeSeries(t[keep], np.abs(v[keep]))
 
 
-def _cmd_run(args) -> int:
-    entries = parse_entries(resolve_run_config_text(args.config))
+def _resolve_config(config: str, settings=()) -> RunConfig:
+    """The RunConfig of a config file or preset name, with `KEY=VALUE` overrides applied."""
+    entries = parse_entries(resolve_run_config_text(config))
     overrides = {}
-    for item in args.set or []:
+    for item in settings:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
         overrides[key] = value
     merged = [(k, v, ln) for k, v, ln in entries if k not in overrides]
     merged.extend((k, v, None) for k, v in overrides.items())
-    cfg = build_config(merged)
+    return build_config(merged)
+
+
+def _cmd_run(args) -> int:
+    cfg = _resolve_config(args.config, args.set or ())
     artifacts = run(cfg, output_dir=Path(args.output) if args.output else None)
     print(f"wrote {artifacts.series_path} ({artifacts.steps} steps)")
     if artifacts.blowup is not None:
@@ -96,9 +101,7 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    entries = parse_entries(resolve_run_config_text(args.config))
-    cfg = build_config(entries)
-    rows = convergence(cfg, args.levels, mode=args.mode)
+    rows = convergence(_resolve_config(args.config), args.levels, mode=args.mode)
     print(f"{'level':>5} {'nx':>6} {'dt':>12} {'axis error':>14} {'order':>8}")
     for r in rows:
         order = "-" if r.order is None else f"{r.order:.2f}"

@@ -215,22 +215,18 @@ def _velocity_hat(model: ModelKind, grid: Grid2D, theta_hat: np.ndarray, omega_h
         u1[1:, 0] = 0.0
         k2 = grid.ky_deriv.copy()
         k2[0] = 1.0  # the k2 = 0 column of u1 holds only the mean, whose k1 factor is 0
-        u2 = u1 * (-grid.kx_deriv)[:, None]
+        u2 = u1 * (-grid.k1int)[:, None]
         u2 /= k2
         u1[:, 1] += 0.5 * m
-        u2[:, 1] -= 0.5 * grid.kx_deriv * m
+        u2[:, 1] -= 0.5 * grid.k1int * m
         return u1, u2
-    mean = omega_hat[0, 0]
-    if abs(mean) > 1e-10:
-        raise ValueError(
-            f"vorticity has nonzero mean {mean:.3e}; "
-            "the periodic Poisson problem is not solvable"
-        )
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = omega_hat / grid.k_squared
-    scaled[0, 0] = 0.0  # the zero-mean gauge of psi
+    # the gauge of psi; it drops the roundoff-level mean that the tendency
+    # leaves on the zero-mean initial vorticity (see build_initial_state)
+    scaled[0, 0] = 0.0
     u1 = scaled * (1j * grid.ky_deriv)[None, :]
-    u2 = scaled * (-1j * grid.kx_deriv)[:, None]
+    u2 = scaled * (-1j * grid.k1int)[:, None]
     return u1, u2
 
 

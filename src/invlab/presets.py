@@ -119,7 +119,8 @@ SOLVER_PRESETS = {
 
 def build_initial_state(cfg: RunConfig, grid: Grid2D) -> State:
     """Fields at t = 0: the band spectra (see spectral.forward) of the
-    config's ic / ic_omega data sampled on the grid."""
+    config's ic / ic_omega data sampled on the grid.  Vorticity of nonzero
+    mean is a ConfigError."""
     theta_expr = cfg.ic
     omega_expr = cfg.ic_omega or None
     if not cfg.ic.startswith(_EXPR_PREFIX):
@@ -143,6 +144,13 @@ def build_initial_state(cfg: RunConfig, grid: Grid2D) -> State:
         if not omega_expr.startswith(_EXPR_PREFIX):
             raise ConfigError(f"ic_omega must be an '{_EXPR_PREFIX} ...' expression")
         omega = Field(grid, forward(grid, _eval_expr(omega_expr[len(_EXPR_PREFIX):], grid)))
+        # Delta psi = omega is solvable on the periodic box only for zero-mean
+        # omega; the equations conserve the mean, so the initial data decide
+        mean = omega.hat[0, 0].real
+        if abs(mean) > 1e-10:
+            raise ConfigError(
+                f"vorticity has nonzero mean {mean:.3e}; the periodic Poisson problem is not solvable"
+            )
     elif cfg.ic_omega:
         raise ConfigError("the scalar model takes no ic_omega")
     return State(cfg.model, 0.0, theta, omega)

@@ -18,7 +18,7 @@ from .diagnostics import l2_norm, min_axis_slope, residual, symmetry_error
 from .dynamics import ModelKind, State, StepControl, integrate
 from .oracles import growth_envelope
 from .presets import SOLVER_PRESETS, build_initial_state, grid_for, oracle_solution
-from .snapshots import state_fields, write_snapshot
+from .snapshots import write_snapshot
 
 __all__ = ["RunArtifacts", "run", "OracleCheckReport", "oracle_check", "convergence", "ConvergenceRow"]
 
@@ -137,7 +137,7 @@ def run(cfg: RunConfig, output_dir: Optional[Path] = None) -> RunArtifacts:
 
     def snapshot(s: State) -> None:
         path = outdir / f"snapshot-{len(snapshot_paths):04d}.bin"
-        write_snapshot(path, s.t, state_fields(s))
+        write_snapshot(path, s)
         snapshot_paths.append(path)
 
     with ExitStack() as stack:

@@ -11,22 +11,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import Field
-
 __all__ = ["write_snapshot", "read_snapshot", "MAGIC"]
 
 MAGIC = "INVLAB1"
 
 
-def write_snapshot(path, t: float, fields: dict[str, Field]) -> None:
-    """Write named fields at time t; the dict order fixes the payload order."""
-    if not fields:
-        raise ValueError("snapshot needs at least one field")
-    grids = {f.grid for f in fields.values()}
-    if len(grids) != 1:
-        raise ValueError("snapshot fields must share one grid")
-    grid = next(iter(grids))
-    header = f"{MAGIC} {grid.nx} {grid.ny} {len(fields)} {t:.17g}\n"
+def write_snapshot(path, state) -> None:
+    """Write a State: the header with its grid and time t, then the nodal
+    values of theta and, when the model evolves it, omega."""
+    grid = state.grid
+    fields = dict(zip(("theta", "omega"), state.fields))
+    header = f"{MAGIC} {grid.nx} {grid.ny} {len(fields)} {state.t:.17g}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         for name in fields:
@@ -61,10 +56,3 @@ def read_snapshot(path) -> tuple[float, dict[str, np.ndarray], tuple[int, int]]:
         offset += count * 8
     return t, out, (nx, ny)
 
-
-def state_fields(state) -> dict[str, Field]:
-    """Canonical snapshot field dict for a dynamics State."""
-    fields = {"theta": state.theta}
-    if state.omega is not None:
-        fields["omega"] = state.omega
-    return fields

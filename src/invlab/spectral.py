@@ -4,18 +4,21 @@ Fields live on a uniform grid of the doubly periodic box [0, 2 pi)^2, so
 the wavenumbers are the integer mode numbers k1, k2.  A spectrum is a
 complex array of normalized Fourier coefficients (coefficient of the
 constant mode equals the mean) in the two-thirds band, shape
-grid.band_shape = (nx, ny/3 + 1): axis 0 holds k1 in standard FFT order
-(Nyquist stored negative), axis 1 the modes k2 = 0 .. ny/3, and the rows
-|k1| > nx/3 are zero.  The modes k2 < 0 follow by Hermitian symmetry,
-coeff(-k) = conj(coeff(k)); the column k2 = 0 is self-conjugate, holding
-both coeff(k1, 0) and coeff(-k1, 0), and inverse() keeps only its
-Hermitian part.
+grid.band_shape = (nx, (ny - 1)//3 + 1): axis 0 holds k1 in standard FFT
+order (Nyquist stored negative), axis 1 the modes k2 = 0 .. (ny - 1)//3,
+and the rows |k1| > (nx - 1)//3 are zero.  The band keeps |k| < n/3
+strictly (Orszag's rule), so the product of two band fields aliases only
+outside it, whether or not 3 divides n.  The modes k2 < 0 follow by
+Hermitian symmetry, coeff(-k) = conj(coeff(k)); the column k2 = 0 is
+self-conjugate, holding both coeff(k1, 0) and coeff(-k1, 0), and
+inverse() keeps only its Hermitian part.
 forward() is the one way to make a spectrum: the real transform followed
-by the two-thirds projection (Orszag's rule), so inverse(forward(v)) == v
-only when v is band-limited.  A derivative multiplies each coefficient by
-its Fourier symbol, i k1 for d/dx1 and i k2 for d/dx2, with the unpaired
-Nyquist mode of x1 zeroed.  A Field is a band spectrum; its nodal values
-are computed on first use and kept (see Field).
+by the two-thirds projection, so inverse(forward(v)) == v only when v is
+band-limited.  A derivative multiplies each coefficient by its Fourier
+symbol, i k1 for d/dx1 and i k2 for d/dx2.  The x1 Nyquist row lies
+outside the band, so the band cut leaves it zero and the symbol i k1 needs
+no special case for that unpaired mode.  A Field is a band spectrum; its
+nodal values are computed on first use and kept (see Field).
 """
 
 from __future__ import annotations
@@ -74,8 +77,8 @@ class Grid2D:
 
     @property
     def band_shape(self) -> tuple[int, int]:
-        """Shape of a spectrum, the two-thirds band: k2 = 0 .. ny/3."""
-        return (self.nx, self.ny // 3 + 1)
+        """Shape of a spectrum, the two-thirds band: k2 = 0 .. (ny - 1)//3, so k2 < ny/3."""
+        return (self.nx, (self.ny - 1) // 3 + 1)
 
     @property
     def dx(self) -> float:
@@ -103,21 +106,13 @@ class Grid2D:
         return np.fft.fftfreq(self.nx, d=1.0 / self.nx)
 
     @cached_property
-    def kx_deriv(self) -> np.ndarray:
-        # Nyquist zeroed: the odd derivative of the unpaired mode is
-        # sign-ambiguous and zeroing keeps real fields real.
-        k = self.k1int.copy()
-        k[self.nx // 2] = 0.0
-        return k
-
-    @cached_property
     def ky_deriv(self) -> np.ndarray:
-        """Mode numbers along x2 in the band, 0 .. ny/3 (no Nyquist to zero)."""
+        """Mode numbers along x2 in the band, 0 .. (ny - 1)//3."""
         return np.fft.rfftfreq(self.ny, d=1.0 / self.ny)[: self.band_shape[1]]
 
     @cached_property
     def k_squared(self) -> np.ndarray:
-        """|k|^2 on the band (the x1 Nyquist row included; even power)."""
+        """|k|^2 on the band."""
         return self.k1int[:, None] ** 2 + self.ky_deriv[None, :] ** 2
 
 
@@ -154,8 +149,8 @@ def forward(grid: Grid2D, values: np.ndarray) -> np.ndarray:
 
     Rejects non-finite input, naming the first offending node.  Both
     passes of rfft2 write into one half-layout buffer; the result is a
-    C-contiguous copy of its columns k2 <= ny/3 with the rows |k1| > nx/3
-    zeroed.
+    C-contiguous copy of its columns k2 < ny/3 with the rows |k1| >= nx/3
+    zeroed, the x1 Nyquist row among them.
     """
     if not np.all(np.isfinite(values)):
         j, k = np.argwhere(~np.isfinite(values))[0]
@@ -165,7 +160,7 @@ def forward(grid: Grid2D, values: np.ndarray) -> np.ndarray:
         )
     out = np.empty(grid.half_shape, dtype=np.complex128)
     np.fft.rfft2(values, norm="forward", out=out)
-    m = grid.nx // 3  # rows 0 .. m and nx - m .. nx - 1 hold |k1| <= nx/3
+    m = (grid.nx - 1) // 3  # rows 0 .. m and nx - m .. nx - 1 hold |k1| < nx/3
     hat = out[:, : grid.band_shape[1]].copy()
     hat[m + 1 : grid.nx - m] = 0.0
     return hat
@@ -181,8 +176,9 @@ def inverse(grid: Grid2D, hat: np.ndarray) -> np.ndarray:
 
 
 def ddx1(grid: Grid2D, hat: np.ndarray) -> np.ndarray:
-    """Spectral d/dx1 (Nyquist mode of the x1 direction zeroed)."""
-    return hat * (1j * grid.kx_deriv)[:, None]
+    """Spectral d/dx1: the symbol i k1 needs no Nyquist case, since the band
+    cut leaves the x1 Nyquist row zero."""
+    return hat * (1j * grid.k1int)[:, None]
 
 
 def ddx2(grid: Grid2D, hat: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ minutes on a laptop-class machine.
 import dataclasses
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from invlab.runner import convergence, oracle_check, run
 from invlab.snapshots import read_snapshot
 
 COS_PROFILE = AxisProfile(np.cos, lambda x: -np.sin(x))
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -225,21 +227,18 @@ def test_criterion_6_conservation_and_symmetry(run256):
         6,
         ok,
         f"L2(theta) relative drift through t=0.5 is {drift:.2e} <= 1e-6; "
-        f"even-x2 symmetry error (projection disabled) peaks at {sym_err:.2e} <= 1e-10",
+        f"even-x2 symmetry error peaks at {sym_err:.2e} <= 1e-10",
     )
 
 
 def test_criterion_7_convergence_orders():
-    temporal_cfg = parse_config(
-        "model = singular-scalar\nic = singular-cos\nt_end = 0.5\nnx = 256\nny = 256\ndt = 0.006\n"
-    )
+    # the README's convergence examples run these two configs
+    temporal_cfg = parse_config((CONFIGS / "temporal.cfg").read_text())
     temporal = convergence(temporal_cfg, 4, mode="temporal")
     orders = [r.order for r in temporal[1:]]
     orders_ok = all(abs(o - 4.0) <= 0.3 for o in orders)
 
-    spatial_cfg = parse_config(
-        "model = singular-scalar\nic = singular-cos\nt_end = 0.25\nnx = 64\nny = 64\ndt = 0.0005\n"
-    )
+    spatial_cfg = parse_config((CONFIGS / "spatial.cfg").read_text())
     spatial = convergence(spatial_cfg, 3, mode="spatial")
     plateau = spatial[-1].error
     spatial_ok = spatial[-1].nx == 256 and plateau <= 1e-10

@@ -104,3 +104,15 @@ class TestInitialState:
             assert field.hat.shape == (grid.nx, grid.ny // 3 + 1)
             assert np.array_equal(field.hat, band)
             assert np.array_equal(field.values, inverse(grid, band))
+
+    @pytest.mark.parametrize("model", [ModelKind.BOUSSINESQ, ModelKind.MODIFIED_BOUSSINESQ], ids=lambda m: m.value)
+    def test_rejects_vorticity_with_nonzero_mean(self, model):
+        # the periodic Poisson problem Delta psi = omega needs zero-mean omega
+        cfg = parse_config(
+            f"model = {model.value}\nt_end = 1\nnx = 32\nny = 16\nic = expr: sin(x2)\nic_omega = expr: 1 + sin(x2)\n"
+        )
+        with pytest.raises(ConfigError) as err:
+            presets.build_initial_state(cfg, presets.grid_for(cfg))
+        assert str(err.value) == (
+            "vorticity has nonzero mean 1.000e+00; the periodic Poisson problem is not solvable"
+        )

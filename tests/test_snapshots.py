@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from invlab.snapshots import MAGIC, read_snapshot, write_snapshot, state_fields
+from invlab.snapshots import MAGIC, read_snapshot, write_snapshot
 from invlab.dynamics import ModelKind, State
 from invlab.spectral import Field, Grid2D, forward
 
@@ -9,12 +9,16 @@ from invlab.spectral import Field, Grid2D, forward
 GRID = Grid2D(16, 32)
 
 
+def scalar_state(t, values):
+    return State(ModelKind.SINGULAR_SCALAR, t, Field(GRID, forward(GRID, values)))
+
+
 def test_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     theta = Field(GRID, forward(GRID, rng.standard_normal(GRID.shape)))
     omega = Field(GRID, forward(GRID, rng.standard_normal(GRID.shape)))
     path = tmp_path / "snap.bin"
-    write_snapshot(path, 0.125, {"theta": theta, "omega": omega})
+    write_snapshot(path, State(ModelKind.BOUSSINESQ, 0.125, theta, omega))
     t, fields, (nx, ny) = read_snapshot(path)
     assert t == 0.125
     assert (nx, ny) == (16, 32)
@@ -25,7 +29,7 @@ def test_roundtrip_bit_exact(tmp_path):
 
 def test_header_layout(tmp_path):
     path = tmp_path / "snap.bin"
-    write_snapshot(path, 1.0, {"theta": Field(GRID, forward(GRID, np.zeros(GRID.shape)))})
+    write_snapshot(path, scalar_state(1.0, np.zeros(GRID.shape)))
     raw = path.read_bytes()
     header, rest = raw.split(b"\n", 1)
     assert header == f"{MAGIC} 16 32 1 1".encode()
@@ -35,9 +39,10 @@ def test_header_layout(tmp_path):
 
 
 def test_payload_is_little_endian_x2_fastest(tmp_path):
-    theta = Field(GRID, forward(GRID, np.arange(16 * 32, dtype=float).reshape(16, 32)))
+    state = scalar_state(0.0, np.arange(16 * 32, dtype=float).reshape(16, 32))
+    theta = state.theta
     path = tmp_path / "snap.bin"
-    write_snapshot(path, 0.0, {"theta": theta})
+    write_snapshot(path, state)
     raw = path.read_bytes()
     offset = raw.index(b"theta\n") + len(b"theta\n")
     first_two = np.frombuffer(raw, dtype="<f8", count=2, offset=offset)
@@ -47,17 +52,11 @@ def test_payload_is_little_endian_x2_fastest(tmp_path):
 
 def test_rewrite_is_bit_identical(tmp_path):
     rng = np.random.default_rng(3)
-    theta = Field(GRID, forward(GRID, rng.standard_normal(GRID.shape)))
+    state = scalar_state(0.25, rng.standard_normal(GRID.shape))
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-    write_snapshot(a, 0.25, {"theta": theta})
-    write_snapshot(b, 0.25, {"theta": theta})
+    write_snapshot(a, state)
+    write_snapshot(b, state)
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_state_fields_order():
-    zero = Field(GRID, forward(GRID, np.zeros(GRID.shape)))
-    state = State(ModelKind.BOUSSINESQ, 0.0, zero, zero)
-    assert list(state_fields(state)) == ["theta", "omega"]
 
 
 def test_rejects_corrupt_header(tmp_path):
@@ -69,7 +68,7 @@ def test_rejects_corrupt_header(tmp_path):
 
 def test_rejects_truncated_payload(tmp_path):
     path = tmp_path / "short.bin"
-    write_snapshot(path, 0.0, {"theta": Field(GRID, forward(GRID, np.zeros(GRID.shape)))})
+    write_snapshot(path, scalar_state(0.0, np.zeros(GRID.shape)))
     data = path.read_bytes()
     path.write_bytes(data[:-8])
     with pytest.raises(ValueError, match="payload"):

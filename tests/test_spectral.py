@@ -24,8 +24,8 @@ def padded(grid, hat):
 
 
 def outside_rows(grid, hat):
-    """The rows |k1| > nx/3 of a band spectrum."""
-    m = grid.nx // 3
+    """The rows |k1| >= nx/3 of a band spectrum."""
+    m = (grid.nx - 1) // 3
     return hat[m + 1 : grid.nx - m]
 
 
@@ -51,8 +51,7 @@ class TestGrid2D:
         grid = Grid2D(16, 16)
         assert grid.k1int[1] == 1
         assert grid.k1int[8] == -8  # Nyquist stored negative
-        assert grid.kx_deriv[8] == 0.0
-        assert list(grid.ky_deriv) == list(range(6))  # band: k2 = 0 .. ny/3
+        assert list(grid.ky_deriv) == list(range(6))  # band: k2 < ny/3
 
     def test_the_box_is_two_pi_periodic(self):
         # no period to set: the wavenumbers are the integer mode numbers
@@ -170,6 +169,12 @@ class TestDerivatives:
         expected = np.cos(grid.mesh()[1])
         assert np.max(np.abs(d - expected)) < 1e-12
 
+    def test_ddx1_of_the_x1_nyquist_mode_is_zero(self):
+        # the band cut zeros the Nyquist row, so its odd derivative needs no special case
+        grid = Grid2D(16, 16)
+        hat = forward(grid, sampled(grid, lambda x1, x2: np.cos(8 * x1)))
+        assert np.all(ddx1(grid, hat) == 0.0)
+
     def test_ddx1_constant(self):
         grid = Grid2D(16, 16)
         hat = forward(grid, np.full(grid.shape, 2.0))
@@ -217,8 +222,8 @@ class TestDerivatives:
 
 
 class TestDealias:
-    """forward() applies the two-thirds rule: the band k2 <= ny/3, with the rows
-    |k1| > nx/3 zeroed."""
+    """forward() applies the two-thirds rule: the band k2 < ny/3, with the rows
+    |k1| >= nx/3 zeroed."""
 
     def test_band_limited_unchanged(self):
         grid = Grid2D(32, 32)
@@ -254,6 +259,18 @@ class TestDealias:
         back = inverse(grid, forward(grid, f * g))
         assert np.max(np.abs(back - f * g)) < 1e-12
 
+    @pytest.mark.parametrize("grid", [Grid2D(48, 48), Grid2D(30, 40)], ids=lambda g: f"{g.nx}x{g.ny}")
+    @pytest.mark.parametrize("axis", [0, 1], ids=["x1", "x2"])
+    def test_square_of_an_edge_mode_leaves_only_the_mean_in_the_band(self, grid, axis):
+        # cos^2(m x) = (1 + cos(2 m x))/2 with m = n//3; the alias 2m - n of
+        # 2m is -m when 3 divides n, so the band must keep |k| < n/3 strictly
+        n, x = grid.shape[axis], grid.mesh()[axis]
+        edge = np.cos((n // 3) * x)
+        hat = forward(grid, edge * edge)
+        assert abs(hat[0, 0] - 0.5) < 1e-14
+        hat[0, 0] = 0.0
+        assert np.max(np.abs(hat)) < 1e-14
+
 
 class TestBand:
     """forward() returns the two-thirds band as a contiguous array; inverse() takes
@@ -264,7 +281,7 @@ class TestBand:
     @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
     def test_dealias_returns_the_contiguous_band(self, grid):
         hat = forward(grid, random_values(grid))
-        assert hat.shape == grid.band_shape == (grid.nx, grid.ny // 3 + 1)
+        assert hat.shape == grid.band_shape == (grid.nx, (grid.ny - 1) // 3 + 1)
         assert hat.flags.c_contiguous
         assert np.all(outside_rows(grid, hat) == 0.0)
 
