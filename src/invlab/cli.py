@@ -17,7 +17,8 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, build_config, parse_entries
 from .diagnostics import TimeSeries, extrapolate_blowup, fit_growth_rate
-from .runner import convergence, oracle_check, resolve_run_config_text, run
+from .presets import ORACLE_FAMILIES, SOLVER_PRESETS
+from .runner import RESIDUAL_THRESHOLD, convergence, oracle_check, run
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -41,12 +42,7 @@ def _load_series_column(path: str, column: str) -> TimeSeries:
     if data.dtype.names is None:
         raise ConfigError(f"{path}: no CSV header found")
     names = data.dtype.names
-    if column.isdigit():
-        idx = int(column)
-        if idx >= len(names):
-            raise ConfigError(f"{path}: column index {idx} out of range ({len(names)} columns)")
-        column = names[idx]
-    elif column not in names:
+    if column not in names:
         raise ConfigError(f"{path}: no column {column!r}; available: {', '.join(names)}")
     t = np.atleast_1d(data[names[0]])
     v = np.atleast_1d(data[column])
@@ -58,7 +54,14 @@ def _load_series_column(path: str, column: str) -> TimeSeries:
 
 def _resolve_config(config: str, settings=()) -> RunConfig:
     """The RunConfig of a config file or preset name, with `KEY=VALUE` overrides applied."""
-    entries = parse_entries(resolve_run_config_text(config))
+    if config in SOLVER_PRESETS:
+        text = SOLVER_PRESETS[config]
+    elif Path(config).exists():
+        text = Path(config).read_text()
+    else:
+        known = ", ".join(sorted(SOLVER_PRESETS))
+        raise ConfigError(f"{config!r} is neither a config file nor a preset (presets: {known})")
+    entries = parse_entries(text)
     overrides = {}
     for item in settings:
         if "=" not in item:
@@ -94,7 +97,7 @@ def _cmd_oracle_check(args) -> int:
     if report.envelope_path is not None:
         print(f"wrote {report.envelope_path}")
     if not report.passed:
-        print("FAIL: residual exceeds 1e-10")
+        print(f"FAIL: residual exceeds {RESIDUAL_THRESHOLD:g}")
         return EXIT_ORACLE_FAIL
     print("PASS")
     return EXIT_OK
@@ -146,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_oc = sub.add_parser("oracle-check", help="residual-check a closed-form family")
-    p_oc.add_argument("family", help="wedge | moving-domain | modified | stationary")
+    p_oc.add_argument("family", help=" | ".join(ORACLE_FAMILIES))
     p_oc.add_argument("preset", nargs="?", default=None)
     p_oc.add_argument("--preset", dest="preset_flag", default=None)
     p_oc.add_argument("--npoints", type=int, default=500)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -48,7 +48,6 @@ __all__ = [
     "State",
     "StepControl",
     "BlowupSignal",
-    "BlowupDetected",
     "CFLViolationError",
     "IntegrationResult",
     "tendency",
@@ -167,22 +166,20 @@ class StepControl:
             raise ValueError(f"max_grad must be positive, got {self.max_grad}")
 
 
-@dataclass
-class BlowupSignal:
-    """Raised evidence that the run left the smooth regime."""
+class BlowupSignal(RuntimeError):
+    """Evidence that the run left the smooth regime.
 
-    t: float
-    max_grad: float
-    reason: str  # "non-finite" or "gradient-ceiling"
-    trace: list = dataclass_field(default_factory=list)  # recent (t, max|grad theta|)
+    rk4_step raises it; integrate returns a fresh one with the recent
+    trace, so a result never keeps a raised signal's traceback and the
+    step frames it holds.
+    """
 
-
-class BlowupDetected(RuntimeError):
-    def __init__(self, t: float, max_grad: float, reason: str):
+    def __init__(self, t: float, max_grad: float, reason: str, trace: Optional[list] = None):
         super().__init__(f"blowup detected at t = {t:.6g} ({reason}), max|grad theta| = {max_grad:.3e}")
         self.t = t
         self.max_grad = max_grad
-        self.reason = reason
+        self.reason = reason  # "non-finite" or "gradient-ceiling"
+        self.trace = [] if trace is None else trace  # recent (t, max|grad theta|)
 
 
 class CFLViolationError(ValueError):
@@ -271,7 +268,7 @@ def admissible_dt(state: State, ctrl: StepControl) -> float:
 def rk4_step(state: State, ctrl: StepControl, dt: Optional[float] = None) -> State:
     """One classical four-stage Runge-Kutta step of size dt (default ctrl.dt).
 
-    Validates the CFL bound at the step start; raises BlowupDetected if the
+    Validates the CFL bound at the step start; raises BlowupSignal if the
     step produces non-finite fields.  Releases the start state's kinematics
     once its first stage has read them.
     """
@@ -286,8 +283,8 @@ def rk4_step(state: State, ctrl: StepControl, dt: Optional[float] = None) -> Sta
 
     grid = state.grid
 
-    def blowup(t: float) -> BlowupDetected:
-        return BlowupDetected(t, max_grad, "non-finite")
+    def blowup(t: float) -> BlowupSignal:
+        return BlowupSignal(t, max_grad, "non-finite")
 
     def at(t: float, hats: Sequence[np.ndarray]) -> State:
         for hat in hats:
@@ -322,7 +319,8 @@ def integrate(
     """Advance to t_end with per-step CFL re-evaluation.
 
     Observers are called after every accepted step.  On blowup the result
-    carries the last finite state together with the signal.
+    carries the last finite state together with a signal that was never
+    raised, holding the recent trace.
     """
     if t_end < state.t:
         raise ValueError(f"t_end = {t_end} lies before the state time {state.t}")
@@ -336,7 +334,7 @@ def integrate(
         dt = min(d for d in (ctrl.dt, adm, t_end - current.t) if d is not None)
         try:
             new = rk4_step(current, ctrl, dt=dt)
-        except BlowupDetected as exc:
+        except BlowupSignal as exc:
             signal = BlowupSignal(exc.t, exc.max_grad, exc.reason, list(trace))
             return IntegrationResult(current, signal, steps)
         grad = new.max_grad

@@ -13,8 +13,8 @@ Formulas are piecewise across x2 = 0; evaluation at x2 = 0 uses the
 x2 >= 0 branch.  All evaluators are defined on the whole plane and take
 arrays of points: a family's `sample` evaluates every point in one set of
 array operations.  Each family states its x2-partials once, in its
-dtheta_dx2 / domega_dx2 methods; the shared sampler derives the other
-partials from them.
+dtheta_dx2 / domega_dx2 methods, the carried profiles through one helper
+(_carried_dx2); the shared sampler derives the other partials from them.
 """
 
 from __future__ import annotations
@@ -96,6 +96,12 @@ def _coords(x1, x2, t):
     return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x1, x2, t)))
 
 
+def _carried_dx2(profile: Profile1D, x2, t):
+    """d/dx2 of profile.f(e^t x2), the x2-partial of a field carried by u2 = -x2."""
+    et = np.exp(t)
+    return et * profile.df(et * np.asarray(x2, dtype=float))
+
+
 def _carried(family, x2, t, theta, omega=None, omega_source=0.0, **velocity) -> OracleSample:
     """Sample of a family carried by u2 = -x2: fields of (e^t x2, t), independent of x1.
 
@@ -125,8 +131,7 @@ class WedgeSolution:
     theta0: Profile1D
 
     def dtheta_dx2(self, x2, t):
-        et = np.exp(t)
-        return et * self.theta0.df(et * np.asarray(x2, dtype=float))
+        return _carried_dx2(self.theta0, x2, t)
 
     def domega_dx2(self, x2, t):
         return np.zeros_like(np.asarray(x2, dtype=float))
@@ -229,12 +234,10 @@ class MovingDomainSolution:
     theta0: Profile1D
 
     def dtheta_dx2(self, x2, t):
-        et = np.exp(t)
-        return et * self.theta0.df(et * np.asarray(x2, dtype=float))
+        return _carried_dx2(self.theta0, x2, t)
 
     def domega_dx2(self, x2, t):
-        et = np.exp(t)
-        return et * self.omega0.df(et * np.asarray(x2, dtype=float))
+        return _carried_dx2(self.omega0, x2, t)
 
     def sample(self, x1, x2, t) -> OracleSample:
         x1, x2, t = _coords(x1, x2, t)
@@ -267,8 +270,7 @@ class ModifiedSolution:
     omega0: Profile1D
 
     def dtheta_dx2(self, x2, t):
-        et = np.exp(t)
-        return et * self.rho0.df(et * np.asarray(x2, dtype=float))
+        return _carried_dx2(self.rho0, x2, t)
 
     def domega_dx2(self, x2, t):
         if self.rho0.d2f is None:

@@ -19,6 +19,7 @@ import operator
 
 import numpy as np
 
+from .burgers import AxisProfile
 from .config import ConfigError, RunConfig
 from .dynamics import ModelKind, State
 from .oracles import (
@@ -101,9 +102,10 @@ def _eval_expr(expr: str, grid: Grid2D) -> np.ndarray:
     return np.broadcast_to(np.asarray(values, dtype=np.float64), grid.shape).copy()
 
 
-# ic presets usable in configs: name -> (restricted model, theta expr)
+# ic presets usable in configs: name -> (the one model it serves, theta0 expression,
+# exact axis trace theta0(x1, 0), whose Burgers solution convergence studies check)
 IC_PRESETS = {
-    "singular-cos": (ModelKind.SINGULAR_SCALAR, "cos(x1)*cos(x2)"),
+    "singular-cos": (ModelKind.SINGULAR_SCALAR, "cos(x1)*cos(x2)", AxisProfile(np.cos, lambda x: -np.sin(x))),
 }
 
 # full config documents for `run <preset>`
@@ -121,29 +123,28 @@ def build_initial_state(cfg: RunConfig, grid: Grid2D) -> State:
     """Fields at t = 0: the band spectra (see spectral.forward) of the
     config's ic / ic_omega data sampled on the grid.  Vorticity of nonzero
     mean is a ConfigError."""
-    theta_expr = cfg.ic
-    omega_expr = cfg.ic_omega or None
-    if not cfg.ic.startswith(_EXPR_PREFIX):
-        if cfg.ic not in IC_PRESETS:
-            known = ", ".join(sorted(IC_PRESETS))
-            raise ConfigError(
-                f"unknown ic preset {cfg.ic!r}; known presets: {known} "
-                f"(use '{_EXPR_PREFIX} <expression in x1, x2>' for custom data)"
-            )
-        model, theta_expr = IC_PRESETS[cfg.ic]
+    if cfg.ic.startswith(_EXPR_PREFIX):
+        theta_expr = cfg.ic[len(_EXPR_PREFIX):]
+    elif cfg.ic in IC_PRESETS:
+        model, theta_expr, _ = IC_PRESETS[cfg.ic]
         if model is not cfg.model:
             raise ConfigError(
                 f"ic preset {cfg.ic!r} belongs to model {model.value}, config says {cfg.model.value}"
             )
-        theta_expr = _EXPR_PREFIX + " " + theta_expr
-    theta = Field(grid, forward(grid, _eval_expr(theta_expr[len(_EXPR_PREFIX):], grid)))
+    else:
+        known = ", ".join(sorted(IC_PRESETS))
+        raise ConfigError(
+            f"unknown ic preset {cfg.ic!r}; known presets: {known} "
+            f"(use '{_EXPR_PREFIX} <expression in x1, x2>' for custom data)"
+        )
+    theta = Field(grid, forward(grid, _eval_expr(theta_expr, grid)))
     omega = None
     if cfg.model.evolves_vorticity:
-        if omega_expr is None:
+        if not cfg.ic_omega:
             raise ConfigError(f"model {cfg.model.value} needs an ic_omega expression")
-        if not omega_expr.startswith(_EXPR_PREFIX):
+        if not cfg.ic_omega.startswith(_EXPR_PREFIX):
             raise ConfigError(f"ic_omega must be an '{_EXPR_PREFIX} ...' expression")
-        omega = Field(grid, forward(grid, _eval_expr(omega_expr[len(_EXPR_PREFIX):], grid)))
+        omega = Field(grid, forward(grid, _eval_expr(cfg.ic_omega[len(_EXPR_PREFIX):], grid)))
         # Delta psi = omega is solvable on the periodic box only for zero-mean
         # omega; the equations conserve the mean, so the initial data decide
         mean = omega.hat[0, 0].real

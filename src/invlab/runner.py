@@ -12,13 +12,14 @@ from typing import Optional
 
 import numpy as np
 
-from .burgers import AxisProfile, BurgersSolution, evaluate_many
+from .burgers import BurgersSolution, evaluate_many
 from .config import ConfigError, RunConfig, config_echo
 from .diagnostics import l2_norm, min_axis_slope, residual, symmetry_error
-from .dynamics import ModelKind, State, StepControl, integrate
+from .dynamics import BlowupSignal, ModelKind, State, StepControl, integrate
 from .oracles import growth_envelope
-from .presets import SOLVER_PRESETS, build_initial_state, grid_for, oracle_solution
+from .presets import IC_PRESETS, build_initial_state, grid_for, oracle_solution
 from .snapshots import write_snapshot
+from .spectral import Grid2D
 
 __all__ = ["RunArtifacts", "run", "OracleCheckReport", "oracle_check", "convergence", "ConvergenceRow"]
 
@@ -56,7 +57,7 @@ def _retain_freed_memory() -> None:
 
 @dataclass
 class RunArtifacts:
-    blowup: Optional[object]
+    blowup: Optional[BlowupSignal]
     series_path: Path
     snapshot_paths: list[Path]
     steps: int
@@ -256,13 +257,9 @@ class ConvergenceRow:
     order: Optional[float]
 
 
-_COS_PROFILE = AxisProfile(np.cos, lambda x: -np.sin(x))
-
-
 def _axis_error(cfg: RunConfig, nx: int, dt: float, sol: BurgersSolution) -> float:
-    level_cfg = RunConfig(model=cfg.model, ic=cfg.ic, t_end=cfg.t_end, nx=nx, ny=nx, dt=dt, cfl=cfg.cfl)
-    grid = grid_for(level_cfg)
-    result = integrate(build_initial_state(level_cfg, grid), StepControl(dt=dt, cfl=cfg.cfl), cfg.t_end)
+    grid = Grid2D(nx, nx)
+    result = integrate(build_initial_state(cfg, grid), StepControl(dt=dt, cfl=cfg.cfl), cfg.t_end)
     axis = result.state.theta.values[:, 0]
     oracle = evaluate_many(sol, grid.x1, cfg.t_end)
     return float(np.max(np.abs(axis - oracle)))
@@ -273,15 +270,21 @@ def convergence(cfg: RunConfig, levels: int, mode: str = "temporal") -> list[Con
 
     temporal: halve dt per level on a fixed grid (RK4 order ~ 4).
     spatial: double nx per level at fixed small dt (spectral plateau).
-    Requires the singular-cos data, whose axis trace is exactly cos.
+    Requires an ic preset of the config's model, whose exact axis trace
+    IC_PRESETS holds.
     """
     if levels < 3:
         raise ConfigError(f"need at least 3 refinement levels, got {levels}")
     if mode not in ("temporal", "spatial"):
         raise ConfigError(f"mode must be 'temporal' or 'spatial', got {mode!r}")
-    if cfg.model is not ModelKind.SINGULAR_SCALAR or cfg.ic != "singular-cos":
-        raise ConfigError("convergence requires the singular-cos configuration (exact axis oracle)")
-    sol = BurgersSolution(_COS_PROFILE)
+    model, _, axis_trace = IC_PRESETS.get(cfg.ic, (None, None, None))
+    if model is not cfg.model:
+        known = ", ".join(sorted(IC_PRESETS))
+        raise ConfigError(
+            f"convergence requires an ic preset of model {cfg.model.value} (exact axis oracle); "
+            f"got ic {cfg.ic!r}, presets: {known}"
+        )
+    sol = BurgersSolution(axis_trace)
     if cfg.t_end >= sol.tstar:
         raise ConfigError(f"t_end must precede the axis blowup time {sol.tstar}")
     _retain_freed_memory()
@@ -302,14 +305,3 @@ def convergence(cfg: RunConfig, levels: int, mode: str = "temporal") -> list[Con
             order = math.log2(errors[i - 1] / err)
         rows.append(ConvergenceRow(i, nx, dt, err, order))
     return rows
-
-
-def resolve_run_config_text(name_or_path: str) -> str:
-    """Config text for `run`: a preset name or a file path."""
-    if name_or_path in SOLVER_PRESETS:
-        return SOLVER_PRESETS[name_or_path]
-    path = Path(name_or_path)
-    if not path.exists():
-        known = ", ".join(sorted(SOLVER_PRESETS))
-        raise ConfigError(f"{name_or_path!r} is neither a config file nor a preset (presets: {known})")
-    return path.read_text()

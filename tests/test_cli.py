@@ -488,6 +488,13 @@ class TestSeriesTools:
         assert run_cli("fit-growth", str(series_csv), "--column", "enstrophy") == EXIT_VALIDATION
         assert "enstrophy" in capsys.readouterr().err
 
+    def test_column_takes_a_name_not_an_index(self, series_csv, capsys):
+        assert run_cli("fit-growth", str(series_csv), "--column", "3") == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: {series_csv}: no column '3'; "
+            "available: t, l2_theta, linf_theta, sup_grad_theta, min_axis_slope\n"
+        )
+
     def test_bad_window_format(self, series_csv):
         assert run_cli("fit-growth", str(series_csv), "--window", "0.8") == EXIT_VALIDATION
 

@@ -86,6 +86,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match="t_end"):
             parse_config("model = singular-scalar\nic = singular-cos\nt_end = -1\n")
 
+    @pytest.mark.parametrize("key", ["output.series_interval", "output.snapshot_interval"])
+    def test_negative_output_interval_rejected(self, key):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + f"{key} = -0.1\n")
+        assert str(err.value) == "output intervals must be nonnegative"
+
+    def test_empty_key_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + " = 1\n")
+        assert str(err.value) == "line 5: empty key"
+
     def test_dt_zero_means_cfl_chosen(self):
         cfg = parse_config(MINIMAL + "dt = 0\n")
         assert cfg.dt is None

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import weakref
 
@@ -342,6 +343,21 @@ class TestIntegrate:
         assert result.blowup is not None
         assert result.blowup.reason == "non-finite"
         assert result.state is state
+        # a fresh signal: the raised one's traceback holds the step's frames
+        assert result.blowup.__traceback__ is None
+
+    def test_non_finite_gradient_after_a_step_becomes_blowup_signal(self, monkeypatch):
+        # a step whose fields stay finite but whose max|grad theta| does not
+        grad = State.max_grad
+        monkeypatch.setattr(State, "max_grad", property(lambda s: math.inf if s.t > 0 else grad.func(s)))
+        start = cos_cos_state()
+        result = integrate(start, StepControl(dt=1e-2), 1.0)
+        assert result.blowup.reason == "non-finite"
+        assert result.blowup.t == 1e-2
+        assert result.state is start
+        assert result.steps == 0
+        assert result.blowup.trace == []
+        assert result.blowup.__traceback__ is None
 
     def test_gradient_ceiling_raises_signal(self):
         state = cos_cos_state()
@@ -404,7 +420,7 @@ def complex_fft_rk4_step(state, dt):
     ky_deriv[grid.ny // 2] = 0.0
     ikx = 1j * kx_deriv[:, None]
     iky = 1j * ky_deriv[None, :]
-    keep = (np.abs(k1int) <= grid.nx / 3.0)[:, None] & (np.abs(k2int) <= grid.ny / 3.0)[None, :]
+    keep = (np.abs(k1int) < grid.nx / 3.0)[:, None] & (np.abs(k2int) < grid.ny / 3.0)[None, :]
 
     def fwd(values):
         return np.fft.fft2(values) / values.size
@@ -494,9 +510,11 @@ class TestHalfSpectrumStep:
                 if d is not None:
                     self.assert_real_field_spectrum(self.GRID, d)
 
+    # 3 divides 48 and 30, where a cut at |k| <= n/3 would keep a mode that products alias onto
+    @pytest.mark.parametrize("grid", [Grid2D(32, 32), Grid2D(48, 48), Grid2D(30, 40)], ids=lambda g: f"{g.nx}x{g.ny}")
     @pytest.mark.parametrize("model", list(ModelKind))
-    def test_step_matches_complex_fft_reference(self, model):
-        state = random_state(model, self.GRID, seed=4)
+    def test_step_matches_complex_fft_reference(self, model, grid):
+        state = random_state(model, grid, seed=4)
         dt = 0.5 * admissible_dt(state, StepControl())
         new = rk4_step(state, StepControl(dt=dt))
         reference = complex_fft_rk4_step(state, dt)

@@ -116,3 +116,27 @@ class TestInitialState:
         assert str(err.value) == (
             "vorticity has nonzero mean 1.000e+00; the periodic Poisson problem is not solvable"
         )
+
+    @pytest.mark.parametrize(
+        "model, lines, message",
+        [
+            (
+                "boussinesq",
+                "ic = singular-cos\nic_omega = expr: sin(x2)\n",
+                "ic preset 'singular-cos' belongs to model singular-scalar, config says boussinesq",
+            ),
+            ("boussinesq", "ic = expr: sin(x2)\n", "model boussinesq needs an ic_omega expression"),
+            (
+                "modified-boussinesq",
+                "ic = expr: sin(x2)\nic_omega = sin(x2)\n",
+                "ic_omega must be an 'expr: ...' expression",
+            ),
+            ("singular-scalar", "ic = singular-cos\nic_omega = expr: sin(x2)\n", "the scalar model takes no ic_omega"),
+        ],
+        ids=["preset-of-another-model", "missing-ic-omega", "ic-omega-without-expr", "scalar-with-ic-omega"],
+    )
+    def test_rejects_initial_data_the_model_cannot_take(self, model, lines, message):
+        cfg = parse_config(f"model = {model}\nt_end = 1\nnx = 32\nny = 16\n" + lines)
+        with pytest.raises(ConfigError) as err:
+            presets.build_initial_state(cfg, presets.grid_for(cfg))
+        assert str(err.value) == message
