@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import ModelKind, State
-from .spectral import Field, ddx2, forward, gradient, inverse
+from .spectral import Field
 
 __all__ = [
     "TimeSeries",
@@ -19,7 +19,6 @@ __all__ = [
     "fit_growth_rate",
     "extrapolate_blowup",
     "residual",
-    "residual_from_states",
     "symmetry_error",
     "l2_norm",
 ]
@@ -159,42 +158,6 @@ def residual(sampler, model: ModelKind, points: Sequence[tuple[float, float, flo
         rhs = _require(s.dtheta_dx1, "dtheta_dx1")
     else:
         rhs = -2.0 * _require(s.theta, "theta") * _require(s.dtheta_dx2, "dtheta_dx2")
-    return max_theta, float(np.max(np.abs(lhs - rhs)))
-
-
-def _central_dt(prev: np.ndarray, mid: np.ndarray, nxt: np.ndarray, h1: float, h2: float) -> np.ndarray:
-    # second-order central difference, robust to mildly nonuniform spacing
-    return (h1 * h1 * nxt - h2 * h2 * prev + (h2 * h2 - h1 * h1) * mid) / (h1 * h2 * (h1 + h2))
-
-
-def residual_from_states(prev: State, mid: State, nxt: State):
-    """PDE residual of a numerical run measured on a snapshot triple.
-
-    Space derivatives are spectral on the middle snapshot, and the
-    theta^2 forcing is band-projected as in the tendency; the time
-    derivative is a second-order central difference across the triple.
-    Returns the same (theta, omega) pair as residual(), maximized over
-    grid nodes.
-    """
-    if not (prev.model is mid.model is nxt.model):
-        raise ValueError("snapshots come from different models")
-    if not (prev.t < mid.t < nxt.t):
-        raise ValueError("snapshots must be time-ordered")
-    h1, h2 = mid.t - prev.t, nxt.t - mid.t
-    kin = mid.kinematics
-    dtheta_dt = _central_dt(prev.theta.values, mid.theta.values, nxt.theta.values, h1, h2)
-    res_theta = dtheta_dt + kin.u1 * kin.dtheta_dx1 + kin.u2 * kin.dtheta_dx2
-    max_theta = float(np.max(np.abs(res_theta)))
-    if mid.model is ModelKind.SINGULAR_SCALAR:
-        return max_theta, None
-    wx1, wx2 = gradient(mid.omega)
-    domega_dt = _central_dt(prev.omega.values, mid.omega.values, nxt.omega.values, h1, h2)
-    lhs = domega_dt + kin.u1 * wx1 + kin.u2 * wx2
-    if mid.model is ModelKind.BOUSSINESQ:
-        rhs = kin.dtheta_dx1
-    else:
-        grid = mid.grid
-        rhs = -inverse(grid, ddx2(grid, forward(grid, mid.theta.values**2)))
     return max_theta, float(np.max(np.abs(lhs - rhs)))
 
 

@@ -30,7 +30,7 @@ from .oracles import (
     WedgeSolution,
     PROFILES,
 )
-from .spectral import Field, Grid2D, forward
+from .spectral import Field, Grid2D, NonFiniteFieldError, forward
 
 __all__ = [
     "IC_PRESETS",
@@ -96,10 +96,19 @@ def _eval_expr(expr: str, grid: Grid2D) -> np.ndarray:
     and calls of the _NAMESPACE functions."""
     x1, x2 = np.meshgrid(grid.x1, grid.x2, indexing="ij", sparse=True)
     try:
-        values = _walk(ast.parse(expr.strip(), mode="eval").body, {"x1": x1, "x2": x2, "pi": math.pi})
+        with np.errstate(all="ignore"):  # forward names the first non-finite node instead
+            values = _walk(ast.parse(expr.strip(), mode="eval").body, {"x1": x1, "x2": x2, "pi": math.pi})
     except Exception as exc:
         raise ConfigError(f"cannot evaluate expression {expr!r}: {exc}") from None
     return np.broadcast_to(np.asarray(values, dtype=np.float64), grid.shape).copy()
+
+
+def _band_field(key: str, expr: str, grid: Grid2D) -> Field:
+    """The band field of config key `key`'s expression; non-finite data is a ConfigError."""
+    try:
+        return Field(grid, forward(grid, _eval_expr(expr, grid)))
+    except NonFiniteFieldError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 # ic presets usable in configs: name -> (the one model it serves, theta0 expression,
@@ -137,18 +146,19 @@ def build_initial_state(cfg: RunConfig, grid: Grid2D) -> State:
             f"unknown ic preset {cfg.ic!r}; known presets: {known} "
             f"(use '{_EXPR_PREFIX} <expression in x1, x2>' for custom data)"
         )
-    theta = Field(grid, forward(grid, _eval_expr(theta_expr, grid)))
+    theta = _band_field("ic", theta_expr, grid)
     omega = None
     if cfg.model.evolves_vorticity:
         if not cfg.ic_omega:
             raise ConfigError(f"model {cfg.model.value} needs an ic_omega expression")
         if not cfg.ic_omega.startswith(_EXPR_PREFIX):
             raise ConfigError(f"ic_omega must be an '{_EXPR_PREFIX} ...' expression")
-        omega = Field(grid, forward(grid, _eval_expr(cfg.ic_omega[len(_EXPR_PREFIX):], grid)))
+        omega = _band_field("ic_omega", cfg.ic_omega[len(_EXPR_PREFIX):], grid)
         # Delta psi = omega is solvable on the periodic box only for zero-mean
-        # omega; the equations conserve the mean, so the initial data decide
+        # omega; the equations conserve the mean, so the initial data decide,
+        # up to roundoff on the scale of the data's largest coefficient
         mean = omega.hat[0, 0].real
-        if abs(mean) > 1e-10:
+        if abs(mean) > 1e-10 * max(1.0, float(np.max(np.abs(omega.hat)))):
             raise ConfigError(
                 f"vorticity has nonzero mean {mean:.3e}; the periodic Poisson problem is not solvable"
             )

@@ -123,7 +123,8 @@ def run(cfg: RunConfig, output_dir: Optional[Path] = None) -> RunArtifacts:
     conservation.csv and symmetry.csv are written when `diagnostics` names
     them.  Every CSV row is written and flushed as its state is measured,
     so partial artifacts survive a blowup signal or a crash; the signal
-    is recorded in meta.txt and reported in the returned artifacts.
+    is recorded in meta.txt and reported in the returned artifacts.  In a
+    used directory, an earlier run's meta.txt, CSVs and snapshots go first.
     """
     start = time.perf_counter()
     _retain_freed_memory()
@@ -131,6 +132,9 @@ def run(cfg: RunConfig, output_dir: Optional[Path] = None) -> RunArtifacts:
     pending = [build_initial_state(cfg, grid_for(cfg))]
     outdir = Path(output_dir) if output_dir is not None else Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
+    owned = [outdir / "meta.txt", *(outdir / f"{name}.csv" for name in CSV_COLUMNS)]
+    for path in owned + list(outdir.glob("snapshot-*.bin")):
+        path.unlink(missing_ok=True)
     ctrl = StepControl(dt=cfg.dt, cfl=cfg.cfl, max_grad=cfg.max_grad)
 
     series_path = outdir / "series.csv"

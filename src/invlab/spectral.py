@@ -155,7 +155,7 @@ def forward(grid: Grid2D, values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         j, k = np.argwhere(~np.isfinite(values))[0]
         raise NonFiniteFieldError(
-            f"non-finite field value {values[j, k]!r} at node ({j}, {k}), "
+            f"non-finite field value {float(values[j, k])} at node ({j}, {k}), "
             f"x = ({j * grid.dx:.6g}, {k * grid.dy:.6g})"
         )
     out = np.empty(grid.half_shape, dtype=np.complex128)

@@ -11,6 +11,7 @@ import invlab
 from invlab import cli
 from invlab.cli import EXIT_BLOWUP, EXIT_ERROR, EXIT_OK, EXIT_ORACLE_FAIL, EXIT_VALIDATION, main
 from invlab.snapshots import read_snapshot
+from invlab.spectral import Grid2D
 
 SMALL_RUN = ["--set", "nx=32", "--set", "ny=32", "--set", "t_end=0.05", "--set", "dt=0.002"]
 
@@ -38,11 +39,16 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def run_fresh_interpreter(script: str) -> str:
-    """stdout of `script` run by a new interpreter that imports this checkout's invlab."""
+def fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
+    """A new interpreter that imports this checkout's invlab, run with `args`."""
     src = str(Path(invlab.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def run_fresh_interpreter(script: str) -> str:
+    """stdout of `script` run by a new interpreter that imports this checkout's invlab."""
+    proc = fresh_interpreter("-c", script)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -98,6 +104,21 @@ class TestRun:
         assert (out / "conservation.csv").exists()
         assert (out / "symmetry.csv").exists()
 
+    def test_a_rerun_into_a_used_directory_leaves_no_earlier_artifact(self, tmp_path):
+        base = "model = singular-scalar\nic = singular-cos\nnx = 16\nny = 16\ndt = 0.005\n"
+        first, second = tmp_path / "first.cfg", tmp_path / "second.cfg"
+        first.write_text(base + "t_end = 0.02\noutput.snapshot_interval = 0.005\ndiagnostics = conservation\n")
+        second.write_text(base + "t_end = 0.01\n")
+        out = tmp_path / "out"
+        assert run_cli("run", str(first), "--output", str(out)) == EXIT_OK
+        assert (out / "snapshot-0004.bin").exists()
+        (out / "notes.txt").write_text("kept")
+        assert run_cli("run", str(second), "--output", str(out)) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == [
+            "meta.txt", "notes.txt", "series.csv", "snapshot-0000.bin", "snapshot-0001.bin"
+        ]
+        assert read_snapshot(out / "snapshot-0001.bin")[0] == pytest.approx(0.01, abs=1e-12)
+
     def test_unknown_preset_or_path(self, capsys):
         assert run_cli("run", "no-such-thing") == EXIT_VALIDATION
         assert "preset" in capsys.readouterr().err
@@ -128,6 +149,39 @@ class TestRun:
         # vorticity models report no axis slope
         last = (out / "series.csv").read_text().splitlines()[-1]
         assert last.endswith("nan")
+
+    # x1-independent or x2-independent families whose advection terms vanish
+    # and whose fields are linear in t, so RK4 reproduces them to roundoff
+    EXACT_FAMILIES = {
+        # theta = sin x1, omega = t cos x1
+        "boussinesq": ("sin(x1)", "0*x1", lambda x1, x2: np.sin(x1), lambda x1, x2, t: t * np.cos(x1)),
+        # theta = sin x2, omega = sin x2 - t sin 2x2
+        "modified-boussinesq": (
+            "sin(x2)",
+            "sin(x2)",
+            lambda x1, x2: np.sin(x2),
+            lambda x1, x2, t: np.sin(x2) - t * np.sin(2 * x2),
+        ),
+    }
+
+    @pytest.mark.parametrize("model", sorted(EXACT_FAMILIES))
+    def test_vorticity_run_matches_the_exact_family(self, tmp_path, model):
+        # config -> presets -> runner -> snapshots, checked against the closed form
+        ic, ic_omega, theta_exact, omega_exact = self.EXACT_FAMILIES[model]
+        cfg = tmp_path / "exact.cfg"
+        cfg.write_text(
+            f"model = {model}\nic = expr: {ic}\nic_omega = expr: {ic_omega}\n"
+            "t_end = 0.5\nnx = 32\nny = 32\ndt = 0.01\n"
+        )
+        out = tmp_path / "out"
+        assert run_cli("run", str(cfg), "--output", str(out)) == EXIT_OK
+        meta = (out / "meta.txt").read_text().splitlines()
+        assert "steps = 50" in meta and "blowup = none" in meta
+        t, fields, _ = read_snapshot(sorted(out.glob("snapshot-*.bin"))[-1])
+        assert t == pytest.approx(0.5, abs=1e-12)
+        x1, x2 = Grid2D(32, 32).mesh()
+        assert np.max(np.abs(fields["theta"] - theta_exact(x1, x2))) <= 1e-12
+        assert np.max(np.abs(fields["omega"] - omega_exact(x1, x2, t))) <= 1e-12
 
     def test_vorticity_with_nonzero_mean_exits_2(self, tmp_path, capsys):
         # no periodic stream function has a vorticity of nonzero mean
@@ -214,6 +268,27 @@ class TestRun:
         monkeypatch.setattr(cli, "run", failing_run)
         assert run_cli("run", "singular-cos") == EXIT_ERROR
         assert capsys.readouterr().err == "error: RuntimeError: solver crashed\n"
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("model = singular-scalar\nic = expr: log(x1)\n", "ic: non-finite field value -inf"),
+            (
+                "model = boussinesq\nic = expr: sin(x2)\nic_omega = expr: sqrt(-1 + 0*x1)\n",
+                "ic_omega: non-finite field value nan",
+            ),
+        ],
+        ids=["ic", "ic_omega"],
+    )
+    def test_non_finite_initial_data_exits_2_with_one_line_naming_the_key(self, tmp_path, lines, message):
+        # a fresh interpreter, so that a numpy warning would reach stderr as it does for users
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(lines + "t_end = 0.01\nnx = 16\nny = 16\n")
+        out = tmp_path / "out"
+        proc = fresh_interpreter("-m", "invlab.cli", "run", str(cfg), "--output", str(out))
+        assert proc.returncode == EXIT_VALIDATION
+        assert proc.stderr == f"error: {message} at node (0, 0), x = (0, 0)\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", ["dt", "max_grad", "t_end", "cfl"])

@@ -12,10 +12,9 @@ from invlab.diagnostics import (
     l2_norm,
     min_axis_slope,
     residual,
-    residual_from_states,
     symmetry_error,
 )
-from invlab.dynamics import ModelKind, State, StepControl, rk4_step
+from invlab.dynamics import ModelKind, State
 from invlab.oracles import ModifiedSolution, MovingDomainSolution, UniformScalarSolution, WedgeSolution, PROFILES
 from invlab.presets import oracle_solution
 from invlab.runner import run
@@ -197,48 +196,6 @@ class TestResidual:
 
         with pytest.raises(ValueError, match="domega_dt"):
             residual(broken, ModelKind.MODIFIED_BOUSSINESQ, [(0.0, 0.5, 0.5)])
-
-
-class TestResidualFromStates:
-    def _snapshot_triple(self, dt, model=ModelKind.BOUSSINESQ):
-        grid = Grid2D(48, 48)
-        x1, x2 = grid.mesh()
-        theta = Field(grid, forward(grid, np.sin(x1) * np.cos(x2)))
-        omega = Field(grid, forward(grid, np.cos(x1) * np.sin(2 * x2)))
-        state = State(model, 0.0, theta, omega)
-        ctrl = StepControl(dt=dt)
-        s1 = rk4_step(state, ctrl)
-        s2 = rk4_step(s1, ctrl)
-        return state, s1, s2
-
-    def test_second_order_in_snapshot_spacing(self):
-        # both vorticity forcings: d(theta)/dx1, and the band-projected d(theta^2)/dx2
-        for model in (ModelKind.BOUSSINESQ, ModelKind.MODIFIED_BOUSSINESQ):
-            errors = []
-            for dt in (1e-2, 5e-3):
-                prev, mid, nxt = self._snapshot_triple(dt, model)
-                res_theta, res_omega = residual_from_states(prev, mid, nxt)
-                errors.append(max(res_theta, res_omega))
-            assert errors[0] < 1e-3, model
-            assert 3.0 < errors[0] / errors[1] < 5.0, model
-
-    @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
-    def test_a_middle_state_already_stepped_from_gives_the_same_residual(self, model):
-        # stepping from mid releases its kinematics; the residual computes them anew
-        fns = [lambda x1, x2: np.sin(x1) * np.cos(x2), lambda x1, x2: np.cos(x1) * np.sin(2 * x2)]
-        fields = [Field(GRID, forward(GRID, fn(X1, X2))) for fn in fns[: 2 if model.evolves_vorticity else 1]]
-        ctrl = StepControl(dt=1e-2)
-        prev = State(model, 0.0, *fields)
-        mid = rk4_step(prev, ctrl)
-        fresh = State(model, mid.t, *mid.fields)
-        nxt = rk4_step(mid, ctrl)
-        assert "kinematics" not in vars(mid)
-        assert residual_from_states(prev, mid, nxt) == residual_from_states(prev, fresh, nxt)
-
-    def test_rejects_unordered_snapshots(self):
-        prev, mid, nxt = self._snapshot_triple(1e-2)
-        with pytest.raises(ValueError, match="ordered"):
-            residual_from_states(mid, prev, nxt)
 
 
 class TestSymmetryError:

@@ -285,6 +285,17 @@ class TestKinematicsRelease:
         fresh = cos_cos_state()
         assert maxima == (fresh.max_speed, fresh.max_grad, admissible_dt(fresh, ctrl))
 
+    @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
+    def test_a_state_stepped_from_recomputes_its_kinematics_identically(self, model):
+        fields = [Field(GRID, forward(GRID, fn(X1, X2))) for fn in INITIAL_DATA[model]]
+        ctrl = StepControl(dt=1e-2)
+        mid = rk4_step(State(model, 0.0, *fields), ctrl)
+        rk4_step(mid, ctrl)
+        assert "kinematics" not in vars(mid)
+        fresh = State(model, mid.t, *mid.fields).kinematics
+        for name in ("u1", "u2", "dtheta_dx1", "dtheta_dx2"):
+            assert np.array_equal(getattr(mid.kinematics, name), getattr(fresh, name)), name
+
     def test_a_step_peaks_below_twelve_nodal_arrays(self):
         # the start state's kinematics are gone before stages k2-k4 build theirs
         grid = Grid2D(256, 256)
