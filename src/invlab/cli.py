@@ -38,7 +38,10 @@ def _parse_window(text: str) -> tuple[float, float]:
 
 
 def _load_series_column(path: str, column: str) -> TimeSeries:
-    data = np.genfromtxt(path, delimiter=",", names=True)
+    lines = Path(path).read_text().splitlines()
+    if not any(line.strip() for line in lines):  # genfromtxt would warn, then fail on no names
+        raise ConfigError(f"{path}: no CSV header found")
+    data = np.genfromtxt(lines, delimiter=",", names=True)
     if data.dtype.names is None:
         raise ConfigError(f"{path}: no CSV header found")
     names = data.dtype.names

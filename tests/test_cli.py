@@ -1,13 +1,10 @@
 import ctypes
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import fresh_interpreter
 
-import invlab
 from invlab import cli
 from invlab.cli import EXIT_BLOWUP, EXIT_ERROR, EXIT_OK, EXIT_ORACLE_FAIL, EXIT_VALIDATION, main
 from invlab.snapshots import read_snapshot
@@ -37,13 +34,6 @@ def glibc_mallopt() -> bool:
 
 def run_cli(*argv):
     return main(list(argv))
-
-
-def fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
-    """A new interpreter that imports this checkout's invlab, run with `args`."""
-    src = str(Path(invlab.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
 def run_fresh_interpreter(script: str) -> str:
@@ -586,3 +576,13 @@ class TestSeriesTools:
         path.write_text("t,l2_theta,linf_theta,sup_grad_theta,min_axis_slope\n" + rows)
         assert run_cli(command, str(path), "--column", "min_axis_slope") == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {path}: column 'min_axis_slope' has no finite values\n"
+
+    # a fresh interpreter shows what a user sees: numpy's warnings print to stderr there
+    @pytest.mark.parametrize("command", ["fit-growth", "blowup-est"])
+    def test_empty_file_exits_2_with_one_line(self, tmp_path, command):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        proc = fresh_interpreter("-m", "invlab.cli", command, str(path))
+        assert proc.returncode == EXIT_VALIDATION
+        assert proc.stderr == f"error: {path}: no CSV header found\n"
+        assert "Warning" not in proc.stderr
