@@ -1,20 +1,26 @@
 """Closed-form space-time solution families with exact partial derivatives.
 
-Three families share the compressing velocity u2 = -x2 and the transported
-profile structure f0(exp(t) x2):
+Every family but the stationary one is carried by the flow u2 = -x2: with
+s = e^t x2 it is one CarriedSolution,
 
-  wedge           piecewise-constant vorticity, theta = theta0(e^t x2)
-  moving domain   vorticity omega0(e^t x2) with stream coefficient sigma
-                  reconstructed from d2/dx2^2 (sigma x2^2) = 2 omega0(e^t x2)
-  modified        x1-independent pair rho = rho0(e^t x2),
-                  omega = omega0(e^t x2) - 2(e^t - 1) rho0 rho0'(e^t x2)
+  theta = theta0(s),  omega = omega0(s) - (e^t - 1) q(s)  (q absent: 0),
+
+and adds only what is its own:
+
+  wedge           omega0 = +-1, closed-form psi and u1
+  moving domain   psi and u1 from the stream coefficient sigma, reconstructed
+                  from d2/dx2^2 (sigma x2^2) = 2 omega0(e^t x2)
+  modified        q = (rho0^2)' = 2 rho0 rho0' and no u1
+
+Along u2 = -x2 each t-partial is x2 times the x2-partial, plus the
+vorticity's explicit source -e^t q(s); the x1-partials vanish.  So for a
+carried family the theta residual and the Boussinesq omega residual of
+diagnostics.residual are x2 df/dx2 - x2 df/dx2 = 0 whatever psi and u1
+are, and the modified omega residual is e^t ((theta0^2)' - q)(s), zero
+for the modified family's q.
 
 Formulas are piecewise across x2 = 0; evaluation at x2 = 0 uses the
-x2 >= 0 branch.  All evaluators are defined on the whole plane and take
-arrays of points: a family's `sample` evaluates every point in one set of
-array operations.  Each family states its x2-partials once, in its
-dtheta_dx2 / domega_dx2 methods, the carried profiles through one helper
-(_carried_dx2); the shared sampler derives the other partials from them.
+x2 >= 0 branch.  All evaluators take arrays of points.
 """
 
 from __future__ import annotations
@@ -31,10 +37,10 @@ from .diagnostics import TimeSeries
 __all__ = [
     "Profile1D",
     "OracleSample",
+    "CarriedSolution",
     "WedgeSolution",
     "MovingDomainSolution",
     "ModifiedSolution",
-    "PrintedOscillatorySolution",
     "UniformScalarSolution",
     "sigma_from_omega0",
     "growth_envelope",
@@ -96,51 +102,59 @@ def _coords(x1, x2, t):
     return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x1, x2, t)))
 
 
-def _carried_dx2(profile: Profile1D, x2, t):
-    """d/dx2 of profile.f(e^t x2), the x2-partial of a field carried by u2 = -x2."""
-    et = np.exp(t)
-    return et * profile.df(et * np.asarray(x2, dtype=float))
-
-
-def _carried(family, x2, t, theta, omega=None, omega_source=0.0, **velocity) -> OracleSample:
-    """Sample of a family carried by u2 = -x2: fields of (e^t x2, t), independent of x1.
-
-    The x2-partials are the family's own dtheta_dx2 / domega_dx2.  Along
-    u2 = -x2 each t-partial is x2 times the x2-partial, plus the explicit
-    source omega_source of the vorticity; the x1-partials vanish.
-    velocity passes u1 and psi through.
-    """
-    zero = np.zeros_like(x2)
-    dtheta_dx2 = family.dtheta_dx2(x2, t)
-    if omega is not None:
-        dw = family.domega_dx2(x2, t)
-        velocity.update(omega=omega, domega_dt=x2 * dw + omega_source, domega_dx1=zero, domega_dx2=dw)
-    return OracleSample(
-        theta=theta, u2=-x2, dtheta_dt=x2 * dtheta_dx2, dtheta_dx1=zero, dtheta_dx2=dtheta_dx2, **velocity
-    )
-
-
 @dataclass(frozen=True)
-class WedgeSolution:
+class CarriedSolution:
+    """theta = theta0(s) and omega = omega0(s) - (e^t - 1) q(s), s = e^t x2, with u2 = -x2.
+
+    velocity(x1, x2, t) gives (u1, psi); without it samples carry neither.
+    """
+
+    theta0: Profile1D
+    omega0: Profile1D
+    q: Optional[Profile1D] = None
+    velocity: Optional[Callable] = None
+
+    def dtheta_dx2(self, x2, t):
+        et = np.exp(t)
+        return et * self.theta0.df(et * np.asarray(x2, dtype=float))
+
+    def domega_dx2(self, x2, t):
+        et = np.exp(t)
+        s = et * np.asarray(x2, dtype=float)
+        if self.q is None:
+            return et * self.omega0.df(s)
+        return et * (self.omega0.df(s) - (et - 1.0) * self.q.df(s))
+
+    def sample(self, x1, x2, t) -> OracleSample:
+        x1, x2, t = _coords(x1, x2, t)
+        et = np.exp(t)
+        s = et * x2
+        zero = np.zeros_like(x2)
+        dtheta, domega = self.dtheta_dx2(x2, t), self.domega_dx2(x2, t)
+        omega, domega_dt = self.omega0.f(s), x2 * domega
+        if self.q is not None:
+            q = self.q.f(s)
+            # the explicit e^t of the factor (e^t - 1) gives d omega/dt its source -e^t q
+            omega, domega_dt = omega - (et - 1.0) * q, domega_dt - et * q
+        u1, psi = self.velocity(x1, x2, t) if self.velocity else (None, None)
+        return OracleSample(
+            theta=self.theta0.f(s), u2=-x2, dtheta_dt=x2 * dtheta, dtheta_dx1=zero, dtheta_dx2=dtheta,
+            u1=u1, psi=psi, omega=omega, domega_dt=domega_dt, domega_dx1=zero, domega_dx2=domega,
+        )
+
+
+def _wedge_velocity(x1, x2, t):
+    sgn = _sign(x2)
+    return -sgn * x2 + x1, sgn * x2 * x2 / 2.0 - x1 * x2
+
+
+def WedgeSolution(theta0: Profile1D) -> CarriedSolution:
     """Fields on the wedge between x2 = 2 x1 and x2 = -2 x1.
 
     psi = +-x2^2/2 - x1 x2, u1 = -+x2 + x1, u2 = -x2, omega = +-1,
     theta = theta0(e^t x2) with theta0 odd.
     """
-
-    theta0: Profile1D
-
-    def dtheta_dx2(self, x2, t):
-        return _carried_dx2(self.theta0, x2, t)
-
-    def domega_dx2(self, x2, t):
-        return np.zeros_like(np.asarray(x2, dtype=float))
-
-    def sample(self, x1, x2, t) -> OracleSample:
-        x1, x2, t = _coords(x1, x2, t)
-        sgn = _sign(x2)
-        theta = self.theta0.f(np.exp(t) * x2)
-        return _carried(self, x2, t, theta, sgn, psi=sgn * x2 * x2 / 2.0 - x1 * x2, u1=-sgn * x2 + x1)
+    return CarriedSolution(theta0, PROFILES["sign"], velocity=_wedge_velocity)
 
 
 # Gauss-Legendre nodes of the sigma quadrature; the 2n-node rule checks the n-node one
@@ -222,96 +236,34 @@ def sigma_from_omega0(omega0: Profile1D, x2, t):
     return _sigma_terms(omega0, x2, t)[0]
 
 
-@dataclass(frozen=True)
-class MovingDomainSolution:
+def MovingDomainSolution(omega0: Profile1D, theta0: Profile1D) -> CarriedSolution:
     """Smooth fields in the domain bounded by 2 x1 = +-sigma(x2, t) x2.
 
     omega = omega0(e^t x2), theta = theta0(e^t x2), u2 = -x2, and
     psi = +-sigma x2^2/2 - x1 x2 with sigma from sigma_from_omega0.
     """
 
-    omega0: Profile1D
-    theta0: Profile1D
-
-    def dtheta_dx2(self, x2, t):
-        return _carried_dx2(self.theta0, x2, t)
-
-    def domega_dx2(self, x2, t):
-        return _carried_dx2(self.omega0, x2, t)
-
-    def sample(self, x1, x2, t) -> OracleSample:
-        x1, x2, t = _coords(x1, x2, t)
+    def velocity(x1, x2, t):
         sgn = _sign(x2)
-        s = np.exp(t) * x2
-        sigma, dsigma = _sigma_terms(self.omega0, x2, t)
-        return _carried(
-            self, x2, t, self.theta0.f(s), self.omega0.f(s),
-            psi=sgn * sigma * x2 * x2 / 2.0 - x1 * x2,
-            u1=-sgn * (sigma * x2 + 0.5 * x2 * x2 * dsigma) + x1,
-        )
+        sigma, dsigma = _sigma_terms(omega0, x2, t)
+        return -sgn * (sigma * x2 + 0.5 * x2 * x2 * dsigma) + x1, sgn * sigma * x2 * x2 / 2.0 - x1 * x2
+
+    return CarriedSolution(theta0, omega0, velocity=velocity)
 
 
-def _modified_omega_terms(rho0: Profile1D, omega0: Profile1D, s, et):
-    """Q = (rho0^2)' = 2 rho0 rho0' and omega = omega0(s) - (e^t - 1) Q(s)."""
-    q = 2.0 * rho0.f(s) * rho0.df(s)
-    return q, omega0.f(s) - (et - 1.0) * q
-
-
-@dataclass(frozen=True)
-class ModifiedSolution:
+def ModifiedSolution(rho0: Profile1D, omega0: Profile1D) -> CarriedSolution:
     """x1-independent family of the quadratic-forcing vorticity system.
 
-    rho = rho0(e^t x2), u2 = -x2, and
-    omega = omega0(e^t x2) - 2 (e^t - 1) rho0(e^t x2) rho0'(e^t x2).
-    The reduced system never references u1, so samples carry none.
+    rho = rho0(e^t x2), u2 = -x2 and omega = omega0(e^t x2) - (e^t - 1) q(e^t x2)
+    with q = (rho0^2)' = 2 rho0 rho0', so q' = 2 (rho0'^2 + rho0 rho0'') needs
+    rho0.d2f.  The reduced system never references u1, so samples carry none.
     """
-
-    rho0: Profile1D
-    omega0: Profile1D
-
-    def dtheta_dx2(self, x2, t):
-        return _carried_dx2(self.rho0, x2, t)
-
-    def domega_dx2(self, x2, t):
-        if self.rho0.d2f is None:
-            raise ValueError(f"profile {self.rho0.name or 'anonymous'} needs d2f for the modified family")
-        et = np.exp(t)
-        s = et * np.asarray(x2, dtype=float)
-        dq = 2.0 * (self.rho0.df(s) ** 2 + self.rho0.f(s) * self.rho0.d2f(s))
-        return et * (self.omega0.df(s) - (et - 1.0) * dq)
-
-    def sample(self, x1, x2, t) -> OracleSample:
-        x1, x2, t = _coords(x1, x2, t)
-        et = np.exp(t)
-        s = et * x2
-        q, omega = _modified_omega_terms(self.rho0, self.omega0, s, et)
-        # the explicit e^t of the factor (e^t - 1) gives d omega/dt its source -e^t Q
-        return _carried(self, x2, t, self.rho0.f(s), omega, omega_source=-et * q)
-
-
-@dataclass(frozen=True)
-class PrintedOscillatorySolution:
-    """The published oscillatory pairing, kept verbatim for the checker.
-
-    rho = sin(2 x2 e^t) with omega = +-1 - (e^t - 1) sin(2 x2 e^t).  The
-    pair is mutually inconsistent (the vorticity matches rho = sin(x2 e^t)
-    instead), so its vorticity-equation residual is genuinely nonzero;
-    the residual checker is expected to fail on it.
-    """
-
-    def dtheta_dx2(self, x2, t):
-        et = np.exp(t)
-        return 2.0 * et * np.cos(2.0 * et * np.asarray(x2, dtype=float))
-
-    def domega_dx2(self, x2, t):
-        et = np.exp(t)
-        return -(et - 1.0) * 2.0 * et * np.cos(2.0 * et * np.asarray(x2, dtype=float))
-
-    def sample(self, x1, x2, t) -> OracleSample:
-        x1, x2, t = _coords(x1, x2, t)
-        et = np.exp(t)
-        sin2 = np.sin(2.0 * et * x2)
-        return _carried(self, x2, t, sin2, _sign(x2) - (et - 1.0) * sin2, omega_source=-et * sin2)
+    if rho0.d2f is None:
+        raise ValueError(f"profile {rho0.name or 'anonymous'} needs d2f for the modified family")
+    q = Profile1D(
+        lambda s: 2.0 * rho0.f(s) * rho0.df(s), lambda s: 2.0 * (rho0.df(s) ** 2 + rho0.f(s) * rho0.d2f(s))
+    )
+    return CarriedSolution(rho0, omega0, q)
 
 
 @dataclass(frozen=True)

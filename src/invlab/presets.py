@@ -7,7 +7,7 @@ The documented experiments, each built from a preset here:
   moving-identity   oracle, omega0 = theta0 = identity
   modified-linear   oracle, rho0 = identity, omega0 = sign
   modified-oscillatory          oracle, rho0 = sin, omega0 = sign (self-consistent)
-  modified-paper-printed        oracle, published inconsistent pairing (checker fails)
+  modified-paper-printed        oracle, published rho0 = q = sin 2s, omega0 = sign (checker fails)
   stationary-const  oracle, constant scalar
 """
 
@@ -23,9 +23,10 @@ from .burgers import AxisProfile
 from .config import ConfigError, RunConfig
 from .dynamics import ModelKind, State
 from .oracles import (
+    CarriedSolution,
     ModifiedSolution,
     MovingDomainSolution,
-    PrintedOscillatorySolution,
+    Profile1D,
     UniformScalarSolution,
     WedgeSolution,
     PROFILES,
@@ -171,6 +172,10 @@ def grid_for(cfg: RunConfig) -> Grid2D:
     return Grid2D(cfg.nx, cfg.ny)
 
 
+# the published oscillatory pairing: theta0 = q = sin 2s, omega0 = sign; its q is
+# not (theta0^2)' = 2 sin 4s, so the residual checker fails it
+_SIN2 = Profile1D(lambda s: np.sin(2.0 * s), lambda s: 2.0 * np.cos(2.0 * s), name="sin2")
+
 # family -> (model checked against, default envelope interval, {preset: solution});
 # the first preset is the family's default
 ORACLE_FAMILIES = {
@@ -186,7 +191,7 @@ ORACLE_FAMILIES = {
         {
             "linear": ModifiedSolution(PROFILES["identity"], PROFILES["sign"]),
             "oscillatory": ModifiedSolution(PROFILES["sin"], PROFILES["sign"]),
-            "paper-printed": PrintedOscillatorySolution(),
+            "paper-printed": CarriedSolution(_SIN2, PROFILES["sign"], q=_SIN2),
         },
     ),
     "stationary": (ModelKind.SINGULAR_SCALAR, (-math.pi, math.pi), {"const": UniformScalarSolution(1.0)}),

@@ -6,13 +6,13 @@ criteria and dominate the runtime; the whole module finishes in a few
 minutes on a laptop-class machine.
 """
 
-import dataclasses
 import math
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import off_axis_points, perturbed_wedge
 
 from invlab.burgers import AxisProfile, BurgersSolution, blowup_time, evaluate_many, min_slope_series
 from invlab.cli import EXIT_OK, EXIT_ORACLE_FAIL, main as cli_main
@@ -38,14 +38,6 @@ def report(criterion: int, passed: bool, detail: str) -> None:
     status = "PASS" if passed else "FAIL"
     print(f"\n[{status}] criterion {criterion}: {detail}")
     assert passed, f"criterion {criterion}: {detail}"
-
-
-def off_axis_points(n=500, seed=0):
-    rng = np.random.default_rng(seed)
-    x1 = rng.uniform(-2, 2, n)
-    x2 = rng.uniform(0.05, 2.0, n) * rng.choice([-1.0, 1.0], n)
-    t = rng.uniform(0.0, 2.0, n)
-    return list(zip(x1, x2, t))
 
 
 @pytest.fixture(scope="module")
@@ -176,13 +168,7 @@ def test_criterion_4_oracle_residuals():
         worst = max(worst, res_theta, res_omega or 0.0)
 
     eps = 1e-3
-    base = WedgeSolution(PROFILES["sin"])
-
-    def perturbed(x1, x2, t):
-        s = base.sample(x1, x2, t)
-        return dataclasses.replace(s, theta=s.theta + eps * x1, dtheta_dx1=s.dtheta_dx1 + eps)
-
-    _, res_omega = residual(perturbed, ModelKind.BOUSSINESQ, pts)
+    _, res_omega = residual(perturbed_wedge(eps), ModelKind.BOUSSINESQ, pts)
     wall = time.perf_counter() - start
     ok = worst <= 1e-11 and res_omega >= eps / 2 and wall < 5.0
     report(

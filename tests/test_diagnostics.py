@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import off_axis_points, perturbed_wedge
 
 from invlab.config import parse_config
 from invlab.diagnostics import (
@@ -123,41 +124,23 @@ class TestBlowupExtrapolation:
         assert est.warning is not None
 
 
-def random_points(n, seed):
-    """n off-axis (x1, x2, t) points as a list of tuples, like the oracle check draws them."""
-    rng = np.random.default_rng(seed)
-    return list(zip(rng.uniform(-2, 2, n),
-                    rng.uniform(0.05, 2, n) * rng.choice([-1, 1], n),
-                    rng.uniform(0, 2, n)))
-
-
-def perturbed_wedge(eps):
-    """The wedge family with theta += eps x1: no longer a solution."""
-    base = WedgeSolution(PROFILES["sin"])
-
-    def sample(x1, x2, t):
-        s = base.sample(x1, x2, t)
-        return dataclasses.replace(s, theta=s.theta + eps * x1, dtheta_dx1=s.dtheta_dx1 + eps)
-
-    return sample
-
-
 class TestResidual:
     def test_wedge_is_exact(self):
-        res_theta, res_omega = residual(WedgeSolution(PROFILES["sin"]), ModelKind.BOUSSINESQ, random_points(500, seed=0))
+        pts = off_axis_points(500, seed=0)
+        res_theta, res_omega = residual(WedgeSolution(PROFILES["sin"]), ModelKind.BOUSSINESQ, pts)
         assert res_theta < 1e-11
         assert res_omega < 1e-11
 
     def test_moving_domain_special_example(self):
         solution = MovingDomainSolution(PROFILES["identity"], PROFILES["identity"])
-        pts = random_points(50, seed=1)
+        pts = off_axis_points(50, seed=1)
         res_theta, res_omega = residual(solution, ModelKind.BOUSSINESQ, pts)
         assert res_theta < 1e-11
         assert res_omega < 1e-11
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-2])
     def test_linear_perturbation_shifts_omega_residual_exactly(self, eps):
-        _, res_omega = residual(perturbed_wedge(eps), ModelKind.BOUSSINESQ, random_points(100, seed=2))
+        _, res_omega = residual(perturbed_wedge(eps), ModelKind.BOUSSINESQ, off_axis_points(100, seed=2))
         assert res_omega == pytest.approx(eps, rel=1e-10)
 
     def test_stationary_scalar(self):
@@ -178,7 +161,7 @@ class TestResidual:
             sampler, model = perturbed_wedge(1e-3), ModelKind.BOUSSINESQ
         else:
             _, sampler, model, _ = oracle_solution(family, preset)
-        pts = random_points(500, seed=3)
+        pts = off_axis_points(500, seed=3)
         pointwise = [residual(sampler, model, [p]) for p in pts]
         expected_omega = None if model is ModelKind.SINGULAR_SCALAR else max(r[1] for r in pointwise)
         assert residual(sampler, model, pts) == (max(r[0] for r in pointwise), expected_omega)

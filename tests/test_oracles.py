@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import off_axis_points
 
+from invlab.diagnostics import residual
+from invlab.dynamics import ModelKind
 from invlab.oracles import (
     ModifiedSolution,
     MovingDomainSolution,
-    PrintedOscillatorySolution,
     Profile1D,
     UniformScalarSolution,
     WedgeSolution,
@@ -14,6 +16,7 @@ from invlab.oracles import (
     sigma_from_omega0,
     PROFILES,
 )
+from invlab.presets import oracle_solution
 
 IDENTITY = PROFILES["identity"]
 SIN = PROFILES["sin"]
@@ -23,14 +26,7 @@ WEDGE = WedgeSolution(SIN)
 MOVING = MovingDomainSolution(IDENTITY, IDENTITY)
 MODIFIED_LINEAR = ModifiedSolution(IDENTITY, SIGN)
 MODIFIED_OSC = ModifiedSolution(SIN, SIGN)
-
-
-def random_points(n, seed, tmax=2.0):
-    rng = np.random.default_rng(seed)
-    x1 = rng.uniform(-2, 2, n)
-    x2 = rng.uniform(0.05, 2.0, n) * rng.choice([-1.0, 1.0], n)
-    t = rng.uniform(0.0, tmax, n)
-    return list(zip(x1, x2, t))
+PRINTED = oracle_solution("modified", "paper-printed")[1]
 
 
 class TestProfiles:
@@ -171,11 +167,25 @@ class TestModified:
     def test_u1_not_defined(self):
         assert MODIFIED_LINEAR.sample(0.0, 0.5, 0.1).u1 is None
 
+    def test_profile_without_d2f_refused_when_built(self):
+        # q' = 2 (rho0'^2 + rho0 rho0'') needs rho0''; sign has none
+        with pytest.raises(ValueError, match="profile sign needs d2f for the modified family"):
+            ModifiedSolution(SIGN, SIGN)
+
+    def test_printed_residual_is_the_q_defect(self):
+        # the modified omega residual is e^t ((theta0^2)' - q)(s); the published
+        # pairing has theta0 = q = sin 2s, so it is e^t |2 sin 4s - sin 2s|
+        for x1, x2, t in off_axis_points(50, 6):
+            s = math.exp(t) * x2
+            expected = math.exp(t) * abs(2.0 * math.sin(4.0 * s) - math.sin(2.0 * s))
+            _, res_omega = residual(PRINTED, ModelKind.MODIFIED_BOUSSINESQ, [(x1, x2, t)])
+            assert res_omega == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
 
 class TestPartialsAgainstFiniteDifferences:
     @pytest.mark.parametrize(
         "solution",
-        [WEDGE, MOVING, MODIFIED_LINEAR, MODIFIED_OSC, PrintedOscillatorySolution(), UniformScalarSolution(0.7)],
+        [WEDGE, MOVING, MODIFIED_LINEAR, MODIFIED_OSC, PRINTED, UniformScalarSolution(0.7)],
         ids=["wedge", "moving", "modified-linear", "modified", "printed", "stationary"],
     )
     def test_time_and_space_partials(self, solution):
@@ -207,23 +217,57 @@ class TestPartialsAgainstFiniteDifferences:
             assert abs(fd_u1 - s.u1) < 5e-7
 
 
+def centred(f, x, fx, h=1e-4):
+    """First and second centred differences of f at x, over the steps x +- h as rounded."""
+    hp, hm = (x + h) - x, x - (x - h)
+    fp, fm = f(x + h), f(x - h)
+    return (fp - fm) / (hp + hm), 2.0 * ((fp - fx) / hp - (fx - fm) / hm) / (hp + hm)
+
+
+class TestStreamFunction:
+    """The residuals of a carried family vanish whatever psi and u1 are; these tie them to omega and u2."""
+
+    @pytest.mark.parametrize(
+        "solution", [WEDGE, MOVING, MovingDomainSolution(SIN, SIN)], ids=["wedge-sin", "moving-identity", "moving-sin"]
+    )
+    def test_velocity_and_vorticity_are_derivatives_of_psi(self, solution):
+        x1, x2, t = np.array(off_axis_points(500, 0)).T
+        s = solution.sample(x1, x2, t)
+        d1, dd1 = centred(lambda y: solution.sample(y, x2, t).psi, x1, s.psi)
+        d2, dd2 = centred(lambda y: solution.sample(x1, y, t).psi, x2, s.psi)
+        assert np.max(np.abs(dd1 + dd2 - s.omega)) < 1e-6
+        assert np.max(np.abs(-d2 - s.u1)) < 1e-6
+        assert np.max(np.abs(d1 - s.u2)) < 1e-6
+
+    def test_wedge_is_the_moving_domain_of_a_sign_vorticity(self):
+        # the wedge's closed-form velocity against the sigma quadrature; sigma's near-axis
+        # expansion assumes omega0 smooth at 0, which sign is not, so |x2| >= 1e-6
+        rng = np.random.default_rng(3)
+        x1 = rng.uniform(-2, 2, 500)
+        x2 = rng.choice([-1.0, 1.0], 500) * 10 ** rng.uniform(-6, 0.3, 500)
+        t = rng.uniform(0, 2, 500)
+        wedge, moving = WEDGE.sample(x1, x2, t), MovingDomainSolution(SIGN, SIN).sample(x1, x2, t)
+        for name, value in vars(wedge).items():
+            np.testing.assert_allclose(getattr(moving, name), value, rtol=1e-15, atol=1e-15, err_msg=name)
+
+
 class TestCommonStructure:
     @pytest.mark.parametrize(
         "solution", [WEDGE, MOVING, MODIFIED_LINEAR, MODIFIED_OSC], ids=["wedge", "moving", "mod-lin", "mod-osc"]
     )
     def test_u2_is_minus_x2(self, solution):
-        for x1, x2, t in random_points(20, 4):
+        for x1, x2, t in off_axis_points(20, 4):
             assert solution.sample(x1, x2, t).u2 == pytest.approx(-x2, rel=1e-15)
 
     def test_axis_evaluation_uses_upper_branch(self):
         # every family whose omega is piecewise across x2 = 0
-        for solution in (WEDGE, MODIFIED_LINEAR, MODIFIED_OSC, PrintedOscillatorySolution()):
+        for solution in (WEDGE, MODIFIED_LINEAR, MODIFIED_OSC, PRINTED):
             for t in (0.0, 0.7):
                 assert solution.sample(0.3, 0.0, t).omega == 1.0, solution  # x2 >= 0 branch
 
     def test_stationary_velocity_is_uniform(self):
         # u = (c, 0): the one family that u2 = -x2 does not carry
-        x1, x2, t = np.array(random_points(20, 5)).T
+        x1, x2, t = np.array(off_axis_points(20, 5)).T
         s = UniformScalarSolution(0.7).sample(x1, x2, t)
         assert s.u1.shape == s.u2.shape == x2.shape
         assert np.all(s.u1 == 0.7) and np.all(s.u2 == 0.0)
