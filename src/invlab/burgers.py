@@ -6,7 +6,9 @@ theta = g(x - t*theta) is evaluated here by characteristics, together
 with the first-crossing blowup time -1/min(g').  Extrema are found by a
 dense scan whose best cell is rescanned, 16-fold narrower each round; on
 a periodic profile the cell of a best node at either end of the scan wraps
-across the seam.
+across the seam.  A family of times is refined together: one scan per
+time, then each round one call on the cells of every time still refining.
+Rows never mix, so each extremum is bit for bit what its time alone gives.
 
 The min-slope series scans characteristic labels xi, not positions x:
 for t < t* the map xi -> xi + t*g(xi) is a strictly increasing bijection
@@ -53,54 +55,66 @@ class AxisProfile:
     dg: Callable[[np.ndarray], np.ndarray]
 
 
-def _sample(fn: Callable, xs: np.ndarray) -> np.ndarray:
-    vals = np.asarray(fn(xs), dtype=float)
+def _sample(fn: Callable, xs: np.ndarray, *args) -> np.ndarray:
+    vals = np.asarray(fn(xs, *args), dtype=float)
     if vals.shape != xs.shape:  # constant profiles may ignore the argument
         vals = np.broadcast_to(vals, xs.shape).copy()
     return vals
 
 
-def _refine_minimum(
-    fn: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, period: float | None = None
-) -> float:
-    """Minimum of fn: scan the nodes xs, then rescan the best node's cell.
+def _refine_minima(
+    fn: Callable[[np.ndarray, object], np.ndarray], xs: np.ndarray, params, period: float | None = None
+) -> np.ndarray:
+    """Minimum over x of fn(x, p) for each p in params.
 
-    fn is evaluated on whole arrays, once for the scan and once per
-    round.  A round whose samples are all equal ends the refinement, so a
-    constant function costs the scan alone.  Given the period of fn, the
-    scan's nodes must cover one period, and the cell of a best node at
+    Each p has a scan of the nodes xs with p a scalar.  A round rescans
+    the best cells of all R rows still refining in one call, on (R, 33)
+    nodes with p an (R, 1) column.  A row whose samples are all equal
+    leaves, so a constant function costs its scan alone.  Given the period
+    of fn, xs must cover one period, and the cell of a best scan node at
     either end reaches across the seam; otherwise it stops at the end.
     """
-    best = math.inf
-    for _ in range(REFINE_ROUNDS + 1):
-        values = _sample(fn, xs)
+    params = np.asarray(params, dtype=float)
+    best = np.full(params.size, math.inf)
+    rows, lo, hi = [], [], []
+    last = len(xs) - 1
+    for r, p in enumerate(params):
+        values = _sample(fn, xs, float(p))
         i = int(np.argmin(values))
-        best = min(best, float(values[i]))
-        if values[i] == np.max(values):
+        best[r] = min(best[r], values[i])
+        if values[i] != np.max(values):
+            rows.append(r)
+            lo.append(xs[i - 1] if i > 0 else (xs[last] - period if period else xs[0]))
+            hi.append(xs[i + 1] if i < last else (xs[0] + period if period else xs[last]))
+    rows, lo, hi = np.asarray(rows, dtype=int), np.asarray(lo), np.asarray(hi)
+    for _ in range(REFINE_ROUNDS):
+        if not rows.size:
             break
-        last = len(xs) - 1
-        lo = xs[i - 1] if i > 0 else (xs[last] - period if period else xs[0])
-        hi = xs[i + 1] if i < last else (xs[0] + period if period else xs[last])
-        # np.linspace(lo, hi, REFINE_POINTS) bit for bit, without its overhead
-        xs = _REFINE_NODES * ((hi - lo) / (REFINE_POINTS - 1)) + lo
-        xs[-1] = hi
-        period = None  # a refined cell lies inside the scan
+        # np.linspace(lo, hi, REFINE_POINTS) per row bit for bit, without its overhead
+        nodes = _REFINE_NODES * ((hi - lo) / (REFINE_POINTS - 1))[:, None] + lo[:, None]
+        nodes[:, -1] = hi
+        values = _sample(fn, nodes, params[rows, None])
+        i = np.argmin(values, axis=1)
+        at = np.arange(rows.size)
+        low = values[at, i]
+        best[rows] = np.where(low < best[rows], low, best[rows])
+        keep = low != np.max(values, axis=1)
+        i, at = i[keep], at[keep]
+        lo = nodes[at, np.maximum(i - 1, 0)]
+        hi = nodes[at, np.minimum(i + 1, REFINE_POINTS - 1)]
+        rows = rows[keep]
     return best
 
 
-def _periodic_minimum(fn: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Minimum of a function of period 2 pi, scanned over [0, 2 pi)."""
+def _periodic_minimum(fn: Callable[[np.ndarray, object], np.ndarray], params=(0.0,)) -> np.ndarray:
+    """Minimum over one period of fn(x, p) for each p, fn of period 2 pi in x, scanned over [0, 2 pi)."""
     xs = np.linspace(0.0, TWO_PI, SCAN_POINTS, endpoint=False)
-    return _refine_minimum(fn, xs, TWO_PI)
+    return _refine_minima(fn, xs, params, TWO_PI)
 
 
 def blowup_time(p: AxisProfile) -> float:
-    """First characteristic-crossing time -1/min(dg); +inf when min(dg) >= 0.
-
-    The minimum is located by a 4096-point scan over one period followed
-    by rescans of the bracketing cell.
-    """
-    min_dg = _periodic_minimum(p.dg)
+    """First characteristic-crossing time -1/min(dg); +inf when min(dg) >= 0."""
+    min_dg = float(_periodic_minimum(lambda x, _: p.dg(x))[0])
     if min_dg >= 0.0:
         return math.inf
     return -1.0 / min_dg
@@ -118,8 +132,8 @@ class BurgersSolution:
     def __post_init__(self) -> None:
         object.__setattr__(self, "tstar", blowup_time(self.profile))
         g = self.profile.g
-        gmin = _periodic_minimum(g)
-        gmax = -_periodic_minimum(lambda x: -_sample(g, x))
+        gmin = float(_periodic_minimum(lambda x, _: g(x))[0])
+        gmax = -float(_periodic_minimum(lambda x, _: -_sample(g, x))[0])
         object.__setattr__(self, "_gmin", gmin)
         object.__setattr__(self, "_gmax", gmax)
 
@@ -176,15 +190,12 @@ def min_slope_series(sol: BurgersSolution, times) -> TimeSeries:
     """Minimum over x of the slope at each time: a scan over characteristic
     labels xi of dg(xi)/(1 + t*dg(xi)), with no characteristic solve."""
     times = np.asarray(times, dtype=float)
-    dg = sol.profile.dg
-    values = []
     for t in times:
-        t = float(t)
-        _check_time(sol, t)
+        _check_time(sol, float(t))
+    dg = sol.profile.dg
 
-        def label_slope(xi: np.ndarray) -> np.ndarray:
-            s = _sample(dg, xi)
-            return s / (1.0 + t * s)
+    def label_slope(xi: np.ndarray, t) -> np.ndarray:
+        s = _sample(dg, xi)
+        return s / (1.0 + t * s)
 
-        values.append(_periodic_minimum(label_slope))
-    return TimeSeries(times, np.asarray(values))
+    return TimeSeries(times, _periodic_minimum(label_slope, times))

@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .burgers import _refine_minimum
+from .burgers import _refine_minima
 from .diagnostics import TimeSeries
 
 __all__ = [
@@ -288,7 +288,9 @@ def growth_envelope(solution, interval: tuple[float, float], times, field: str =
     """Sup over the x2 interval of |d(field)/dx2| at each time.
 
     field selects 'theta' or 'omega'; exact partials are sampled on 4097
-    nodes and the best node's cell is rescanned.
+    nodes per time and the best node's cell is rescanned, each round one
+    call on the cells of every time still refining (burgers._refine_minima),
+    so each time's sup is what it would be alone.
     """
     # partials, not `sample`: on 4097 nodes the moving-domain sigma quadrature costs ~600x dtheta_dx2
     if field == "theta":
@@ -302,5 +304,4 @@ def growth_envelope(solution, interval: tuple[float, float], times, field: str =
         raise ValueError("interval must have positive length")
     xs = np.linspace(lo, hi, 4097)
     times = np.asarray(times, dtype=float)
-    values = [-_refine_minimum(lambda x: -np.abs(deriv(x, float(t))), xs) for t in times]
-    return TimeSeries(times, np.asarray(values))
+    return TimeSeries(times, -_refine_minima(lambda x, t: -np.abs(deriv(x, t)), xs, times))

@@ -6,7 +6,7 @@ import functools
 import math
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -125,6 +125,7 @@ def run(cfg: RunConfig, output_dir: Optional[Path] = None) -> RunArtifacts:
     so partial artifacts survive a blowup signal or a crash; the signal
     is recorded in meta.txt and reported in the returned artifacts.  In a
     used directory, an earlier run's meta.txt, CSVs and snapshots go first.
+    meta.txt echoes the config with the directory the run wrote to.
     """
     start = time.perf_counter()
     _retain_freed_memory()
@@ -181,7 +182,7 @@ def run(cfg: RunConfig, output_dir: Optional[Path] = None) -> RunArtifacts:
             snapshot(final)
 
     wall = time.perf_counter() - start
-    lines = [config_echo(cfg).rstrip("\n")]
+    lines = [config_echo(replace(cfg, output_dir=str(outdir))).rstrip("\n")]
     lines.append(f"steps = {result.steps}")
     lines.append(f"t_final = {final.t:.17g}")
     lines.append(f"wall_clock_seconds = {wall:.3f}")

@@ -17,6 +17,7 @@ from invlab.burgers import (
 COS = AxisProfile(np.cos, lambda x: -np.sin(x))
 # the last scan node is 2*pi - h; put the extremum halfway between it and the period
 SEAM = 2 * math.pi - math.pi / SCAN_POINTS
+SEAM_PROFILE = AxisProfile(lambda x: -np.sin(x - SEAM), lambda x: -np.cos(x - SEAM))
 
 
 def brute_force_min(fn, n=1_000_000, period=2 * math.pi):
@@ -53,9 +54,8 @@ class TestBlowupTime:
     def test_minimum_across_the_seam(self):
         # the best node is the last one, and the minimum lies past it: the refined
         # cell must wrap into the next period (unwrapped, t* is off by 2.9e-7)
-        p = AxisProfile(lambda x: -np.sin(x - SEAM), lambda x: -np.cos(x - SEAM))
-        assert abs(blowup_time(p) - 1.0) <= 1e-12
-        series = min_slope_series(BurgersSolution(p), [0.0])
+        assert abs(blowup_time(SEAM_PROFILE) - 1.0) <= 1e-12
+        series = min_slope_series(BurgersSolution(SEAM_PROFILE), [0.0])
         assert abs(-1.0 / series.v[0] - 1.0) <= 1e-12
 
     def test_constant_slope_is_not_refined(self):
@@ -135,6 +135,47 @@ class TestMinSlopeSeries:
         series = min_slope_series(sol, [0.0, 1.0, 2.0])
         assert np.all(series.v == 0.0)
 
+    def test_constant_slope_is_scanned_once_a_time(self):
+        calls = []
+
+        def dg(x):
+            calls.append(np.shape(x))
+            return 0 * x - 0.5
+
+        sol = BurgersSolution(AxisProfile(lambda x: -0.5 * x, dg))
+        calls.clear()
+        assert np.all(min_slope_series(sol, [0.0, 0.5, 1.0]).v < 0.0)
+        assert calls == [(SCAN_POINTS,)] * 3
+
+    def test_a_constant_row_leaves_the_rounds(self):
+        # p = 0 makes fn constant, p = 1 does not: the rounds see only the second row
+        seen = []
+
+        def fn(x, p):
+            seen.append((np.shape(x), np.ravel(p).tolist()))
+            return p * np.sin(x)
+
+        minima = burgers._periodic_minimum(fn, [0.0, 1.0])
+        assert seen[:2] == [((SCAN_POINTS,), [0.0]), ((SCAN_POINTS,), [1.0])]
+        assert len(seen) > 2
+        assert all(call == ((1, burgers.REFINE_POINTS), [1.0]) for call in seen[2:])
+        assert minima[0] == 0.0 and abs(minima[1] + 1.0) <= 1e-15
+
+    def test_a_row_flat_on_its_cell_leaves_after_that_round(self):
+        # -min(cos x, 1/2) is flat on |x| < pi/3, across the seam: its best scan node
+        # is x = 0, and the first round's cell [-h, h] samples that flat part alone
+        seen = []
+
+        def fn(x, p):
+            seen.append(np.shape(x))
+            return np.where(p > 0, -np.minimum(np.cos(x), 0.5), np.sin(x))
+
+        minima = burgers._periodic_minimum(fn, [1.0, 0.0])
+        rounds = seen[2:]
+        assert len(rounds) >= 2 and rounds[0] == (2, burgers.REFINE_POINTS)
+        assert all(shape == (1, burgers.REFINE_POINTS) for shape in rounds[1:])
+        assert minima[0] == -0.5 and abs(minima[1] + 1.0) <= 1e-15
+
     def test_reciprocal_is_affine(self):
         # 1/|min slope| = 1 - t for the cosine trace
         sol = BurgersSolution(COS)
@@ -187,6 +228,14 @@ class TestLabelScan:
         monkeypatch.setattr(burgers, "_evaluate_array", forbidden)
         series = min_slope_series(sol, np.linspace(0.0, 0.9 * sol.tstar, 5))
         assert np.all(np.isfinite(series.v))
+
+    @pytest.mark.parametrize("profile", [COS, ASYMMETRIC, SEAM_PROFILE], ids=["cos", "asymmetric", "seam"])
+    def test_a_family_of_times_matches_single_times(self, profile):
+        # the rows of one refinement never mix: each time's minimum is bit for bit its own
+        sol = BurgersSolution(profile)
+        times = np.linspace(0.0, 0.95 * sol.tstar, 12)
+        single = [min_slope_series(sol, [t]).v[0] for t in times]
+        assert min_slope_series(sol, times).v.tobytes() == np.array(single).tobytes()
 
     def test_close_to_blowup(self):
         v = min_slope_series(BurgersSolution(COS), [0.99]).v[0]

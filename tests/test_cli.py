@@ -62,6 +62,17 @@ class TestRun:
         assert (out1 / "series.csv").read_bytes() == (out2 / "series.csv").read_bytes()
         assert (out1 / "snapshot-0001.bin").read_bytes() == (out2 / "snapshot-0001.bin").read_bytes()
 
+    def test_meta_echoes_the_directory_the_run_used(self, tmp_path):
+        overridden, configured = tmp_path / "overridden", tmp_path / "configured"
+        assert run_cli("run", "singular-cos", *SMALL_RUN, "--output", str(overridden)) == EXIT_OK
+        assert run_cli("run", "singular-cos", *SMALL_RUN, "--set", f"output.dir={configured}") == EXIT_OK
+        metas = [(out / "meta.txt").read_text().splitlines() for out in (overridden, configured)]
+        assert f"output.dir = {overridden}" in metas[0]
+        assert f"output.dir = {configured}" in metas[1]
+        # no other line depends on how the directory was chosen
+        rest = [[line for line in meta if not line.startswith(("output.dir =", "wall_clock_seconds ="))] for meta in metas]
+        assert rest[0] == rest[1]
+
     def test_t_end_zero_single_row(self, tmp_path):
         out = tmp_path / "zero"
         code = run_cli("run", "singular-cos", "--set", "nx=32", "--set", "ny=32",

@@ -16,7 +16,7 @@ from invlab.oracles import (
     sigma_from_omega0,
     PROFILES,
 )
-from invlab.presets import oracle_solution
+from invlab.presets import ORACLE_FAMILIES, oracle_solution
 
 IDENTITY = PROFILES["identity"]
 SIN = PROFILES["sin"]
@@ -294,6 +294,24 @@ class TestGrowthEnvelope:
         times = np.array([0.0, 0.3, 0.7, 1.1])
         env = growth_envelope(shifted, (-math.pi, math.pi), times, field="theta")
         assert np.max(np.abs(env.v - np.exp(times))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "family, preset, field",
+        [
+            (family, preset, field)
+            for family, (_, _, solutions) in ORACLE_FAMILIES.items()
+            for preset, solution in solutions.items()
+            for field in ("theta", "omega")
+            if hasattr(solution, f"d{field}_dx2")
+        ],
+    )
+    def test_a_family_of_times_matches_single_times(self, family, preset, field):
+        # the rows of one refinement never mix: each time's sup is bit for bit its own
+        _, solution, _, interval = oracle_solution(family, preset)
+        times = np.linspace(0.0, 6.0, 61)
+        single = [growth_envelope(solution, interval, [t], field=field).v[0] for t in times]
+        env = growth_envelope(solution, interval, times, field=field)
+        assert env.v.tobytes() == np.array(single).tobytes()
 
     def test_initial_value_is_profile_derivative_sup(self):
         env = growth_envelope(WEDGE, (-math.pi, math.pi), [0.0], field="theta")
