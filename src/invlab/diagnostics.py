@@ -63,12 +63,18 @@ class BlowupEstimate:
 
 
 def _linefit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares line y ~ a + b*x; returns (b, a, r2)."""
-    coeffs = np.polyfit(x, y, 1)
-    b, a = float(coeffs[0]), float(coeffs[1])
+    """Least-squares line y ~ a + b*x from centred sums; returns (b, a, r2).
+
+    Callers pass at least 2 strictly increasing times, so the sum of squared
+    x deviations is positive.
+    """
+    xm, ym = np.mean(x), np.mean(y)
+    xc, yc = x - xm, y - ym
+    b = float(np.sum(xc * yc) / np.sum(xc * xc))
+    a = float(ym - b * xm)
     pred = a + b * x
     ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    ss_tot = float(np.sum(yc**2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return b, a, min(max(r2, 0.0), 1.0)
 

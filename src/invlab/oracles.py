@@ -7,9 +7,10 @@ s = e^t x2 it is one CarriedSolution,
 
 and adds only what is its own:
 
-  wedge           omega0 = +-1, closed-form psi and u1
-  moving domain   psi and u1 from the stream coefficient sigma, reconstructed
-                  from d2/dx2^2 (sigma x2^2) = 2 omega0(e^t x2)
+  moving domain   psi = e^{-2t} W(s) - x1 x2 and u1 = x1 - e^{-t} W'(s), with
+                  W(s) = int_0^s (s - y) omega0(y) dy the profile's second
+                  primitive, so that Laplacian psi = W''(s) = omega0(s)
+  wedge           the moving domain of omega0 = sign: psi = +-x2^2/2 - x1 x2
   modified        q = (rho0^2)' = 2 rho0 rho0' and no u1
 
 Along u2 = -x2 each t-partial is x2 times the x2-partial, plus the
@@ -25,7 +26,6 @@ x2 >= 0 branch.  All evaluators take arrays of points.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -42,7 +42,6 @@ __all__ = [
     "MovingDomainSolution",
     "ModifiedSolution",
     "UniformScalarSolution",
-    "sigma_from_omega0",
     "growth_envelope",
     "PROFILES",
 ]
@@ -59,19 +58,26 @@ class Profile1D:
 
     d2f is only needed where a family differentiates a product of the
     profile with its own derivative (the modified-family vorticity).
+    W(s) = int_0^s (s - y) f(y) dy, the second primitive of f from 0, and
+    its derivative dW are only needed by the moving-domain stream function.
     """
 
     f: Callable
     df: Callable
     d2f: Optional[Callable] = None
+    dW: Optional[Callable] = None
+    W: Optional[Callable] = None
     name: str = ""
 
 
 PROFILES = {
     "identity": Profile1D(lambda s: s * 1.0, lambda s: np.ones_like(np.asarray(s, dtype=float)),
-                          lambda s: np.zeros_like(np.asarray(s, dtype=float)), name="identity"),
-    "sin": Profile1D(np.sin, np.cos, lambda s: -np.sin(s), name="sin"),
-    "sign": Profile1D(_sign, lambda s: np.zeros_like(np.asarray(s, dtype=float)), name="sign"),
+                          lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+                          dW=lambda s: s * s / 2.0, W=lambda s: s * s * s / 6.0, name="identity"),
+    "sin": Profile1D(np.sin, np.cos, lambda s: -np.sin(s),
+                     dW=lambda s: 1.0 - np.cos(s), W=lambda s: s - np.sin(s), name="sin"),
+    "sign": Profile1D(_sign, lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+                      dW=np.abs, W=lambda s: s * np.abs(s) / 2.0, name="sign"),
 }
 
 
@@ -143,112 +149,32 @@ class CarriedSolution:
         )
 
 
-def _wedge_velocity(x1, x2, t):
-    sgn = _sign(x2)
-    return -sgn * x2 + x1, sgn * x2 * x2 / 2.0 - x1 * x2
+def MovingDomainSolution(omega0: Profile1D, theta0: Profile1D) -> CarriedSolution:
+    """Smooth fields in the moving domain of the vorticity omega0(e^t x2).
+
+    omega = omega0(s), theta = theta0(s), u2 = -x2 with s = e^t x2, and
+    psi = e^{-2t} W(s) - x1 x2, u1 = x1 - e^{-t} W'(s) with W the second
+    primitive of omega0 from 0, on both sides of the axis.  omega0 must
+    carry W and dW.
+    """
+    if omega0.W is None or omega0.dW is None:
+        raise ValueError(f"profile {omega0.name or 'anonymous'} needs W and dW for the moving-domain family")
+
+    def velocity(x1, x2, t):
+        et = np.exp(t)
+        s = et * x2
+        return x1 - omega0.dW(s) / et, omega0.W(s) / (et * et) - x1 * x2
+
+    return CarriedSolution(theta0, omega0, velocity=velocity)
 
 
 def WedgeSolution(theta0: Profile1D) -> CarriedSolution:
-    """Fields on the wedge between x2 = 2 x1 and x2 = -2 x1.
+    """Fields on the wedge between x2 = 2 x1 and x2 = -2 x1: the moving domain of omega0 = sign.
 
     psi = +-x2^2/2 - x1 x2, u1 = -+x2 + x1, u2 = -x2, omega = +-1,
     theta = theta0(e^t x2) with theta0 odd.
     """
-    return CarriedSolution(theta0, PROFILES["sign"], velocity=_wedge_velocity)
-
-
-# Gauss-Legendre nodes of the sigma quadrature; the 2n-node rule checks the n-node one
-_QUAD_NODES = 48
-_QUAD_RTOL = 1e-12
-
-
-@functools.cache
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-node Gauss-Legendre rule on [0, 1] (Golub & Welsch, Math. Comp. 23 (1969) 221).
-
-    Built on first use: importing numpy.polynomial and computing the nodes
-    take milliseconds, which no code path but the sigma quadrature pays.
-    """
-    from numpy.polynomial.legendre import leggauss
-
-    xi, w = leggauss(n)
-    nodes, weights = 0.5 * (1.0 + xi), 0.5 * w
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-def _omega0_moments(omega0: Profile1D, x2: np.ndarray, t: np.ndarray, n: int):
-    """Per row, the integrals of F(u) and (1 - u) F(u) over [0, 1], plus that of |F|.
-
-    F(u) = 2 omega0(e^t x2 u) is the integrand after z = x2 u, so the two
-    sigma integrals are x2 times the first and x2^2 times the second.
-    """
-    u, w = _gauss_legendre(n)
-    values = 2.0 * omega0.f((np.exp(t) * x2)[:, None] * u)
-    return values @ w, values @ (w * (1.0 - u)), np.abs(values) @ w
-
-
-def _sigma_terms(omega0: Profile1D, x2, t):
-    """sigma and d sigma/dx2 at every (x2, t), from one quadrature of each row.
-
-    sigma x2^2 = +-int_0^x2 (x2 - z) 2 omega0(e^t z) dz and
-    d sigma/dx2 = +-int_0^x2 2 omega0(e^t z) dz / x2^2 - 2 sigma / x2, both
-    integrals on mapped Gauss-Legendre nodes.  The n-node values must
-    agree with the 2n-node ones to 1e-12 of the integral of |integrand|,
-    else RuntimeError.  Rows with |x2| < 1e-6 use the two-term expansion,
-    since the quotient by x2 is ill-conditioned there.
-    """
-    x2, t = np.broadcast_arrays(np.asarray(x2, dtype=float), np.asarray(t, dtype=float))
-    shape = x2.shape
-    x2, t = x2.ravel(), t.ravel()
-    sgn = _sign(x2)
-    et = np.exp(t)
-    f0, df0 = float(omega0.f(0.0)), float(omega0.df(0.0))
-    sigma = sgn * (f0 + et * df0 * x2 / 3.0)
-    dsigma = sgn * et * df0 / 3.0
-    far = np.abs(x2) >= 1e-6
-    if np.any(far):
-        xf, tf = x2[far], t[far]
-        inner, weighted, scale = _omega0_moments(omega0, xf, tf, 2 * _QUAD_NODES)
-        coarse_inner, coarse_weighted, _ = _omega0_moments(omega0, xf, tf, _QUAD_NODES)
-        err = np.maximum(np.abs(inner - coarse_inner), np.abs(weighted - coarse_weighted))
-        bad = err > _QUAD_RTOL * scale
-        if np.any(bad):
-            i = int(np.argmax(bad))  # the first row that failed the check
-            raise RuntimeError(
-                f"quadrature for sigma did not converge (profile {omega0.name or 'anonymous'}, "
-                f"x2 = {xf[i]:.6g}, t = {tf[i]:.6g}, error estimate {err[i] / scale[i]:.3e})"
-            )
-        sigma[far] = sgn[far] * weighted
-        dsigma[far] = sgn[far] * (inner - 2.0 * weighted) / xf
-    return sigma.reshape(shape)[()], dsigma.reshape(shape)[()]
-
-
-def sigma_from_omega0(omega0: Profile1D, x2, t):
-    """Stream coefficient sigma(x2, t) solving d2/dx2^2 (sigma x2^2) = 2 omega0(e^t x2).
-
-    Both integration constants are zero (regularity at the corner), which
-    makes sigma x2^2 the double primitive of 2 omega0(e^t .) from 0; the
-    x2 < 0 branch carries the sign flip of the piecewise definition.
-    The double integral collapses to a single weighted quadrature.
-    x2 and t may be arrays; scalars give a scalar.
-    """
-    return _sigma_terms(omega0, x2, t)[0]
-
-
-def MovingDomainSolution(omega0: Profile1D, theta0: Profile1D) -> CarriedSolution:
-    """Smooth fields in the domain bounded by 2 x1 = +-sigma(x2, t) x2.
-
-    omega = omega0(e^t x2), theta = theta0(e^t x2), u2 = -x2, and
-    psi = +-sigma x2^2/2 - x1 x2 with sigma from sigma_from_omega0.
-    """
-
-    def velocity(x1, x2, t):
-        sgn = _sign(x2)
-        sigma, dsigma = _sigma_terms(omega0, x2, t)
-        return -sgn * (sigma * x2 + 0.5 * x2 * x2 * dsigma) + x1, sgn * sigma * x2 * x2 / 2.0 - x1 * x2
-
-    return CarriedSolution(theta0, omega0, velocity=velocity)
+    return MovingDomainSolution(PROFILES["sign"], theta0)
 
 
 def ModifiedSolution(rho0: Profile1D, omega0: Profile1D) -> CarriedSolution:
@@ -292,7 +218,6 @@ def growth_envelope(solution, interval: tuple[float, float], times, field: str =
     call on the cells of every time still refining (burgers._refine_minima),
     so each time's sup is what it would be alone.
     """
-    # partials, not `sample`: on 4097 nodes the moving-domain sigma quadrature costs ~600x dtheta_dx2
     if field == "theta":
         deriv = solution.dtheta_dx2
     elif field == "omega":

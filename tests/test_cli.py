@@ -359,21 +359,18 @@ class TestRun:
         assert run_fresh_interpreter(script).splitlines()[-1] == "[]"
 
     def test_oracle_checks_load_no_scipy(self, tmp_path):
-        # every oracle family needs numpy only; the sigma quadrature builds its
-        # nodes on first use, so importing the CLI loads no numpy.polynomial
+        # every oracle family is closed form, stream function included, and the
+        # growth fits are centred sums: no check loads scipy or numpy.polynomial
         script = (
             "import sys\n"
             "from invlab import cli\n"
-            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
             f"for family, preset in {ORACLE_PAIRS!r}:\n"
             "    expected = cli.EXIT_ORACLE_FAIL if preset == 'paper-printed' else cli.EXIT_OK\n"
             f"    code = cli.main(['oracle-check', family, preset, '--output', {str(tmp_path)!r}])\n"
             "    assert code == expected, (family, preset, code)\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))\n"
         )
-        lines = run_fresh_interpreter(script).splitlines()
-        assert lines[0] == "[]"
-        assert lines[-1] == "[]"
+        assert run_fresh_interpreter(script).splitlines()[-1] == "[]"
 
     def test_diagnostic_csvs_share_the_series_rows(self, tmp_path):
         cfg = tmp_path / "both.cfg"

@@ -8,6 +8,7 @@ from conftest import off_axis_points, perturbed_wedge
 from invlab.config import parse_config
 from invlab.diagnostics import (
     TimeSeries,
+    _linefit,
     extrapolate_blowup,
     fit_growth_rate,
     l2_norm,
@@ -103,6 +104,19 @@ class TestGrowthFit:
         t = np.linspace(0, 1, 10)
         with pytest.raises(ValueError, match="5 samples"):
             fit_growth_rate(TimeSeries(t, np.exp(t)), (0.0, 0.2))
+
+
+class TestLineFit:
+    @pytest.mark.parametrize("n", [2, 5, 50])
+    def test_matches_polyfit(self, n):
+        # the closed-form centred sums against numpy's least-squares fit, noisy and exactly linear
+        rng = np.random.default_rng(n)
+        x = np.cumsum(rng.uniform(0.01, 0.5, n)) + rng.uniform(-3, 3)
+        for y in (rng.normal(size=n), 0.75 - 2.5 * x):
+            b, a, _ = _linefit(x, y)
+            ref_b, ref_a = np.polyfit(x, y, 1)
+            assert b == pytest.approx(ref_b, rel=1e-12)
+            assert a == pytest.approx(ref_a, rel=1e-12)
 
 
 class TestBlowupExtrapolation:

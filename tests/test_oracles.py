@@ -13,7 +13,6 @@ from invlab.oracles import (
     UniformScalarSolution,
     WedgeSolution,
     growth_envelope,
-    sigma_from_omega0,
     PROFILES,
 )
 from invlab.presets import ORACLE_FAMILIES, oracle_solution
@@ -30,13 +29,19 @@ PRINTED = oracle_solution("modified", "paper-printed")[1]
 
 
 class TestProfiles:
-    @pytest.mark.parametrize("name", ["identity", "sin"])
+    @pytest.mark.parametrize("name", ["identity", "sin", "sign"])
     def test_df_matches_finite_differences(self, name):
+        # df = f', dW' = f and W' = dW; the nodes miss the origin, where sign jumps
         p = PROFILES[name]
         h = 1e-5
         xs = np.linspace(-3, 3, 64)
-        fd = (p.f(xs + h) - p.f(xs - h)) / (2 * h)
-        assert np.max(np.abs(fd - p.df(xs))) < 1e-9
+        for fn, deriv in ((p.f, p.df), (p.dW, p.f), (p.W, p.dW)):
+            fd = (fn(xs + h) - fn(xs - h)) / (2 * h)
+            assert np.max(np.abs(fd - deriv(xs))) < 1e-9
+
+    def test_primitives_vanish_at_the_origin(self):
+        for p in PROFILES.values():
+            assert p.dW(0.0) == 0.0 and p.W(0.0) == 0.0, p.name
 
     def test_sign_derivative_off_origin(self):
         xs = np.array([-2.0, -0.5, 0.7, 3.0])
@@ -73,57 +78,6 @@ class TestWedge:
         assert up.psi == pytest.approx(0.125 - 0.5)
 
 
-class TestSigma:
-    def test_identity_profile(self):
-        # sigma = e^t x2 / 3 on the upper branch, reproducing the cubic stream function
-        for t in (0.0, 1.0):
-            for x2 in (0.25, 1.0, 2.0):
-                assert sigma_from_omega0(IDENTITY, x2, t) == pytest.approx(
-                    math.exp(t) * x2 / 3.0, rel=1e-10
-                )
-
-    def test_lower_branch_sign_flip(self):
-        assert sigma_from_omega0(IDENTITY, -1.0, 0.0) == pytest.approx(1.0 / 3.0, rel=1e-10)
-
-    def test_zero_profile(self):
-        zero = Profile1D(lambda s: 0.0 * np.asarray(s), lambda s: 0.0 * np.asarray(s), name="zero")
-        assert sigma_from_omega0(zero, 0.7, 1.0) == 0.0
-
-    def test_constant_profile_time_independent(self):
-        const = Profile1D(
-            lambda s: np.full_like(np.asarray(s, dtype=float), 2.5),
-            lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-            name="const",
-        )
-        for t in (0.0, 1.3):
-            assert sigma_from_omega0(const, 0.8, t) == pytest.approx(2.5, rel=1e-10)
-
-    def test_continuous_near_origin(self):
-        near = sigma_from_omega0(IDENTITY, 1e-5, 0.5)
-        limit = sigma_from_omega0(IDENTITY, 1e-7, 0.5)
-        assert near == pytest.approx(math.exp(0.5) * 1e-5 / 3.0, abs=1e-12)
-        assert abs(limit) < 1e-6
-
-    def test_array_call_mixes_branches_and_the_expansion(self):
-        # both branches, x2 = 0 and rows with |x2| < 1e-6 (two-term expansion) in one call
-        x2 = np.array([-2.0, -0.7, -5e-7, 0.0, 3e-7, 1e-6, 0.4, 2.0])
-        t = np.array([0.0, 1.3, 2.0, 0.5, 0.1, 1.0, 1.7, 2.0])
-        sigma = sigma_from_omega0(IDENTITY, x2, t)
-        assert sigma.shape == x2.shape
-        np.testing.assert_allclose(sigma, np.exp(t) * np.abs(x2) / 3.0, rtol=1e-12, atol=0.0)
-        pointwise = [sigma_from_omega0(IDENTITY, a, b) for a, b in zip(x2, t)]
-        np.testing.assert_allclose(sigma, pointwise, rtol=1e-14, atol=0.0)
-
-    def test_unresolved_profile_raises(self):
-        # sin(400 s) at x2 = 2, t = 2 turns about 940 times over the interval:
-        # far too many for the quadrature nodes, whose two rules then disagree
-        wiggly = Profile1D(lambda s: np.sin(400.0 * s), lambda s: 400.0 * np.cos(400.0 * s), name="sin400")
-        with pytest.raises(RuntimeError, match=r"did not converge \(profile sin400, x2 = 2, t = 2,"):
-            sigma_from_omega0(wiggly, 2.0, 2.0)
-        with pytest.raises(RuntimeError, match="x2 = 2, t = 2,"):
-            sigma_from_omega0(wiggly, np.array([1e-3, 2.0]), 2.0)
-
-
 class TestMovingDomain:
     def test_paper_special_example(self):
         # omega0 = theta0 = identity gives psi = x2^3 e^t / 6 - x1 x2 on both branches
@@ -143,6 +97,19 @@ class TestMovingDomain:
         # d theta / dx2 at the axis is e^t for the identity profile
         s = MOVING.sample(0.0, 0.0, 2.0)
         assert s.dtheta_dx2 == pytest.approx(math.e**2, rel=1e-12)
+
+    def test_profile_without_primitives_refused_when_built(self):
+        bare = Profile1D(np.sin, np.cos, name="bare-sin")
+        with pytest.raises(ValueError, match="profile bare-sin needs W and dW for the moving-domain family"):
+            MovingDomainSolution(bare, SIN)
+
+    def test_sign_vorticity_next_to_the_axis(self):
+        # u1 = x1 - |x2| on both sides of the axis, however close to it
+        x2 = np.array([-9e-7, -5e-7, -1e-9, -1e-300, 0.0, 1e-300, 1e-9, 5e-7, 9e-7])
+        for t in (0.0, 0.5, 2.0):
+            s = MovingDomainSolution(SIGN, SIN).sample(0.3, x2, t)
+            np.testing.assert_allclose(s.u1, 0.3 - np.abs(x2), rtol=1e-15, atol=1e-16)
+        assert MovingDomainSolution(SIGN, SIN).sample(0.3, -5e-7, 0.5).u1 == pytest.approx(0.2999995, rel=1e-15)
 
 
 class TestModified:
@@ -240,15 +207,16 @@ class TestStreamFunction:
         assert np.max(np.abs(d1 - s.u2)) < 1e-6
 
     def test_wedge_is_the_moving_domain_of_a_sign_vorticity(self):
-        # the wedge's closed-form velocity against the sigma quadrature; sigma's near-axis
-        # expansion assumes omega0 smooth at 0, which sign is not, so |x2| >= 1e-6
+        # the literal wedge formulas psi = +-x2^2/2 - x1 x2 and u1 = x1 -+ x2, down to the axis
         rng = np.random.default_rng(3)
         x1 = rng.uniform(-2, 2, 500)
-        x2 = rng.choice([-1.0, 1.0], 500) * 10 ** rng.uniform(-6, 0.3, 500)
+        x2 = rng.choice([-1.0, 1.0], 500) * 10 ** rng.uniform(-12, 0.3, 500)
         t = rng.uniform(0, 2, 500)
-        wedge, moving = WEDGE.sample(x1, x2, t), MovingDomainSolution(SIGN, SIN).sample(x1, x2, t)
-        for name, value in vars(wedge).items():
-            np.testing.assert_allclose(getattr(moving, name), value, rtol=1e-15, atol=1e-15, err_msg=name)
+        s = WEDGE.sample(x1, x2, t)
+        sgn = np.where(x2 >= 0, 1.0, -1.0)
+        np.testing.assert_allclose(s.psi, sgn * x2 * x2 / 2.0 - x1 * x2, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(s.u1, x1 - sgn * x2, rtol=1e-14, atol=1e-15)
+        np.testing.assert_array_equal(s.omega, sgn)
 
 
 class TestCommonStructure:
