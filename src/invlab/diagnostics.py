@@ -169,12 +169,15 @@ def residual(sampler, model: ModelKind, points: Sequence[tuple[float, float, flo
 
 def symmetry_error(f: Field, parity: str) -> float:
     """Max |f(x1, x2) -+ f(x1, -x2)| over nodes for parity 'even' or 'odd'."""
-    reflected = np.roll(f.values[:, ::-1], 1, axis=1)
+    # the reflected copy is the one nodal temporary; the sum and abs reuse it
+    diff = np.roll(f.values[:, ::-1], 1, axis=1)
     if parity == "even":
-        return float(np.max(np.abs(f.values - reflected)))
-    if parity == "odd":
-        return float(np.max(np.abs(f.values + reflected)))
-    raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+        np.subtract(f.values, diff, out=diff)
+    elif parity == "odd":
+        np.add(f.values, diff, out=diff)
+    else:
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    return float(np.max(np.abs(diff, out=diff)))
 
 
 def l2_norm(f: Field) -> float:

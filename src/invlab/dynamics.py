@@ -14,10 +14,12 @@ so u1 = i k2 omega/|k|^2 and u2 = -i k1 omega/|k|^2.
 
 The RK4 stages run on band spectra (see invlab.spectral): a stage hands
 the next one its spectrum, never nodal values to transform straight back.
-The nodal velocity and grad theta of each state are computed once
-(State.kinematics) and feed the CFL bound, the gradient ceiling and the
-first stage of the next step, which then releases them: the state keeps
-only their maxima (State.max_speed, State.max_grad).
+The nodal velocity and grad theta of an accepted state are computed once
+(State.kinematics) and feed the CFL bound, the gradient ceiling, the axis
+slope and the first stage of the next step, which then releases them: the
+state keeps only their maxima (State.max_speed, State.max_grad).  Stages
+k2-k4 never build them; they stream their kinematics one direction at a
+time (see tendency), and the step sums k1 + 2 k2 + 2 k3 + k4 in k1's arrays.
 
 The modified forcing enters the omega advection's single forward as
 2 theta d(theta)/dx2.  This is exact: the band is alias-free, so the band
@@ -41,6 +43,7 @@ from .spectral import (
     Grid2D,
     NonFiniteFieldError,
     ddx1,
+    ddx2,
     forward,
     gradient,
     inverse,
@@ -129,10 +132,11 @@ class State:
     @cached_property
     def kinematics(self) -> Kinematics:
         """Velocity and grad theta: four real inverse transforms, once per state."""
-        omega_hat = self.omega.hat if self.omega is not None else None
         grid = self.grid
-        u1_hat, u2_hat = _velocity_hat(self.model, grid, self.theta.hat, omega_hat)
-        return Kinematics(inverse(grid, u1_hat), inverse(grid, u2_hat), *gradient(self.theta))
+        u_hats = list(_velocity_hat(self.model, grid, *(f.hat for f in self.fields)))
+        u1 = inverse(grid, u_hats.pop(0))  # each spectrum is dropped once inverted
+        u2 = inverse(grid, u_hats.pop())
+        return Kinematics(u1, u2, *gradient(self.theta))
 
     # The maxima are computed on first use: the CFL bound and the gradient
     # ceiling read them for accepted states, never for RK4 stages.
@@ -201,7 +205,7 @@ class IntegrationResult:
     steps: int
 
 
-def _velocity_hat(model: ModelKind, grid: Grid2D, theta_hat: np.ndarray, omega_hat: Optional[np.ndarray]):
+def _velocity_hat(model: ModelKind, grid: Grid2D, theta_hat: np.ndarray, omega_hat: Optional[np.ndarray] = None):
     """Velocity spectra (u1_hat, u2_hat) from the Fourier symbols of the model."""
     if model is ModelKind.SINGULAR_SCALAR:
         # The x2-mean modes m(x1) of theta (the k2 = 0 column) have no
@@ -238,35 +242,51 @@ def tendency(state: State) -> tuple[np.ndarray, Optional[np.ndarray]]:
     the two-thirds rule.  In the modified model the forcing -d(theta^2)/dx2
     enters the omega advection's forward as 2 theta d(theta)/dx2, exact
     because the band is alias-free: one forward per field and stage.
+
+    A state with cached kinematics reads them and leaves them intact; any
+    other streams its own one direction i at a time: u_i and d_i of each
+    field are made, multiplied into the products in place and dropped
+    before the next direction.  Every product keeps the order
+    u1 g1 + u2 g2, then the modified forcing (2 theta) d(theta)/dx2.
     """
+    kin = vars(state).get("kinematics")
     grid = state.grid
-    kin = state.kinematics
-
-    def advect(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    hats = [f.hat for f in state.fields]
+    if kin is None:
+        u_hats = list(_velocity_hat(state.model, grid, *hats))
+    products = None
+    for i, d in enumerate((ddx1, ddx2)):
+        if kin is None:
+            u = inverse(grid, u_hats[i])
+            u_hats[i] = None
+            grads = [inverse(grid, d(grid, hat)) for hat in hats]
+        else:  # the products are formed in a copy of the cached d_i(theta)
+            u = (kin.u1, kin.u2)[i]
+            grads = [(kin.dtheta_dx1, kin.dtheta_dx2)[i].copy()] + [inverse(grid, d(grid, hat)) for hat in hats[1:]]
+        # overflow here is a detected blowup, reported by forward()
         with np.errstate(over="ignore", invalid="ignore"):
-            # overflow here is a detected blowup, reported by forward()
-            product = kin.u1 * gx + kin.u2 * gy
-        return forward(grid, product)
+            if products is None:
+                products = [np.multiply(u, g, out=g) for g in grads]
+            else:  # omega's product first, so that d(theta)/dx2 outlives it
+                for j in reversed(range(len(grads))):
+                    products[j] += np.multiply(u, grads[j], out=grads[-1])
+        del u
+    if state.model is ModelKind.MODIFIED_BOUSSINESQ:
+        # in d(omega)/dx2's buffer, after u2 is dropped
+        with np.errstate(over="ignore", invalid="ignore"):
+            forcing = np.multiply(2.0, state.theta.values, out=grads[-1])
+            forcing *= grads[0]
+            products[1] += forcing
+        del forcing
+    del grads
 
-    dtheta_hat = -advect(kin.dtheta_dx1, kin.dtheta_dx2)
-
+    dtheta_hat = -forward(grid, products.pop(0))
     if state.model is ModelKind.SINGULAR_SCALAR:
         return dtheta_hat, None
-
+    domega_hat = -forward(grid, products.pop())
     if state.model is ModelKind.BOUSSINESQ:
-        domega_hat = -advect(*gradient(state.omega))
-        domega_hat += ddx1(grid, state.theta.hat)
-        return dtheta_hat, domega_hat
-
-    # theta's nodal values are made only after the gradient of omega is
-    # freed, so the step's memory peak does not rise
-    gx, gy = gradient(state.omega)
-    with np.errstate(over="ignore", invalid="ignore"):
-        product = kin.u1 * gx
-        product += kin.u2 * gy
-        del gx, gy
-        product += 2.0 * state.theta.values * kin.dtheta_dx2
-    return dtheta_hat, -forward(grid, product)
+        domega_hat += ddx1(grid, hats[0])
+    return dtheta_hat, domega_hat
 
 
 def admissible_dt(state: State, ctrl: StepControl) -> float:
@@ -314,12 +334,25 @@ def rk4_step(state: State, ctrl: StepControl, dt: Optional[float] = None) -> Sta
 
     t0 = state.t
     y0 = [f.hat for f in state.fields]
-    k1 = rhs(state)
-    del state.kinematics  # k1 was their last reader; each later stage has its own
-    k2 = rhs(at(t0 + dt / 2, [y + dt / 2 * k for y, k in zip(y0, k1)]))
-    k3 = rhs(at(t0 + dt / 2, [y + dt / 2 * k for y, k in zip(y0, k2)]))
-    k4 = rhs(at(t0 + dt, [y + dt * k for y, k in zip(y0, k3)]))
-    return at(t0 + dt, [y + dt / 6 * (a + 2 * b + 2 * c + d) for y, a, b, c, d in zip(y0, k1, k2, k3, k4)])
+    k = acc = rhs(state)
+    del state.kinematics  # k1 was their last reader; the later stages stream their own
+    # acc = k1 + 2 k2 + 2 k3 + k4, summed in k1's arrays in that order; each
+    # k is dropped once the next stage's input and the sum have read it
+    for h in (dt / 2, dt / 2, dt):
+        stage = at(t0 + h, [y + h * d for y, d in zip(y0, k)])
+        if k is not acc:  # k2 and k3, each entered twice
+            for j in range(len(k)):
+                k[j] *= 2
+                acc[j] += k[j]
+        del k
+        k = rhs(stage)
+        del stage
+    for j, y in enumerate(y0):
+        acc[j] += k[j]
+        acc[j] *= dt / 6
+        acc[j] += y
+    del k
+    return at(t0 + dt, acc)
 
 
 def integrate(

@@ -27,7 +27,8 @@ def write_snapshot(path, state) -> None:
         for name in fields:
             fh.write(f"{name}\n".encode("ascii"))
         for f in fields.values():
-            fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+            # the buffer itself, not a bytes copy (no copy at all on little-endian hosts)
+            fh.write(np.ascontiguousarray(f.values, dtype="<f8").data)
 
 
 def read_snapshot(path) -> tuple[float, dict[str, np.ndarray], tuple[int, int]]:

@@ -184,6 +184,50 @@ class TestRun:
         assert np.max(np.abs(fields["theta"] - theta_exact(x1, x2))) <= 1e-12
         assert np.max(np.abs(fields["omega"] - omega_exact(x1, x2, t))) <= 1e-12
 
+    # The exact families above have u.grad(theta) = u.grad(omega) = 0 at every
+    # node.  The next two runs check the vorticity models' advection itself.
+    VORTICITY_MODELS = ("boussinesq", "modified-boussinesq")
+
+    @pytest.mark.parametrize("model", VORTICITY_MODELS)
+    def test_steady_euler_state_holds(self, tmp_path, model):
+        # with theta = 0 both models are 2-D Euler, where omega = F(psi) is
+        # steady; this omega lies on the shell |k| = 1, so psi = -omega, and
+        # its products u1 d(omega)/dx1 and u2 d(omega)/dx2 reach 1.41 and cancel
+        cfg = tmp_path / "steady.cfg"
+        cfg.write_text(
+            f"model = {model}\nic = expr: 0*x1\nic_omega = expr: cos(x1) + cos(x2) + sin(x1)\n"
+            "t_end = 2\nnx = 32\nny = 32\n"
+        )
+        out = tmp_path / "out"
+        assert run_cli("run", str(cfg), "--output", str(out)) == EXIT_OK
+        t, fields, _ = read_snapshot(sorted(out.glob("snapshot-*.bin"))[-1])
+        assert t == pytest.approx(2.0, abs=1e-12)
+        x1, x2 = Grid2D(32, 32).mesh()
+        assert np.max(np.abs(fields["omega"] - (np.cos(x1) + np.cos(x2) + np.sin(x1)))) <= 1e-13
+
+    @pytest.mark.parametrize("model", VORTICITY_MODELS)
+    def test_l2_theta_drift_is_the_time_steps_alone(self, tmp_path, model):
+        # on the alias-free band the semi-discrete system conserves L2(theta)
+        # exactly, so its drift in conservation.csv is RK4's, O(dt^4)
+        drifts = []
+        for dt in (0.02, 0.01, 0.005):
+            cfg = tmp_path / "drift.cfg"
+            cfg.write_text(
+                f"model = {model}\nic = expr: sin(x1)*cos(2*x2) + 0.5*cos(3*x1 + x2)\n"
+                "ic_omega = expr: cos(x1 + 2*x2) - 0.7*sin(2*x1)*sin(x2)\n"
+                f"t_end = 1\nnx = 64\nny = 64\ndt = {dt}\noutput.series_interval = 0\n"
+                "diagnostics = conservation\n"
+            )
+            out = tmp_path / f"dt{dt}"
+            assert run_cli("run", str(cfg), "--output", str(out)) == EXIT_OK
+            header, *rows = (out / "conservation.csv").read_text().splitlines()
+            t_col, l2_col = (header.split(",").index(c) for c in ("t", "l2_theta"))
+            (t0, first), (t1, last) = ((float(r.split(",")[t_col]), float(r.split(",")[l2_col])) for r in rows)
+            assert (t0, t1) == (0.0, pytest.approx(1.0, abs=1e-12))
+            drifts.append(abs(last / first - 1.0))
+        assert drifts[0] >= 12 * drifts[1] and drifts[1] >= 12 * drifts[2], drifts
+        assert drifts[2] <= 1e-10
+
     def test_vorticity_with_nonzero_mean_exits_2(self, tmp_path, capsys):
         # no periodic stream function has a vorticity of nonzero mean
         cfg = tmp_path / "mean.cfg"

@@ -22,6 +22,7 @@ from invlab.spectral import Field, Grid2D, ddx1, ddx2, forward, inverse
 
 GRID = Grid2D(32, 32)
 X1, X2 = GRID.mesh()
+KINEMATICS_NAMES = ("u1", "u2", "dtheta_dx1", "dtheta_dx2")
 ZERO = Field(GRID, forward(GRID, np.zeros(GRID.shape)))
 
 
@@ -78,6 +79,53 @@ def count_transforms(monkeypatch):
 def nodal_velocity(state):
     kin = state.kinematics
     return kin.u1, kin.u2
+
+
+def materialized_tendency(state):
+    """tendency() written out from all four kinematics arrays at once, one
+    expression per product: u1 g1 + u2 g2, then the modified forcing."""
+    grid = state.grid
+    kin = State(state.model, state.t, *state.fields).kinematics
+    dtheta = -forward(grid, kin.u1 * kin.dtheta_dx1 + kin.u2 * kin.dtheta_dx2)
+    if state.omega is None:
+        return dtheta, None
+    wx, wy = (inverse(grid, d(grid, state.omega.hat)) for d in (ddx1, ddx2))
+    product = kin.u1 * wx + kin.u2 * wy
+    if state.model is ModelKind.BOUSSINESQ:
+        return dtheta, -forward(grid, product) + ddx1(grid, state.theta.hat)
+    product += 2.0 * inverse(grid, state.theta.hat) * kin.dtheta_dx2
+    return dtheta, -forward(grid, product)
+
+
+def four_stage_rk4_step(state, dt):
+    """rk4_step written out with k1..k4 kept side by side and summed as
+    a + 2 b + 2 c + d."""
+    grid, model, t0 = state.grid, state.model, state.t
+    y0 = [f.hat for f in state.fields]
+
+    def rhs(t, hats):
+        return [d for d in tendency(State(model, t, *(Field(grid, h) for h in hats))) if d is not None]
+
+    k1 = rhs(t0, y0)
+    k2 = rhs(t0 + dt / 2, [y + dt / 2 * k for y, k in zip(y0, k1)])
+    k3 = rhs(t0 + dt / 2, [y + dt / 2 * k for y, k in zip(y0, k2)])
+    k4 = rhs(t0 + dt, [y + dt * k for y, k in zip(y0, k3)])
+    return [y + dt / 6 * (a + 2 * b + 2 * c + d) for y, a, b, c, d in zip(y0, k1, k2, k3, k4)]
+
+
+def step_peak(model, n=256):
+    """tracemalloc peak, in (n, n) nodal arrays, of building the model's
+    INITIAL_DATA state on an n x n grid and taking one step from it."""
+    grid = Grid2D(n, n)
+    tracemalloc.start()
+    try:
+        fields = [Field(grid, forward(grid, fn(*grid.mesh()))) for fn in INITIAL_DATA[model]]
+        new = rk4_step(State(model, 0.0, *fields), StepControl(dt=1e-3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert new.t == 1e-3
+    return peak / (grid.nx * grid.ny * 8)
 
 
 class TestState:
@@ -212,6 +260,24 @@ class TestTendency:
         separate = -forward(grid, kin.u1 * gx + kin.u2 * gy) - ddx2(grid, forward(grid, state.theta.values**2))
         assert max_rel(tendency(state)[1], separate) <= 1e-13
 
+    @pytest.mark.parametrize("cached", [False, True], ids=["stage", "cached"])
+    @pytest.mark.parametrize("grid", [Grid2D(32, 32), Grid2D(48, 48), Grid2D(30, 40)], ids=lambda g: f"{g.nx}x{g.ny}")
+    @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
+    def test_bit_identical_to_materialized_kinematics(self, model, grid, cached):
+        # a stage streams its kinematics one direction at a time; a state
+        # with cached kinematics reads them; both keep every rounding
+        state = random_state(model, grid, seed=7)
+        if cached:
+            kin = state.kinematics
+            before = [getattr(kin, name).copy() for name in KINEMATICS_NAMES]
+        for got, want in zip(tendency(state), materialized_tendency(state)):
+            assert got is want is None or np.array_equal(got, want)
+        assert ("kinematics" in vars(state)) is cached  # a stage builds none
+        if cached:
+            assert state.kinematics is kin
+            for name, old in zip(KINEMATICS_NAMES, before):
+                assert np.array_equal(getattr(kin, name), old), name
+
 
 class TestStepControl:
     @pytest.mark.parametrize("key", ["dt", "cfl", "max_grad"])
@@ -253,6 +319,16 @@ class TestRk4Step:
         errors = [np.max(np.abs(run(dt) - reference)) for dt in dts]
         for e_coarse, e_fine in zip(errors, errors[1:]):
             assert 12.8 < e_coarse / e_fine < 19.2
+
+    @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
+    def test_bit_identical_to_the_four_stage_sum(self, model):
+        # the step sums k1 + 2 k2 + 2 k3 + k4 in place, in that order
+        state = random_state(model, GRID, seed=8)
+        dt = 0.5 * admissible_dt(state, StepControl())
+        new = rk4_step(state, StepControl(dt=dt))
+        assert new.t == dt
+        for field, want in zip(new.fields, four_stage_rk4_step(state, dt), strict=True):
+            assert np.array_equal(field.hat, want)
 
     def test_cfl_violation_reports_admissible(self):
         state = cos_cos_state()
@@ -307,38 +383,21 @@ class TestKinematicsRelease:
         rk4_step(mid, ctrl)
         assert "kinematics" not in vars(mid)
         fresh = State(model, mid.t, *mid.fields).kinematics
-        for name in ("u1", "u2", "dtheta_dx1", "dtheta_dx2"):
+        for name in KINEMATICS_NAMES:
             assert np.array_equal(getattr(mid.kinematics, name), getattr(fresh, name)), name
 
-    def test_a_step_peaks_below_twelve_nodal_arrays(self):
-        # the start state's kinematics are gone before stages k2-k4 build theirs
-        grid = Grid2D(256, 256)
-        tracemalloc.start()
-        try:
-            theta = Field(grid, forward(grid, INITIAL_DATA[ModelKind.SINGULAR_SCALAR][0](*grid.mesh())))
-            start = State(ModelKind.SINGULAR_SCALAR, 0.0, theta)
-            new = rk4_step(start, StepControl(dt=1e-3))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert new.t == 1e-3
-        assert peak <= 12 * grid.nx * grid.ny * 8
+    # Stages k2-k4 stream their kinematics one direction at a time and the
+    # RK4 sum is formed in k1's arrays, so no stage holds four nodal
+    # kinematics arrays, and k1..k4 are never all kept.
+    def test_a_step_peaks_below_eight_nodal_arrays(self):
+        assert step_peak(ModelKind.SINGULAR_SCALAR) <= 8
 
-    def test_a_modified_step_peaks_below_seventeen_and_a_quarter_nodal_arrays(self):
-        # the theta^2 forcing joins the omega advection's product only after
-        # the gradient of omega is freed, so theta's nodal values never
-        # coexist with it
-        grid = Grid2D(256, 256)
-        tracemalloc.start()
-        try:
-            fields = [Field(grid, forward(grid, fn(*grid.mesh()))) for fn in INITIAL_DATA[ModelKind.MODIFIED_BOUSSINESQ]]
-            start = State(ModelKind.MODIFIED_BOUSSINESQ, 0.0, *fields)
-            new = rk4_step(start, StepControl(dt=1e-3))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert new.t == 1e-3
-        assert peak <= 17.25 * grid.nx * grid.ny * 8
+    def test_a_boussinesq_step_peaks_below_fourteen_nodal_arrays(self):
+        assert step_peak(ModelKind.BOUSSINESQ) <= 14
+
+    def test_a_modified_step_peaks_below_fourteen_and_a_half_nodal_arrays(self):
+        # theta's nodal values for the forcing are made after u2 is dropped
+        assert step_peak(ModelKind.MODIFIED_BOUSSINESQ) <= 14.5
 
 
 class TestIntegrate:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,29 @@ def test_payload_is_little_endian_x2_fastest(tmp_path):
     first_two = np.frombuffer(raw, dtype="<f8", count=2, offset=offset)
     assert first_two[0] == theta.values[0, 0]
     assert first_two[1] == theta.values[0, 1]  # x2 neighbor follows immediately
+
+
+def test_file_is_the_header_then_each_field_as_tobytes(tmp_path):
+    rng = np.random.default_rng(5)
+    theta, omega = (Field(GRID, forward(GRID, rng.standard_normal(GRID.shape))) for _ in range(2))
+    path = tmp_path / "snap.bin"
+    write_snapshot(path, State(ModelKind.BOUSSINESQ, 0.375, theta, omega))
+    header = f"{MAGIC} 16 32 2 0.375\ntheta\nomega\n".encode("ascii")
+    assert path.read_bytes() == header + theta.values.tobytes() + omega.values.tobytes()
+
+
+def test_fields_are_written_without_a_bytes_copy(tmp_path):
+    grid = Grid2D(256, 256)
+    rng = np.random.default_rng(6)
+    state = State(ModelKind.SINGULAR_SCALAR, 0.0, Field(grid, forward(grid, rng.standard_normal(grid.shape))))
+    state.theta.values  # the nodal values the file holds, made before tracing starts
+    tracemalloc.start()
+    try:
+        write_snapshot(tmp_path / "snap.bin", state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * state.theta.values.nbytes
 
 
 def test_rewrite_is_bit_identical(tmp_path):
