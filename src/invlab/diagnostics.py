@@ -123,7 +123,8 @@ def extrapolate_blowup(series: TimeSeries, window: Optional[tuple[float, float]]
 
 def min_axis_slope(state: State) -> float:
     """Min over the x2 = 0 row of the state's spectral d(theta)/dx1."""
-    return float(np.min(state.kinematics.dtheta_dx1[:, 0]))
+    (_, dtheta_dx1), _ = state.kinematics
+    return float(np.min(dtheta_dx1[:, 0]))
 
 
 def _require(value, name: str):

@@ -14,12 +14,12 @@ so u1 = i k2 omega/|k|^2 and u2 = -i k1 omega/|k|^2.
 
 The RK4 stages run on band spectra (see invlab.spectral): a stage hands
 the next one its spectrum, never nodal values to transform straight back.
-The nodal velocity and grad theta of an accepted state are computed once
-(State.kinematics) and feed the CFL bound, the gradient ceiling, the axis
-slope and the first stage of the next step, which then releases them: the
-state keeps only their maxima (State.max_speed, State.max_grad).  Stages
-k2-k4 never build them; they stream their kinematics one direction at a
-time (see tendency), and the step sums k1 + 2 k2 + 2 k3 + k4 in k1's arrays.
+One generator, _kinematics, makes the nodal pairs (u_i, d(theta)/dx_i).
+An accepted state caches both (State.kinematics) for the CFL bound, the
+gradient ceiling, the axis slope and the next step's first stage, after
+which the step releases them and its fields' nodal values: the state keeps
+only their maxima.  Stages k2-k4 stream the generator (see tendency), and
+the step sums k1 + 2 k2 + 2 k3 + k4 in k1's arrays.
 
 The modified forcing enters the omega advection's single forward as
 2 theta d(theta)/dx2.  This is exact: the band is alias-free, so the band
@@ -45,13 +45,11 @@ from .spectral import (
     ddx1,
     ddx2,
     forward,
-    gradient,
     inverse,
 )
 
 __all__ = [
     "ModelKind",
-    "Kinematics",
     "State",
     "StepControl",
     "BlowupSignal",
@@ -74,16 +72,6 @@ class ModelKind(Enum):
         return self is not ModelKind.SINGULAR_SCALAR
 
 
-@dataclass
-class Kinematics:
-    """Nodal velocity and grad theta of one state: four (nx, ny) arrays."""
-
-    u1: np.ndarray
-    u2: np.ndarray
-    dtheta_dx1: np.ndarray
-    dtheta_dx2: np.ndarray
-
-
 def _max_norm(a: np.ndarray, b: np.ndarray) -> float:
     """max of hypot(a, b) over the grid, from the largest a^2 + b^2."""
     with np.errstate(over="ignore"):
@@ -99,9 +87,9 @@ class State:
 
     theta holds the active scalar (called rho in the modified model);
     omega is present exactly when the model evolves vorticity.  A state
-    is not changed after it is built.  Its kinematics are computed on
-    first use and kept until rk4_step releases them after its first
-    stage; the maxima max_speed and max_grad are floats the state keeps.
+    is not changed after it is built.  Its kinematics and its fields'
+    nodal values are cached from first use until rk4_step releases them
+    after its first stage; max_speed and max_grad are floats it keeps.
     """
 
     model: ModelKind
@@ -130,27 +118,23 @@ class State:
         return [self.theta] if self.omega is None else [self.theta, self.omega]
 
     @cached_property
-    def kinematics(self) -> Kinematics:
-        """Velocity and grad theta: four real inverse transforms, once per state."""
-        grid = self.grid
-        u_hats = list(_velocity_hat(self.model, grid, *(f.hat for f in self.fields)))
-        u1 = inverse(grid, u_hats.pop(0))  # each spectrum is dropped once inverted
-        u2 = inverse(grid, u_hats.pop())
-        return Kinematics(u1, u2, *gradient(self.theta))
+    def kinematics(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """[(u1, d(theta)/dx1), (u2, d(theta)/dx2)]: four real inverse transforms, once per state."""
+        return list(_kinematics(self))
 
     # The maxima are computed on first use: the CFL bound and the gradient
     # ceiling read them for accepted states, never for RK4 stages.
     @cached_property
     def max_speed(self) -> float:
         """max|u| over the grid nodes."""
-        kin = self.kinematics
-        return _max_norm(kin.u1, kin.u2)
+        (u1, _), (u2, _) = self.kinematics
+        return _max_norm(u1, u2)
 
     @cached_property
     def max_grad(self) -> float:
         """max|grad theta| over the grid nodes."""
-        kin = self.kinematics
-        return _max_norm(kin.dtheta_dx1, kin.dtheta_dx2)
+        (_, g1), (_, g2) = self.kinematics
+        return _max_norm(g1, g2)
 
 
 @dataclass
@@ -235,6 +219,17 @@ def _velocity_hat(model: ModelKind, grid: Grid2D, theta_hat: np.ndarray, omega_h
     return u1, u2
 
 
+def _kinematics(state: State):
+    """Yield the nodal (u_i, d(theta)/dx_i) for i = 1, 2, each spectrum
+    dropped once inverted and u_i let go of before the next pair."""
+    grid, theta_hat = state.grid, state.theta.hat
+    u_hats = list(_velocity_hat(state.model, grid, *(f.hat for f in state.fields)))
+    for d in (ddx1, ddx2):
+        u = inverse(grid, u_hats.pop(0))
+        yield u, inverse(grid, d(grid, theta_hat))
+        del u
+
+
 def tendency(state: State) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Right-hand side band spectra (dtheta/dt, domega/dt or None).
 
@@ -243,26 +238,20 @@ def tendency(state: State) -> tuple[np.ndarray, Optional[np.ndarray]]:
     enters the omega advection's forward as 2 theta d(theta)/dx2, exact
     because the band is alias-free: one forward per field and stage.
 
-    A state with cached kinematics reads them and leaves them intact; any
-    other streams its own one direction i at a time: u_i and d_i of each
-    field are made, multiplied into the products in place and dropped
-    before the next direction.  Every product keeps the order
+    The products are formed one direction i at a time from the cached
+    kinematics (a copy of d_i(theta), so the cache stays intact) or else
+    _kinematics(state): u_i and each field's d_i are multiplied in place
+    and dropped before the next direction.  Every product keeps the order
     u1 g1 + u2 g2, then the modified forcing (2 theta) d(theta)/dx2.
     """
-    kin = vars(state).get("kinematics")
+    cached = vars(state).get("kinematics")
     grid = state.grid
     hats = [f.hat for f in state.fields]
-    if kin is None:
-        u_hats = list(_velocity_hat(state.model, grid, *hats))
     products = None
-    for i, d in enumerate((ddx1, ddx2)):
-        if kin is None:
-            u = inverse(grid, u_hats[i])
-            u_hats[i] = None
-            grads = [inverse(grid, d(grid, hat)) for hat in hats]
-        else:  # the products are formed in a copy of the cached d_i(theta)
-            u = (kin.u1, kin.u2)[i]
-            grads = [(kin.dtheta_dx1, kin.dtheta_dx2)[i].copy()] + [inverse(grid, d(grid, hat)) for hat in hats[1:]]
+    # not zip or enumerate: they keep the pair (u_i, d_i theta) until the next one is made
+    for u, dtheta in cached or _kinematics(state):
+        d = ddx1 if products is None else ddx2
+        grads = [dtheta.copy() if cached else dtheta] + [inverse(grid, d(grid, hat)) for hat in hats[1:]]
         # overflow here is a detected blowup, reported by forward()
         with np.errstate(over="ignore", invalid="ignore"):
             if products is None:
@@ -270,7 +259,7 @@ def tendency(state: State) -> tuple[np.ndarray, Optional[np.ndarray]]:
             else:  # omega's product first, so that d(theta)/dx2 outlives it
                 for j in reversed(range(len(grads))):
                     products[j] += np.multiply(u, grads[j], out=grads[-1])
-        del u
+        del u, dtheta
     if state.model is ModelKind.MODIFIED_BOUSSINESQ:
         # in d(omega)/dx2's buffer, after u2 is dropped
         with np.errstate(over="ignore", invalid="ignore"):
@@ -302,7 +291,7 @@ def rk4_step(state: State, ctrl: StepControl, dt: Optional[float] = None) -> Sta
 
     Validates the CFL bound at the step start; raises BlowupSignal if the
     step produces non-finite fields.  Releases the start state's kinematics
-    once its first stage has read them.
+    and its fields' cached nodal values once its first stage has read them.
     """
     if dt is None:
         dt = ctrl.dt
@@ -335,7 +324,9 @@ def rk4_step(state: State, ctrl: StepControl, dt: Optional[float] = None) -> Sta
     t0 = state.t
     y0 = [f.hat for f in state.fields]
     k = acc = rhs(state)
-    del state.kinematics  # k1 was their last reader; the later stages stream their own
+    vars(state).pop("kinematics", None)  # k1 was the last reader of its nodal arrays
+    for f in state.fields:
+        vars(f).pop("values", None)
     # acc = k1 + 2 k2 + 2 k3 + k4, summed in k1's arrays in that order; each
     # k is dropped once the next stage's input and the sum have read it
     for h in (dt / 2, dt / 2, dt):

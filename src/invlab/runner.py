@@ -262,8 +262,7 @@ class ConvergenceRow:
     order: Optional[float]
 
 
-def _axis_error(cfg: RunConfig, nx: int, dt: float, sol: BurgersSolution) -> float:
-    grid = Grid2D(nx, nx)
+def _axis_error(cfg: RunConfig, grid: Grid2D, dt: float, sol: BurgersSolution) -> float:
     result = integrate(build_initial_state(cfg, grid), StepControl(dt=dt, cfl=cfg.cfl), cfg.t_end)
     axis = result.state.theta.values[:, 0]
     oracle = evaluate_many(sol, grid.x1, cfg.t_end)
@@ -273,8 +272,10 @@ def _axis_error(cfg: RunConfig, nx: int, dt: float, sol: BurgersSolution) -> flo
 def convergence(cfg: RunConfig, levels: int, mode: str = "temporal") -> list[ConvergenceRow]:
     """Refinement study against the exact axis solution.
 
-    temporal: halve dt per level on a fixed grid (RK4 order ~ 4).
-    spatial: double nx per level at fixed small dt (spectral plateau).
+    temporal: halve dt per level on the config's (nx, ny) grid (RK4 order ~ 4).
+    spatial: double both nx and ny per level at fixed small dt (spectral plateau).
+    A config with dt = 0 (CFL-chosen in a run) starts the study at
+    dt = 8e-3 in temporal mode and runs it at dt = 5e-4 in spatial mode.
     Requires an ic preset of the config's model, whose exact axis trace
     IC_PRESETS holds.
     """
@@ -296,17 +297,17 @@ def convergence(cfg: RunConfig, levels: int, mode: str = "temporal") -> list[Con
 
     if mode == "temporal":
         dt0 = cfg.dt if cfg.dt is not None else 8e-3
-        jobs = [(cfg.nx, dt0 / 2**i) for i in range(levels)]
+        jobs = [(Grid2D(cfg.nx, cfg.ny), dt0 / 2**i) for i in range(levels)]
     else:
         dt = cfg.dt if cfg.dt is not None else 5e-4
-        jobs = [(cfg.nx * 2**i, dt) for i in range(levels)]
+        jobs = [(Grid2D(cfg.nx * 2**i, cfg.ny * 2**i), dt) for i in range(levels)]
 
-    errors = [_axis_error(cfg, nx, dt, sol) for nx, dt in jobs]
+    errors = [_axis_error(cfg, grid, dt, sol) for grid, dt in jobs]
 
     rows = []
-    for i, ((nx, dt), err) in enumerate(zip(jobs, errors)):
+    for i, ((grid, dt), err) in enumerate(zip(jobs, errors)):
         order = None
         if i > 0 and err > 0 and errors[i - 1] > 0:
             order = math.log2(errors[i - 1] / err)
-        rows.append(ConvergenceRow(i, nx, dt, err, order))
+        rows.append(ConvergenceRow(i, grid.nx, dt, err, order))
     return rows

@@ -18,7 +18,7 @@ band-limited.  A derivative multiplies each coefficient by its Fourier
 symbol, i k1 for d/dx1 and i k2 for d/dx2.  The x1 Nyquist row lies
 outside the band, so the band cut leaves it zero and the symbol i k1 needs
 no special case for that unpaired mode.  A Field is a band spectrum; its
-nodal values are computed on first use and kept (see Field).
+nodal values are computed on first use and cached (see Field).
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "inverse",
     "ddx1",
     "ddx2",
-    "gradient",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -120,11 +119,10 @@ class Field:
     """Real field on a Grid2D, known by its two-thirds band spectrum.
 
     `hat` is a spectrum of shape grid.band_shape, as forward() returns it.
-    The nodal values, shape (nx, ny), are inverse(grid, hat), computed on
-    first use and kept; neither is changed after the field is built.
+    The nodal values, shape (nx, ny), are inverse(grid, hat), cached from
+    first use until a step from the field's state releases them (see
+    dynamics.rk4_step); neither is changed after it is made.
     """
-
-    __slots__ = ("grid", "hat", "_values")
 
     def __init__(self, grid: Grid2D, hat: np.ndarray):
         if hat.shape != grid.band_shape:
@@ -134,13 +132,10 @@ class Field:
             )
         self.grid = grid
         self.hat = hat
-        self._values = None
 
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
-        if self._values is None:
-            self._values = inverse(self.grid, self.hat)
-        return self._values
+        return inverse(self.grid, self.hat)
 
 
 def forward(grid: Grid2D, values: np.ndarray) -> np.ndarray:
@@ -185,8 +180,3 @@ def ddx2(grid: Grid2D, hat: np.ndarray) -> np.ndarray:
     """Spectral d/dx2."""
     return hat * (1j * grid.ky_deriv)[None, :]
 
-
-def gradient(f: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral (df/dx1, df/dx2) as nodal arrays: one real inverse transform each."""
-    grid, hat = f.grid, f.hat
-    return inverse(grid, ddx1(grid, hat)), inverse(grid, ddx2(grid, hat))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import fresh_interpreter
 
-from invlab import cli
+from invlab import cli, runner
 from invlab.cli import EXIT_BLOWUP, EXIT_ERROR, EXIT_OK, EXIT_ORACLE_FAIL, EXIT_VALIDATION, main
 from invlab.snapshots import read_snapshot
 from invlab.spectral import Grid2D
@@ -567,6 +567,26 @@ class TestConvergence:
         out = capsys.readouterr().out
         assert "axis error" in out
         assert len(out.strip().splitlines()) == 4
+
+    @pytest.mark.parametrize(
+        "mode, shapes", [("temporal", [(16, 32)] * 3), ("spatial", [(16, 32), (32, 64), (64, 128)])]
+    )
+    def test_each_level_runs_on_the_config_nx_and_ny(self, tmp_path, monkeypatch, capsys, mode, shapes):
+        # temporal levels keep the config's grid; spatial levels double both sides
+        build = runner.build_initial_state
+        seen = []
+
+        def recording_build(cfg, grid):
+            seen.append(grid.shape)
+            return build(cfg, grid)
+
+        monkeypatch.setattr(runner, "build_initial_state", recording_build)
+        cfg = tmp_path / "conv.cfg"
+        cfg.write_text("model = singular-scalar\nic = singular-cos\nt_end = 0.02\nnx = 16\nny = 32\ndt = 0.01\n")
+        assert run_cli("convergence", str(cfg), "--levels", "3", "--mode", mode) == EXIT_OK
+        assert seen == shapes
+        nx_column = [int(line.split()[1]) for line in capsys.readouterr().out.splitlines()[1:]]
+        assert nx_column == [nx for nx, _ in shapes]
 
     def test_convergence_has_no_deterministic_flag(self, tmp_path):
         # the levels always run one after another

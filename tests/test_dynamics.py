@@ -5,9 +5,9 @@ import weakref
 import numpy as np
 import pytest
 
+from invlab import dynamics
 from invlab.dynamics import (
     CFLViolationError,
-    Kinematics,
     ModelKind,
     State,
     StepControl,
@@ -22,7 +22,6 @@ from invlab.spectral import Field, Grid2D, ddx1, ddx2, forward, inverse
 
 GRID = Grid2D(32, 32)
 X1, X2 = GRID.mesh()
-KINEMATICS_NAMES = ("u1", "u2", "dtheta_dx1", "dtheta_dx2")
 ZERO = Field(GRID, forward(GRID, np.zeros(GRID.shape)))
 
 
@@ -76,24 +75,29 @@ def count_transforms(monkeypatch):
     return counts
 
 
+def kinematics_arrays(kin):
+    """The four nodal arrays of kinematics [(u1, d1 theta), (u2, d2 theta)], by name."""
+    return dict(zip(("u1", "dtheta_dx1", "u2", "dtheta_dx2"), (a for pair in kin for a in pair), strict=True))
+
+
 def nodal_velocity(state):
-    kin = state.kinematics
-    return kin.u1, kin.u2
+    (u1, _), (u2, _) = state.kinematics
+    return u1, u2
 
 
 def materialized_tendency(state):
     """tendency() written out from all four kinematics arrays at once, one
     expression per product: u1 g1 + u2 g2, then the modified forcing."""
     grid = state.grid
-    kin = State(state.model, state.t, *state.fields).kinematics
-    dtheta = -forward(grid, kin.u1 * kin.dtheta_dx1 + kin.u2 * kin.dtheta_dx2)
+    (u1, g1), (u2, g2) = State(state.model, state.t, *state.fields).kinematics
+    dtheta = -forward(grid, u1 * g1 + u2 * g2)
     if state.omega is None:
         return dtheta, None
     wx, wy = (inverse(grid, d(grid, state.omega.hat)) for d in (ddx1, ddx2))
-    product = kin.u1 * wx + kin.u2 * wy
+    product = u1 * wx + u2 * wy
     if state.model is ModelKind.BOUSSINESQ:
         return dtheta, -forward(grid, product) + ddx1(grid, state.theta.hat)
-    product += 2.0 * inverse(grid, state.theta.hat) * kin.dtheta_dx2
+    product += 2.0 * inverse(grid, state.theta.hat) * g2
     return dtheta, -forward(grid, product)
 
 
@@ -148,10 +152,18 @@ class TestKinematics:
         # at 1e200 the squares overflow while every input and hypot stay finite
         a, b = scale * np.random.default_rng(3).standard_normal((2, 16, 16))
         state = cos_cos_state(Grid2D(16, 16))
-        state.kinematics = Kinematics(a, b, b, -a)
+        state.kinematics = [(a, b), (b, -a)]
         expected = float(np.max(np.hypot(a, b)))
         assert state.max_speed == pytest.approx(expected, rel=4e-16)
         assert state.max_grad == pytest.approx(expected, rel=4e-16)
+
+    def test_grad_theta_is_nodal(self):
+        grid = Grid2D(32, 16)
+        x1, x2 = grid.mesh()
+        theta = Field(grid, forward(grid, np.sin(x1) * np.cos(2 * x2)))
+        (_, gx), (_, gy) = State(ModelKind.SINGULAR_SCALAR, 0.0, theta).kinematics
+        assert np.max(np.abs(gx - np.cos(x1) * np.cos(2 * x2))) < 1e-13
+        assert np.max(np.abs(gy + 2 * np.sin(x1) * np.sin(2 * x2))) < 1e-13
 
 
 class TestVelocity:
@@ -255,9 +267,9 @@ class TestTendency:
             Field(grid, band_spectrum(grid, seed=5, zero_mean=True)),
             Field(grid, band_spectrum(grid, seed=6, zero_mean=True)),
         )
-        kin = state.kinematics
+        (u1, _), (u2, _) = state.kinematics
         gx, gy = (inverse(grid, d(grid, state.omega.hat)) for d in (ddx1, ddx2))
-        separate = -forward(grid, kin.u1 * gx + kin.u2 * gy) - ddx2(grid, forward(grid, state.theta.values**2))
+        separate = -forward(grid, u1 * gx + u2 * gy) - ddx2(grid, forward(grid, state.theta.values**2))
         assert max_rel(tendency(state)[1], separate) <= 1e-13
 
     @pytest.mark.parametrize("cached", [False, True], ids=["stage", "cached"])
@@ -269,14 +281,14 @@ class TestTendency:
         state = random_state(model, grid, seed=7)
         if cached:
             kin = state.kinematics
-            before = [getattr(kin, name).copy() for name in KINEMATICS_NAMES]
+            before = {name: a.copy() for name, a in kinematics_arrays(kin).items()}
         for got, want in zip(tendency(state), materialized_tendency(state)):
             assert got is want is None or np.array_equal(got, want)
         assert ("kinematics" in vars(state)) is cached  # a stage builds none
         if cached:
             assert state.kinematics is kin
-            for name, old in zip(KINEMATICS_NAMES, before):
-                assert np.array_equal(getattr(kin, name), old), name
+            for name, a in kinematics_arrays(kin).items():
+                assert np.array_equal(a, before[name]), name
 
 
 class TestStepControl:
@@ -380,11 +392,39 @@ class TestKinematicsRelease:
         fields = [Field(GRID, forward(GRID, fn(X1, X2))) for fn in INITIAL_DATA[model]]
         ctrl = StepControl(dt=1e-2)
         mid = rk4_step(State(model, 0.0, *fields), ctrl)
+        for f in mid.fields:
+            f.values  # cached, as a series row caches them
         rk4_step(mid, ctrl)
         assert "kinematics" not in vars(mid)
-        fresh = State(model, mid.t, *mid.fields).kinematics
-        for name in KINEMATICS_NAMES:
-            assert np.array_equal(getattr(mid.kinematics, name), getattr(fresh, name)), name
+        assert not any("values" in vars(f) for f in mid.fields)
+        fresh = State(model, mid.t, *(Field(GRID, f.hat) for f in mid.fields))
+        for f, g in zip(mid.fields, fresh.fields, strict=True):
+            assert np.array_equal(f.values, g.values)
+        want = kinematics_arrays(fresh.kinematics)
+        for name, a in kinematics_arrays(mid.kinematics).items():
+            assert np.array_equal(a, want[name]), name
+
+    @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
+    def test_nothing_nodal_of_the_start_state_outlives_k1(self, model, monkeypatch):
+        start = State(model, 0.0, *(Field(GRID, forward(GRID, fn(X1, X2))) for fn in INITIAL_DATA[model]))
+        for f in start.fields:
+            f.values
+        held = []
+
+        def recording_tendency(stage):
+            held.append(["kinematics" in vars(start)] + ["values" in vars(f) for f in start.fields])
+            return tendency(stage)
+
+        monkeypatch.setattr(dynamics, "tendency", recording_tendency)
+        rk4_step(start, StepControl(dt=1e-2))
+        assert held == [[True] * (1 + len(start.fields))] + [[False] * (1 + len(start.fields))] * 3
+
+    def test_a_state_can_be_stepped_from_twice(self):
+        start = cos_cos_state()
+        ctrl = StepControl(dt=1e-2)
+        first = rk4_step(start, ctrl)
+        second = rk4_step(start, ctrl)  # its kinematics were released by the first step
+        assert np.array_equal(first.theta.hat, second.theta.hat)
 
     # Stages k2-k4 stream their kinematics one direction at a time and the
     # RK4 sum is formed in k1's arrays, so no stage holds four nodal

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from invlab.spectral import Field, Grid2D, ddx1, ddx2, forward, gradient, inverse
+from invlab.spectral import Field, Grid2D, ddx1, ddx2, forward, inverse
 
 
 def random_values(grid, seed=0, scale=1.0):
@@ -179,13 +179,6 @@ class TestDerivatives:
         grid = Grid2D(16, 16)
         hat = forward(grid, np.full(grid.shape, 2.0))
         assert np.max(np.abs(ddx1(grid, hat))) < 1e-15
-
-    def test_gradient_returns_nodal_arrays(self):
-        grid = Grid2D(32, 16)
-        x1, x2 = grid.mesh()
-        gx, gy = gradient(Field(grid, forward(grid, np.sin(x1) * np.cos(2 * x2))))
-        assert np.max(np.abs(gx - np.cos(x1) * np.cos(2 * x2))) < 1e-13
-        assert np.max(np.abs(gy + 2 * np.sin(x1) * np.sin(2 * x2))) < 1e-13
 
     def test_matches_finite_differences_at_second_order(self):
         # centered differences of the nodal values converge at O(h^2)
