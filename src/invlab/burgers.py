@@ -2,11 +2,11 @@
 
 In the symmetric class the scalar restricted to the x2 = 0 axis obeys
 d(theta)/dt + theta d(theta)/dx1 = 0, whose implicit solution
-theta = g(x - t*theta) is evaluated here by characteristics, together
-with the first-crossing blowup time -1/min(g').  Extrema are found by a
-dense scan whose best cell is rescanned, 16-fold narrower each round; on
-a periodic profile the cell of a best node at either end of the scan wraps
-across the seam.  A family of times is refined together: one scan per
+theta = g(x - t*theta), g an AxisProfile, is evaluated here by
+characteristics, with the first-crossing blowup time -1/min(g').
+Extrema are found by a dense scan whose best cell is rescanned, 16-fold
+narrower each round; on a periodic profile the cell of a best node at
+either end of the scan wraps across the seam.  A family of times is refined together: one scan per
 time, then each round one call on the cells of every time still refining.
 Rows never mix, so each extremum is bit for bit what its time alone gives.
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,13 +46,21 @@ _REFINE_NODES = np.arange(REFINE_POINTS, dtype=float)
 
 @dataclass(frozen=True)
 class AxisProfile:
-    """Closed-form axis trace g of period 2 pi with its exact derivative dg.
+    """Closed-form profile f of one coordinate with its exact derivative df.
 
-    g and dg must accept numpy arrays (plain ufunc expressions do).
+    It is the axis trace g = f of period 2 pi here and every profile of the
+    oracle families, which read the optional rest: d2f for the modified-
+    family vorticity, W(s) = int_0^s (s - y) f(y) dy, the second primitive
+    of f from 0, and dW for the moving-domain stream function.  Every
+    function must accept numpy arrays (plain ufunc expressions do).
     """
 
-    g: Callable[[np.ndarray], np.ndarray]
-    dg: Callable[[np.ndarray], np.ndarray]
+    f: Callable[[np.ndarray], np.ndarray]
+    df: Callable[[np.ndarray], np.ndarray]
+    d2f: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    dW: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    W: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    name: str = ""
 
 
 def _sample(fn: Callable, xs: np.ndarray, *args) -> np.ndarray:
@@ -113,8 +121,8 @@ def _periodic_minimum(fn: Callable[[np.ndarray, object], np.ndarray], params=(0.
 
 
 def blowup_time(p: AxisProfile) -> float:
-    """First characteristic-crossing time -1/min(dg); +inf when min(dg) >= 0."""
-    min_dg = float(_periodic_minimum(lambda x, _: p.dg(x))[0])
+    """First characteristic-crossing time -1/min(g'); +inf when min(g') >= 0."""
+    min_dg = float(_periodic_minimum(lambda x, _: p.df(x))[0])
     if min_dg >= 0.0:
         return math.inf
     return -1.0 / min_dg
@@ -131,7 +139,7 @@ class BurgersSolution:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tstar", blowup_time(self.profile))
-        g = self.profile.g
+        g = self.profile.f
         gmin = float(_periodic_minimum(lambda x, _: g(x))[0])
         gmax = -float(_periodic_minimum(lambda x, _: -_sample(g, x))[0])
         object.__setattr__(self, "_gmin", gmin)
@@ -154,7 +162,7 @@ def _evaluate_array(sol: BurgersSolution, xs: np.ndarray, t: float) -> np.ndarra
     The implicit function is strictly increasing in theta for t < tstar,
     so the bracket [min g, max g] always contains exactly one root.
     """
-    g = sol.profile.g
+    g = sol.profile.f
     if t == 0.0:
         return _sample(g, xs)
     pad = 1e-9 * max(1.0, abs(sol._gmax), abs(sol._gmin))
@@ -188,11 +196,11 @@ def evaluate_many(sol: BurgersSolution, xs, t: float) -> np.ndarray:
 
 def min_slope_series(sol: BurgersSolution, times) -> TimeSeries:
     """Minimum over x of the slope at each time: a scan over characteristic
-    labels xi of dg(xi)/(1 + t*dg(xi)), with no characteristic solve."""
+    labels xi of g'(xi)/(1 + t*g'(xi)), with no characteristic solve."""
     times = np.asarray(times, dtype=float)
     for t in times:
         _check_time(sol, float(t))
-    dg = sol.profile.dg
+    dg = sol.profile.df
 
     def label_slope(xi: np.ndarray, t) -> np.ndarray:
         s = _sample(dg, xi)

@@ -56,7 +56,7 @@ def _load_series_column(path: str, column: str) -> TimeSeries:
 
 
 def _resolve_config(config: str, settings=()) -> RunConfig:
-    """The RunConfig of a config file or preset name, with `KEY=VALUE` overrides applied."""
+    """The RunConfig of a config file or preset name, with `KEY=VALUE` overrides applied, each key at most once."""
     if config in SOLVER_PRESETS:
         text = SOLVER_PRESETS[config]
     elif Path(config).exists():
@@ -70,6 +70,8 @@ def _resolve_config(config: str, settings=()) -> RunConfig:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
+        if key in overrides:
+            raise ConfigError(f"override: duplicate key {key!r}")
         overrides[key] = value
     merged = [(k, v, ln) for k, v, ln in entries if k not in overrides]
     merged.extend((k, v, None) for k, v in overrides.items())
@@ -77,8 +79,7 @@ def _resolve_config(config: str, settings=()) -> RunConfig:
 
 
 def _cmd_run(args) -> int:
-    cfg = _resolve_config(args.config, args.set or ())
-    artifacts = run(cfg, output_dir=Path(args.output) if args.output else None)
+    artifacts = run(_resolve_config(args.config, args.set or ()))
     print(f"wrote {artifacts.series_path} ({artifacts.steps} steps)")
     if artifacts.blowup is not None:
         b = artifacts.blowup
@@ -108,10 +109,10 @@ def _cmd_oracle_check(args) -> int:
 
 def _cmd_convergence(args) -> int:
     rows = convergence(_resolve_config(args.config), args.levels, mode=args.mode)
-    print(f"{'level':>5} {'nx':>6} {'dt':>12} {'axis error':>14} {'order':>8}")
+    print(f"{'level':>5} {'nx':>6} {'ny':>6} {'dt':>12} {'axis error':>14} {'order':>8}")
     for r in rows:
         order = "-" if r.order is None else f"{r.order:.2f}"
-        print(f"{r.level:>5} {r.nx:>6} {r.dt:>12.6g} {r.error:>14.6e} {order:>8}")
+        print(f"{r.level:>5} {r.nx:>6} {r.ny:>6} {r.dt:>12.6g} {r.error:>14.6e} {order:>8}")
     return EXIT_OK
 
 
@@ -148,7 +149,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a configured run (config file or preset name)")
     p_run.add_argument("config")
     p_run.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
-    p_run.add_argument("--output", help="override output.dir")
+    # --output DIR is one more override, --set output.dir=DIR
+    p_run.add_argument("--output", dest="set", action="append", type="output.dir={}".format, metavar="DIR",
+                       help="override output.dir")
     p_run.set_defaults(func=_cmd_run)
 
     p_oc = sub.add_parser("oracle-check", help="residual-check a closed-form family")

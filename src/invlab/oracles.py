@@ -20,6 +20,7 @@ diagnostics.residual are x2 df/dx2 - x2 df/dx2 = 0 whatever psi and u1
 are, and the modified omega residual is e^t ((theta0^2)' - q)(s), zero
 for the modified family's q.
 
+Each profile theta0, omega0, rho0 and q is a burgers.AxisProfile.
 Formulas are piecewise across x2 = 0; evaluation at x2 = 0 uses the
 x2 >= 0 branch.  All evaluators take arrays of points.
 """
@@ -31,11 +32,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .burgers import _refine_minima
+from .burgers import AxisProfile, _refine_minima
 from .diagnostics import TimeSeries
 
 __all__ = [
-    "Profile1D",
     "OracleSample",
     "CarriedSolution",
     "WedgeSolution",
@@ -52,32 +52,14 @@ def _sign(s):
     return np.where(s >= 0, 1.0, -1.0)
 
 
-@dataclass(frozen=True)
-class Profile1D:
-    """One-dimensional closed-form profile with exact derivatives.
-
-    d2f is only needed where a family differentiates a product of the
-    profile with its own derivative (the modified-family vorticity).
-    W(s) = int_0^s (s - y) f(y) dy, the second primitive of f from 0, and
-    its derivative dW are only needed by the moving-domain stream function.
-    """
-
-    f: Callable
-    df: Callable
-    d2f: Optional[Callable] = None
-    dW: Optional[Callable] = None
-    W: Optional[Callable] = None
-    name: str = ""
-
-
 PROFILES = {
-    "identity": Profile1D(lambda s: s * 1.0, lambda s: np.ones_like(np.asarray(s, dtype=float)),
-                          lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-                          dW=lambda s: s * s / 2.0, W=lambda s: s * s * s / 6.0, name="identity"),
-    "sin": Profile1D(np.sin, np.cos, lambda s: -np.sin(s),
-                     dW=lambda s: 1.0 - np.cos(s), W=lambda s: s - np.sin(s), name="sin"),
-    "sign": Profile1D(_sign, lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-                      dW=np.abs, W=lambda s: s * np.abs(s) / 2.0, name="sign"),
+    "identity": AxisProfile(lambda s: s * 1.0, lambda s: np.ones_like(np.asarray(s, dtype=float)),
+                            lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+                            dW=lambda s: s * s / 2.0, W=lambda s: s * s * s / 6.0, name="identity"),
+    "sin": AxisProfile(np.sin, np.cos, lambda s: -np.sin(s),
+                       dW=lambda s: 1.0 - np.cos(s), W=lambda s: s - np.sin(s), name="sin"),
+    "sign": AxisProfile(_sign, lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+                        dW=np.abs, W=lambda s: s * np.abs(s) / 2.0, name="sign"),
 }
 
 
@@ -115,9 +97,9 @@ class CarriedSolution:
     velocity(x1, x2, t) gives (u1, psi); without it samples carry neither.
     """
 
-    theta0: Profile1D
-    omega0: Profile1D
-    q: Optional[Profile1D] = None
+    theta0: AxisProfile
+    omega0: AxisProfile
+    q: Optional[AxisProfile] = None
     velocity: Optional[Callable] = None
 
     def dtheta_dx2(self, x2, t):
@@ -149,7 +131,7 @@ class CarriedSolution:
         )
 
 
-def MovingDomainSolution(omega0: Profile1D, theta0: Profile1D) -> CarriedSolution:
+def MovingDomainSolution(omega0: AxisProfile, theta0: AxisProfile) -> CarriedSolution:
     """Smooth fields in the moving domain of the vorticity omega0(e^t x2).
 
     omega = omega0(s), theta = theta0(s), u2 = -x2 with s = e^t x2, and
@@ -168,7 +150,7 @@ def MovingDomainSolution(omega0: Profile1D, theta0: Profile1D) -> CarriedSolutio
     return CarriedSolution(theta0, omega0, velocity=velocity)
 
 
-def WedgeSolution(theta0: Profile1D) -> CarriedSolution:
+def WedgeSolution(theta0: AxisProfile) -> CarriedSolution:
     """Fields on the wedge between x2 = 2 x1 and x2 = -2 x1: the moving domain of omega0 = sign.
 
     psi = +-x2^2/2 - x1 x2, u1 = -+x2 + x1, u2 = -x2, omega = +-1,
@@ -177,7 +159,7 @@ def WedgeSolution(theta0: Profile1D) -> CarriedSolution:
     return MovingDomainSolution(PROFILES["sign"], theta0)
 
 
-def ModifiedSolution(rho0: Profile1D, omega0: Profile1D) -> CarriedSolution:
+def ModifiedSolution(rho0: AxisProfile, omega0: AxisProfile) -> CarriedSolution:
     """x1-independent family of the quadratic-forcing vorticity system.
 
     rho = rho0(e^t x2), u2 = -x2 and omega = omega0(e^t x2) - (e^t - 1) q(e^t x2)
@@ -186,7 +168,7 @@ def ModifiedSolution(rho0: Profile1D, omega0: Profile1D) -> CarriedSolution:
     """
     if rho0.d2f is None:
         raise ValueError(f"profile {rho0.name or 'anonymous'} needs d2f for the modified family")
-    q = Profile1D(
+    q = AxisProfile(
         lambda s: 2.0 * rho0.f(s) * rho0.df(s), lambda s: 2.0 * (rho0.df(s) ** 2 + rho0.f(s) * rho0.d2f(s))
     )
     return CarriedSolution(rho0, omega0, q)

@@ -26,7 +26,6 @@ from .oracles import (
     CarriedSolution,
     ModifiedSolution,
     MovingDomainSolution,
-    Profile1D,
     UniformScalarSolution,
     WedgeSolution,
     PROFILES,
@@ -174,7 +173,7 @@ def grid_for(cfg: RunConfig) -> Grid2D:
 
 # the published oscillatory pairing: theta0 = q = sin 2s, omega0 = sign; its q is
 # not (theta0^2)' = 2 sin 4s, so the residual checker fails it
-_SIN2 = Profile1D(lambda s: np.sin(2.0 * s), lambda s: 2.0 * np.cos(2.0 * s), name="sin2")
+_SIN2 = AxisProfile(lambda s: np.sin(2.0 * s), lambda s: 2.0 * np.cos(2.0 * s), name="sin2")
 
 # family -> (model checked against, default envelope interval, {preset: solution});
 # the first preset is the family's default

@@ -6,7 +6,7 @@ import functools
 import math
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -117,21 +117,21 @@ class _Schedule:
         return t > self.last + 1e-12
 
 
-def run(cfg: RunConfig, output_dir: Optional[Path] = None) -> RunArtifacts:
-    """Execute one configured run, writing series.csv, snapshots, and meta.txt.
+def run(cfg: RunConfig) -> RunArtifacts:
+    """Execute one configured run, writing series.csv, snapshots, and meta.txt to cfg.output_dir.
 
     conservation.csv and symmetry.csv are written when `diagnostics` names
     them.  Every CSV row is written and flushed as its state is measured,
     so partial artifacts survive a blowup signal or a crash; the signal
     is recorded in meta.txt and reported in the returned artifacts.  In a
     used directory, an earlier run's meta.txt, CSVs and snapshots go first.
-    meta.txt echoes the config with the directory the run wrote to.
+    meta.txt echoes the config.
     """
     start = time.perf_counter()
     _retain_freed_memory()
     # built before the output directory is made, so that bad initial data leaves no artifact
     pending = [build_initial_state(cfg, grid_for(cfg))]
-    outdir = Path(output_dir) if output_dir is not None else Path(cfg.output_dir)
+    outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     owned = [outdir / "meta.txt", *(outdir / f"{name}.csv" for name in CSV_COLUMNS)]
     for path in owned + list(outdir.glob("snapshot-*.bin")):
@@ -182,7 +182,7 @@ def run(cfg: RunConfig, output_dir: Optional[Path] = None) -> RunArtifacts:
             snapshot(final)
 
     wall = time.perf_counter() - start
-    lines = [config_echo(replace(cfg, output_dir=str(outdir))).rstrip("\n")]
+    lines = [config_echo(cfg).rstrip("\n")]
     lines.append(f"steps = {result.steps}")
     lines.append(f"t_final = {final.t:.17g}")
     lines.append(f"wall_clock_seconds = {wall:.3f}")
@@ -257,6 +257,7 @@ def oracle_check(
 class ConvergenceRow:
     level: int
     nx: int
+    ny: int
     dt: float
     error: float
     order: Optional[float]
@@ -309,5 +310,5 @@ def convergence(cfg: RunConfig, levels: int, mode: str = "temporal") -> list[Con
         order = None
         if i > 0 and err > 0 and errors[i - 1] > 0:
             order = math.log2(errors[i - 1] / err)
-        rows.append(ConvergenceRow(i, grid.nx, dt, err, order))
+        rows.append(ConvergenceRow(i, grid.nx, grid.ny, dt, err, order))
     return rows

@@ -8,6 +8,7 @@ minutes on a laptop-class machine.
 
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +57,7 @@ def run256(tmp_path_factory):
     )
     out = tmp_path_factory.mktemp("run256")
     start = time.perf_counter()
-    artifacts = run(cfg, output_dir=out)
+    artifacts = run(replace(cfg, output_dir=str(out)))
     wall = time.perf_counter() - start
     assert artifacts.blowup is None
     assert wall < 120.0, f"criterion-2 run took {wall:.1f}s, budget is 2 min"
@@ -85,7 +86,7 @@ def run512(tmp_path_factory):
     )
     out = tmp_path_factory.mktemp("run512")
     start = time.perf_counter()
-    artifacts = run(cfg, output_dir=out)
+    artifacts = run(replace(cfg, output_dir=str(out)))
     wall = time.perf_counter() - start
     assert wall < 900.0, f"criterion-3 run took {wall:.1f}s, budget is 15 min"
     series = np.genfromtxt(artifacts.series_path, delimiter=",", names=True)

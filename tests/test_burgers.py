@@ -29,13 +29,13 @@ class TestBlowupTime:
     def test_cosine(self):
         # min d/dx cos = -1, so the first crossing is at t = 1
         assert abs(blowup_time(COS) - 1.0) < 1e-10
-        brute = -1.0 / brute_force_min(COS.dg)
+        brute = -1.0 / brute_force_min(COS.df)
         assert abs(blowup_time(COS) - brute) < 1e-8
 
     def test_cos_two_x(self):
         p = AxisProfile(lambda x: np.cos(2 * x), lambda x: -2 * np.sin(2 * x))
         assert abs(blowup_time(p) - 0.5) < 1e-10
-        brute = -1.0 / brute_force_min(p.dg)
+        brute = -1.0 / brute_force_min(p.df)
         assert abs(blowup_time(p) - brute) < 1e-8
 
     def test_no_crossing_is_infinite(self):
@@ -197,7 +197,7 @@ def eulerian_min_slope(sol, t):
     xi = x - t theta(x), by a dense scan in x and 50-fold rescans of the best cell."""
 
     def slope(x):
-        s0 = sol.profile.dg(x - t * evaluate_many(sol, x, t))
+        s0 = sol.profile.df(x - t * evaluate_many(sol, x, t))
         return s0 / (1.0 + t * s0)
 
     xs = np.linspace(0.0, 2 * math.pi, 20_001)

@@ -274,12 +274,12 @@ class TestRun:
         assert f"unknown key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("via", ["file", "override"])
+    @pytest.mark.parametrize("via", ["file", "override", "output-flag"])
     def test_empty_output_dir_exits_2(self, tmp_path, monkeypatch, capsys, via):
         # an empty output.dir would write every artifact into the working directory
         monkeypatch.chdir(tmp_path)
         text = "model = singular-scalar\nic = singular-cos\nt_end = 0.01\nnx = 16\nny = 16\n"
-        override = ["--set", "output.dir="] if via == "override" else []
+        override = {"override": ["--set", "output.dir="], "output-flag": ["--output", ""]}.get(via, [])
         if via == "file":
             text += "output.dir =\n"
         (tmp_path / "run.cfg").write_text(text)
@@ -287,27 +287,52 @@ class TestRun:
         assert capsys.readouterr().err == "error: output.dir must not be empty\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
+    @pytest.mark.parametrize(
+        "flags, key",
+        [(["--set", "nx=16", "--set", "nx=32"], "nx"), (["--set", "output.dir=a", "--output", "b"], "output.dir")],
+        ids=["set-twice", "set-and-output"],
+    )
+    def test_a_key_overridden_twice_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, flags, key):
+        # as a key given twice in a config file is; --output DIR is --set output.dir=DIR
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("run", "singular-cos", "--set", "t_end=0", *flags) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: override: duplicate key {key!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("via", ["--set", "--output"])
+    def test_a_file_key_overridden_once_takes_the_override(self, tmp_path, via):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = singular-scalar\nic = singular-cos\nt_end = 0\nnx = 16\nny = 16\n"
+                       f"output.dir = {tmp_path / 'file'}\n")
+        out = tmp_path / "override"
+        override = ["--set", f"output.dir={out}"] if via == "--set" else ["--output", str(out)]
+        assert run_cli("run", str(cfg), "--set", "nx=32", *override) == EXIT_OK
+        assert not (tmp_path / "file").exists()
+        meta = (out / "meta.txt").read_text().splitlines()
+        assert "nx = 32" in meta and f"output.dir = {out}" in meta
+
     @pytest.mark.skipif(not glibc_mallopt(), reason="needs glibc's mallopt")
     def test_second_run_in_a_process_takes_few_page_faults(self, tmp_path):
         # a run keeps the memory it frees, so a second identical run reuses
         # those pages instead of faulting in fresh ones (about 28,000 faults
         # at 256^2 with glibc's default thresholds)
         script = (
+            "import dataclasses\n"
             "import resource\n"
             "from invlab import runner\n"
             "from invlab.config import parse_config\n"
             "cfg = parse_config('model = singular-scalar\\nic = singular-cos\\nt_end = 0.02\\n'\n"
             "                   'nx = 256\\nny = 256\\ndt = 0.001\\n')\n"
-            f"runner.run(cfg, {str(tmp_path / 'first')!r})\n"
+            f"runner.run(dataclasses.replace(cfg, output_dir={str(tmp_path / 'first')!r}))\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            f"runner.run(cfg, {str(tmp_path / 'second')!r})\n"
+            f"runner.run(dataclasses.replace(cfg, output_dir={str(tmp_path / 'second')!r}))\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         )
         faults = int(run_fresh_interpreter(script).splitlines()[-1])
         assert faults < 1000
 
     def test_unexpected_error_exits_1_with_one_line(self, monkeypatch, capsys):
-        def failing_run(cfg, output_dir=None):
+        def failing_run(cfg):
             raise RuntimeError("solver crashed")
 
         monkeypatch.setattr(cli, "run", failing_run)
@@ -585,8 +610,10 @@ class TestConvergence:
         cfg.write_text("model = singular-scalar\nic = singular-cos\nt_end = 0.02\nnx = 16\nny = 32\ndt = 0.01\n")
         assert run_cli("convergence", str(cfg), "--levels", "3", "--mode", mode) == EXIT_OK
         assert seen == shapes
-        nx_column = [int(line.split()[1]) for line in capsys.readouterr().out.splitlines()[1:]]
-        assert nx_column == [nx for nx, _ in shapes]
+        # the table prints each level's grid: nx and ny
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.split()[1:3] == ["nx", "ny"]
+        assert [tuple(int(v) for v in row.split()[1:3]) for row in rows] == shapes
 
     def test_convergence_has_no_deterministic_flag(self, tmp_path):
         # the levels always run one after another

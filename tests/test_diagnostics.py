@@ -225,20 +225,20 @@ class TestConservationReport:
         assert abs(linf1 - linf0) / linf0 < 1e-3
 
     def test_run_conservation(self, tmp_path):
-        run(parse_config(
+        run(dataclasses.replace(parse_config(
             "model = singular-scalar\nic = singular-cos\nt_end = 0.25\n"
             "nx = 64\nny = 64\ndt = 0.002\ndiagnostics = conservation\n"
-        ), output_dir=tmp_path)
+        ), output_dir=str(tmp_path)))
         rows = np.genfromtxt(tmp_path / "conservation.csv", delimiter=",", names=True)
         assert rows["t"][-1] == pytest.approx(0.25, abs=1e-12)
         l2 = rows["l2_theta"]
         assert float(np.max(np.abs(l2 - l2[0]) / l2[0])) < 1e-8
 
     def test_csv_rendering(self, tmp_path):
-        run(parse_config(
+        run(dataclasses.replace(parse_config(
             "model = boussinesq\nic = expr: sin(x1)\nic_omega = expr: sin(x2)\nt_end = 0\n"
             "nx = 16\nny = 16\ndiagnostics = conservation\n"
-        ), output_dir=tmp_path)
+        ), output_dir=str(tmp_path)))
         text = (tmp_path / "conservation.csv").read_text()
         assert text.splitlines()[0] == "t,l2_theta,linf_theta,mean_theta,l2_omega"
         assert len(text.splitlines()) == 2

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from conftest import off_axis_points
 
+from invlab.burgers import AxisProfile
 from invlab.diagnostics import residual
 from invlab.dynamics import ModelKind
 from invlab.oracles import (
     ModifiedSolution,
     MovingDomainSolution,
-    Profile1D,
     UniformScalarSolution,
     WedgeSolution,
     growth_envelope,
@@ -99,7 +99,7 @@ class TestMovingDomain:
         assert s.dtheta_dx2 == pytest.approx(math.e**2, rel=1e-12)
 
     def test_profile_without_primitives_refused_when_built(self):
-        bare = Profile1D(np.sin, np.cos, name="bare-sin")
+        bare = AxisProfile(np.sin, np.cos, name="bare-sin")
         with pytest.raises(ValueError, match="profile bare-sin needs W and dW for the moving-domain family"):
             MovingDomainSolution(bare, SIN)
 
@@ -257,7 +257,7 @@ class TestGrowthEnvelope:
         # |d theta/dx2| = e^t |cos(e^t x2 - c)| peaks at e^t; at t = 0 the peak x2 = c
         # lies halfway between two of the 4097 scan nodes on [-pi, pi]
         c = -math.pi + 2 * math.pi * 2560.5 / 4096
-        shifted = WedgeSolution(Profile1D(lambda s: np.sin(s - c), lambda s: np.cos(s - c), name="shifted"))
+        shifted = WedgeSolution(AxisProfile(lambda s: np.sin(s - c), lambda s: np.cos(s - c), name="shifted"))
         times = np.array([0.0, 0.3, 0.7, 1.1])
         env = growth_envelope(shifted, (-math.pi, math.pi), times, field="theta")
         assert np.max(np.abs(env.v - np.exp(times))) <= 1e-12
