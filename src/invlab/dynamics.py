@@ -158,20 +158,19 @@ class StepControl:
             raise ValueError(f"max_grad must be positive, got {self.max_grad}")
 
 
-class BlowupSignal(RuntimeError):
-    """Evidence that the run left the smooth regime.
+@dataclass(frozen=True)
+class BlowupSignal:
+    """Why integrate stopped before t_end: the run left the smooth regime.
 
-    rk4_step raises it; integrate returns a fresh one with the recent
-    trace, so a result never keeps a raised signal's traceback and the
-    step frames it holds.
+    reason is "non-finite" (a step made non-finite data; t is that step's
+    end) or "gradient-ceiling" (max|grad theta| passed StepControl.max_grad
+    at t); trace holds the recent accepted (t, max|grad theta|).
     """
 
-    def __init__(self, t: float, max_grad: float, reason: str, trace: Optional[list] = None):
-        super().__init__(f"blowup detected at t = {t:.6g} ({reason}), max|grad theta| = {max_grad:.3e}")
-        self.t = t
-        self.max_grad = max_grad
-        self.reason = reason  # "non-finite" or "gradient-ceiling"
-        self.trace = [] if trace is None else trace  # recent (t, max|grad theta|)
+    t: float
+    max_grad: float
+    reason: str
+    trace: list
 
 
 class CFLViolationError(ValueError):
@@ -242,7 +241,8 @@ def tendency(state: State) -> tuple[np.ndarray, Optional[np.ndarray]]:
     kinematics (a copy of d_i(theta), so the cache stays intact) or else
     _kinematics(state): u_i and each field's d_i are multiplied in place
     and dropped before the next direction.  Every product keeps the order
-    u1 g1 + u2 g2, then the modified forcing (2 theta) d(theta)/dx2.
+    u1 g1 + u2 g2, then the modified forcing (2 theta) d(theta)/dx2.  A
+    product that overflows makes forward() raise NonFiniteFieldError.
     """
     cached = vars(state).get("kinematics")
     grid = state.grid
@@ -252,20 +252,17 @@ def tendency(state: State) -> tuple[np.ndarray, Optional[np.ndarray]]:
     for u, dtheta in cached or _kinematics(state):
         d = ddx1 if products is None else ddx2
         grads = [dtheta.copy() if cached else dtheta] + [inverse(grid, d(grid, hat)) for hat in hats[1:]]
-        # overflow here is a detected blowup, reported by forward()
-        with np.errstate(over="ignore", invalid="ignore"):
-            if products is None:
-                products = [np.multiply(u, g, out=g) for g in grads]
-            else:  # omega's product first, so that d(theta)/dx2 outlives it
-                for j in reversed(range(len(grads))):
-                    products[j] += np.multiply(u, grads[j], out=grads[-1])
+        if products is None:
+            products = [np.multiply(u, g, out=g) for g in grads]
+        else:  # omega's product first, so that d(theta)/dx2 outlives it
+            for j in reversed(range(len(grads))):
+                products[j] += np.multiply(u, grads[j], out=grads[-1])
         del u, dtheta
     if state.model is ModelKind.MODIFIED_BOUSSINESQ:
         # in d(omega)/dx2's buffer, after u2 is dropped
-        with np.errstate(over="ignore", invalid="ignore"):
-            forcing = np.multiply(2.0, state.theta.values, out=grads[-1])
-            forcing *= grads[0]
-            products[1] += forcing
+        forcing = np.multiply(2.0, state.theta.values, out=grads[-1])
+        forcing *= grads[0]
+        products[1] += forcing
         del forcing
     del grads
 
@@ -286,12 +283,14 @@ def admissible_dt(state: State, ctrl: StepControl) -> float:
     return ctrl.cfl * min(state.grid.dx, state.grid.dy) / umax
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite data raises instead
 def rk4_step(state: State, ctrl: StepControl, dt: Optional[float] = None) -> State:
     """One classical four-stage Runge-Kutta step of size dt (default ctrl.dt).
 
-    Validates the CFL bound at the step start; raises BlowupSignal if the
-    step produces non-finite fields.  Releases the start state's kinematics
-    and its fields' cached nodal values once its first stage has read them.
+    Validates the CFL bound at the step start; raises NonFiniteFieldError
+    if a stage's data or its nonlinear products are not finite.  Releases
+    the start state's kinematics and its fields' cached nodal values once
+    its first stage has read them, after caching state.max_grad.
     """
     if dt is None:
         dt = ctrl.dt
@@ -300,30 +299,19 @@ def rk4_step(state: State, ctrl: StepControl, dt: Optional[float] = None) -> Sta
     adm = admissible_dt(state, ctrl)
     if dt > adm * (1.0 + 1e-9):
         raise CFLViolationError(dt, adm)
-    max_grad = state.max_grad  # blowup() reports it after the release below
+    state.max_grad  # integrate reports it if the step fails, after the release below
 
     grid = state.grid
-
-    def blowup(t: float) -> BlowupSignal:
-        return BlowupSignal(t, max_grad, "non-finite")
 
     def at(t: float, hats: Sequence[np.ndarray]) -> State:
         for hat in hats:
             if not np.all(np.isfinite(hat)):
-                raise blowup(t)
+                raise NonFiniteFieldError(f"non-finite spectrum at t = {t:.6g}")
         return State(state.model, t, *(Field(grid, hat) for hat in hats))
-
-    def rhs(stage: State) -> list[np.ndarray]:
-        try:
-            derivs = tendency(stage)
-        except NonFiniteFieldError:
-            # a finite stage can still overflow inside the nonlinear products
-            raise blowup(stage.t) from None
-        return [d for d in derivs if d is not None]
 
     t0 = state.t
     y0 = [f.hat for f in state.fields]
-    k = acc = rhs(state)
+    k = acc = [d for d in tendency(state) if d is not None]
     vars(state).pop("kinematics", None)  # k1 was the last reader of its nodal arrays
     for f in state.fields:
         vars(f).pop("values", None)
@@ -336,7 +324,7 @@ def rk4_step(state: State, ctrl: StepControl, dt: Optional[float] = None) -> Sta
                 k[j] *= 2
                 acc[j] += k[j]
         del k
-        k = rhs(stage)
+        k = [d for d in tendency(stage) if d is not None]
         del stage
     for j, y in enumerate(y0):
         acc[j] += k[j]
@@ -354,9 +342,9 @@ def integrate(
 ) -> IntegrationResult:
     """Advance to t_end with per-step CFL re-evaluation.
 
-    Observers are called after every accepted step.  On blowup the result
-    carries the last finite state together with a signal that was never
-    raised, holding the recent trace.
+    Observers are called after every accepted step.  The run stops early,
+    with a BlowupSignal, when a step makes non-finite data (the result
+    keeps the last finite state) or max|grad theta| passes ctrl.max_grad.
     """
     if t_end < state.t:
         raise ValueError(f"t_end = {t_end} lies before the state time {state.t}")
@@ -364,25 +352,27 @@ def integrate(
     current = state
     del state  # so the initial state is freed once the first step replaces it
     steps = 0
+    stop = None  # (t, max|grad theta|, reason) of an early stop
     eps = 1e-12 * max(1.0, abs(t_end))
     while current.t < t_end - eps:
         adm = admissible_dt(current, ctrl)
         dt = min(d for d in (ctrl.dt, adm, t_end - current.t) if d is not None)
         try:
             new = rk4_step(current, ctrl, dt=dt)
-        except BlowupSignal as exc:
-            signal = BlowupSignal(exc.t, exc.max_grad, exc.reason, list(trace))
-            return IntegrationResult(current, signal, steps)
+        except NonFiniteFieldError:
+            stop = (current.t + dt, current.max_grad, "non-finite")
+            break
         grad = new.max_grad
         if not math.isfinite(grad):
-            signal = BlowupSignal(new.t, grad, "non-finite", list(trace))
-            return IntegrationResult(current, signal, steps)
+            stop = (new.t, grad, "non-finite")
+            break
         trace.append((new.t, grad))
         current = new
         steps += 1
         for obs in observers:
             obs(current)
         if grad > ctrl.max_grad:
-            signal = BlowupSignal(current.t, grad, "gradient-ceiling", list(trace))
-            return IntegrationResult(current, signal, steps)
-    return IntegrationResult(current, None, steps)
+            stop = (current.t, grad, "gradient-ceiling")
+            break
+    signal = None if stop is None else BlowupSignal(*stop, list(trace))
+    return IntegrationResult(current, signal, steps)

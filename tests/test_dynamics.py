@@ -17,7 +17,7 @@ from invlab.dynamics import (
     rk4_step,
     tendency,
 )
-from invlab.spectral import Field, Grid2D, ddx1, ddx2, forward, inverse
+from invlab.spectral import Field, Grid2D, NonFiniteFieldError, ddx1, ddx2, forward, inverse
 
 
 GRID = Grid2D(32, 32)
@@ -353,6 +353,15 @@ class TestRk4Step:
         with pytest.raises(ValueError, match="dt"):
             rk4_step(cos_cos_state(), StepControl())
 
+    # at 1e154 the products are finite and their transform overflows, which
+    # the stage check finds; at 1e160 the products overflow and forward refuses them
+    @pytest.mark.parametrize("amplitude, message", [(1e154, "non-finite spectrum"), (1e160, "non-finite field value")])
+    def test_non_finite_data_raises_the_spectral_error_without_warnings(self, amplitude, message):
+        state = State(ModelKind.SINGULAR_SCALAR, 0.0, Field(GRID, forward(GRID, amplitude * np.cos(X1) * np.cos(X2))))
+        ctrl = StepControl()
+        with pytest.raises(NonFiniteFieldError, match=message):
+            rk4_step(state, ctrl, dt=admissible_dt(state, ctrl))
+
 
 class TestKinematicsRelease:
     # real transforms (forward, inverse) per fixed-dt step
@@ -479,12 +488,15 @@ class TestIntegrate:
         # the run must end with a signal, not a crash
         theta = Field(GRID, forward(GRID, 1e160 * np.cos(X1) * np.cos(X2)))
         state = State(ModelKind.SINGULAR_SCALAR, 0.0, theta)
+        first_step_end = state.t + admissible_dt(state, StepControl())
         result = integrate(state, StepControl(), 1.0)
         assert result.blowup is not None
         assert result.blowup.reason == "non-finite"
         assert result.state is state
-        # a fresh signal: the raised one's traceback holds the step's frames
-        assert result.blowup.__traceback__ is None
+        # reported at the failed step's end, as a non-finite gradient after a step is
+        assert result.blowup.t == first_step_end == pytest.approx(7.853981633974459e-162, rel=1e-15)
+        assert result.blowup.max_grad == state.max_grad
+        assert not isinstance(result.blowup, BaseException)  # a record, never raised
 
     def test_non_finite_gradient_after_a_step_becomes_blowup_signal(self, monkeypatch):
         # a step whose fields stay finite but whose max|grad theta| does not
@@ -497,7 +509,7 @@ class TestIntegrate:
         assert result.state is start
         assert result.steps == 0
         assert result.blowup.trace == []
-        assert result.blowup.__traceback__ is None
+        assert not isinstance(result.blowup, BaseException)
 
     def test_gradient_ceiling_raises_signal(self):
         state = cos_cos_state()
