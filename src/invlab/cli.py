@@ -92,7 +92,9 @@ def _cmd_oracle_check(args) -> int:
     if args.preset and args.preset_flag and args.preset != args.preset_flag:
         raise ConfigError(f"conflicting presets {args.preset!r} and --preset {args.preset_flag!r}")
     preset = args.preset_flag or args.preset
-    outdir = Path(args.output) if args.output else None
+    if args.output == "":
+        raise ConfigError("--output must not be empty")
+    outdir = None if args.output is None else Path(args.output)
     report = oracle_check(args.family, preset, npoints=args.npoints, seed=args.seed, output_dir=outdir)
     omega_txt = "-" if report.max_omega_residual is None else f"{report.max_omega_residual:.3e}"
     print(f"family {report.family} preset {report.preset}: "

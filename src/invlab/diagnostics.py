@@ -182,5 +182,7 @@ def symmetry_error(f: Field, parity: str) -> float:
 
 
 def l2_norm(f: Field) -> float:
+    """The L2 norm over the box; inf when the sum of squares overflows."""
     grid = f.grid
-    return float(np.sqrt(np.sum(f.values**2) * grid.dx * grid.dy))
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.sum(f.values**2) * grid.dx * grid.dy))

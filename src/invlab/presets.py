@@ -104,11 +104,16 @@ def _eval_expr(expr: str, grid: Grid2D) -> np.ndarray:
 
 
 def _band_field(key: str, expr: str, grid: Grid2D) -> Field:
-    """The band field of config key `key`'s expression; non-finite data is a ConfigError."""
+    """The band field of config key `key`'s expression; non-finite data, or a
+    spectrum that overflows, is a ConfigError."""
     try:
-        return Field(grid, forward(grid, _eval_expr(expr, grid)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            hat = forward(grid, _eval_expr(expr, grid))
     except NonFiniteFieldError as exc:
         raise ConfigError(f"{key}: {exc}") from None
+    if not np.all(np.isfinite(hat)):
+        raise ConfigError(f"{key}: the spectrum of the data overflows")
+    return Field(grid, hat)
 
 
 # ic presets usable in configs: name -> (the one model it serves, theta0 expression,

@@ -7,6 +7,7 @@ from conftest import fresh_interpreter
 
 from invlab import cli, runner
 from invlab.cli import EXIT_BLOWUP, EXIT_ERROR, EXIT_OK, EXIT_ORACLE_FAIL, EXIT_VALIDATION, main
+from invlab.config import ConfigError, parse_config
 from invlab.snapshots import read_snapshot
 from invlab.spectral import Grid2D
 
@@ -82,6 +83,21 @@ class TestRun:
         assert len(rows) == 2  # header + initial row
         snaps = sorted(p.name for p in out.glob("snapshot-*.bin"))
         assert snaps == ["snapshot-0000.bin"]
+
+    def test_an_overflowing_transform_stops_the_run_without_warnings(self, tmp_path):
+        # products of 1e154 data are finite, their transform is not: the
+        # step's stage check stops the run.  The interpreter turns every
+        # RuntimeWarning into an error, so a leaked one would exit 1.
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("model = singular-scalar\nic = expr: 1e154*cos(x1)*cos(x2)\nt_end = 0.5\nnx = 32\nny = 32\n"
+                       "diagnostics = conservation, symmetry\n")
+        out = tmp_path / "out"
+        proc = fresh_interpreter("-W", "error::RuntimeWarning", "-m", "invlab.cli", "run", str(cfg), "--output", str(out))
+        assert proc.stderr == ""
+        assert proc.returncode == EXIT_BLOWUP
+        meta = (out / "meta.txt").read_text().splitlines()
+        assert "blowup.reason = non-finite" in meta
+        assert "steps = 0" in meta
 
     def test_blowup_exit_code_and_partial_artifacts(self, tmp_path):
         out = tmp_path / "blow"
@@ -360,6 +376,16 @@ class TestRun:
         assert proc.stderr == f"error: {message} at node (0, 0), x = (0, 0)\n"
         assert not out.exists()
 
+    def test_initial_data_whose_spectrum_overflows_exits_2_with_one_line(self, tmp_path):
+        # finite nodal data, but the sums of its transform overflow
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("model = singular-scalar\nic = expr: 1.7e308*cos(x1)*cos(x2)\nt_end = 0.01\nnx = 16\nny = 16\n")
+        out = tmp_path / "out"
+        proc = fresh_interpreter("-m", "invlab.cli", "run", str(cfg), "--output", str(out))
+        assert proc.returncode == EXIT_VALIDATION
+        assert proc.stderr == "error: ic: the spectrum of the data overflows\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", ["dt", "max_grad", "t_end", "cfl"])
     def test_non_finite_value_exits_2(self, tmp_path, capsys, key, value):
@@ -572,6 +598,16 @@ class TestOracleCheck:
         assert "PASS" not in captured.out
 
 
+    def test_empty_output_exits_2(self, tmp_path, monkeypatch, capsys):
+        # as `run --output ""` does; an empty path would mean the working directory
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("oracle-check", "wedge", "sin", "--npoints", "20", "--output", "") == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == "error: --output must not be empty\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestConvergence:
     def test_too_few_levels_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "conv.cfg"
@@ -615,6 +651,18 @@ class TestConvergence:
         assert header.split()[1:3] == ["nx", "ny"]
         assert [tuple(int(v) for v in row.split()[1:3]) for row in rows] == shapes
 
+    def test_t_end_at_the_axis_blowup_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "conv.cfg"
+        cfg.write_text("model = singular-scalar\nic = singular-cos\nt_end = 1.0\nnx = 16\nny = 16\n")
+        assert run_cli("convergence", str(cfg), "--levels", "3") == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: t_end must precede the axis blowup time 1")
+
+    def test_unknown_mode_rejected(self):
+        # argparse refuses it first, so the library's own check is called directly
+        cfg = parse_config("model = singular-scalar\nic = singular-cos\nt_end = 0.1\nnx = 16\nny = 16\n")
+        with pytest.raises(ConfigError, match="mode must be 'temporal' or 'spatial', got 'both'"):
+            runner.convergence(cfg, 3, mode="both")
+
     def test_convergence_has_no_deterministic_flag(self, tmp_path):
         # the levels always run one after another
         cfg = tmp_path / "conv.cfg"
@@ -647,6 +695,14 @@ class TestSeriesTools:
         out = capsys.readouterr().out
         t_est = float(out.splitlines()[0].split("=")[1])
         assert t_est == pytest.approx(1.0, abs=1e-8)
+
+    def test_blowup_est_prints_the_warning_of_a_non_monotone_window(self, tmp_path, capsys):
+        path = tmp_path / "series.csv"
+        t = np.linspace(0.0, 1.0, 11)
+        path.write_text("t,min_axis_slope\n" + "".join(f"{ti},{-(2 + np.sin(6 * ti))}\n" for ti in t))
+        assert run_cli("blowup-est", str(path)) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "warning: series is not increasing over the window; low-confidence estimate"
 
     def test_missing_column(self, series_csv, capsys):
         assert run_cli("fit-growth", str(series_csv), "--column", "enstrophy") == EXIT_VALIDATION

@@ -137,6 +137,23 @@ class TestBlowupExtrapolation:
         est = extrapolate_blowup(TimeSeries(t, v), (0.0, 1.0))
         assert est.warning is not None
 
+    def test_default_window_is_the_whole_series(self):
+        t = np.linspace(0, 0.8, 17)
+        series = TimeSeries(t, 1.0 / (1.0 - t))
+        est = extrapolate_blowup(series)
+        assert est.window == (0.0, 0.8)
+        assert est.t_est == extrapolate_blowup(series, (0.0, 0.8)).t_est
+
+    def test_rejects_fewer_than_two_samples(self):
+        t = np.linspace(0, 1, 11)
+        with pytest.raises(ValueError, match="at least 2 samples in the window, got 1"):
+            extrapolate_blowup(TimeSeries(t, 1.0 + t), (0.0, 0.05))
+
+    def test_rejects_zero_values(self):
+        t = np.linspace(0, 1, 11)
+        with pytest.raises(ValueError, match="zero values"):
+            extrapolate_blowup(TimeSeries(t, t), (0.0, 1.0))
+
 
 class TestResidual:
     def test_wedge_is_exact(self):

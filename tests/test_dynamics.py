@@ -145,6 +145,11 @@ class TestState:
         with pytest.raises(ValueError):
             State(ModelKind.SINGULAR_SCALAR, -1.0, ZERO)
 
+    def test_fields_on_two_grids_rejected(self):
+        omega = Field(Grid2D(16, 16), forward(Grid2D(16, 16), np.zeros((16, 16))))
+        with pytest.raises(ValueError, match="share one grid"):
+            State(ModelKind.BOUSSINESQ, 0.0, ZERO, omega)
+
 
 class TestKinematics:
     @pytest.mark.parametrize("scale", [1.0, 1e200])

@@ -287,3 +287,8 @@ class TestGrowthEnvelope:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="field"):
             growth_envelope(WEDGE, (-1, 1), [0.0, 1.0], field="psi")
+
+    @pytest.mark.parametrize("interval", [(1.0, 1.0), (1.0, -1.0)])
+    def test_empty_interval_rejected(self, interval):
+        with pytest.raises(ValueError, match="positive length"):
+            growth_envelope(WEDGE, interval, [0.0, 1.0], field="theta")
