@@ -165,7 +165,8 @@ def inverse(grid: Grid2D, hat: np.ndarray) -> np.ndarray:
     """Real inverse transform (irfft2): the nodal values of a band spectrum.
 
     irfft2 zero-pads the columns past the band itself, after its k1 pass,
-    so that pass runs over the band only.
+    so that pass runs over the band only, bit for bit as if the half
+    spectrum were padded first.
     """
     return np.fft.irfft2(hat, s=grid.shape, norm="forward")
 
