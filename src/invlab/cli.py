@@ -94,7 +94,7 @@ def _cmd_oracle_check(args) -> int:
     preset = args.preset_flag or args.preset
     if args.output == "":
         raise ConfigError("--output must not be empty")
-    outdir = None if args.output is None else Path(args.output)
+    outdir = Path(args.output) if args.output else None
     report = oracle_check(args.family, preset, npoints=args.npoints, seed=args.seed, output_dir=outdir)
     omega_txt = "-" if report.max_omega_residual is None else f"{report.max_omega_residual:.3e}"
     print(f"family {report.family} preset {report.preset}: "
