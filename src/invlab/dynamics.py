@@ -16,10 +16,11 @@ The RK4 stages run on band spectra (see invlab.spectral): a stage hands
 the next one its spectrum, never nodal values to transform straight back.
 One generator, _kinematics, makes the nodal pairs (u_i, d(theta)/dx_i).
 An accepted state caches both (State.kinematics) for the CFL bound, the
-gradient ceiling, the axis slope and the next step's first stage, after
-which the step releases them and its fields' nodal values: the state keeps
-only their maxima.  Stages k2-k4 stream the generator (see tendency), and
-the step sums k1 + 2 k2 + 2 k3 + k4 in k1's arrays.
+gradient ceiling and the axis slope.  The next step's first stage consumes
+them, forming its products in their arrays (see tendency), and the step
+frees each of its fields' nodal values at its last reader: the state keeps
+only the maxima.  Stages k2-k4 stream the generator, and the step sums
+k1 + 2 k2 + 2 k3 + k4 in k1's arrays.
 
 The modified forcing enters the omega advection's single forward as
 2 theta d(theta)/dx2.  This is exact: the band is alias-free, so the band
@@ -75,7 +76,9 @@ class ModelKind(Enum):
 def _max_norm(a: np.ndarray, b: np.ndarray) -> float:
     """max of hypot(a, b) over the grid, from the largest a^2 + b^2."""
     with np.errstate(over="ignore"):
-        sq = float(np.max(a * a + b * b))
+        sq = a * a
+        sq += b * b  # in place: a * a is dropped once summed
+        sq = float(np.max(sq))
     if not math.isfinite(sq):  # overflowed squares or non-finite input: hypot decides
         return float(np.max(np.hypot(a, b)))
     return math.sqrt(sq)
@@ -88,8 +91,8 @@ class State:
     theta holds the active scalar (called rho in the modified model);
     omega is present exactly when the model evolves vorticity.  A state
     is not changed after it is built.  Its kinematics and its fields'
-    nodal values are cached from first use until rk4_step releases them
-    after its first stage; max_speed and max_grad are floats it keeps.
+    nodal values are cached from first use until a step from it frees
+    them (see rk4_step); max_speed and max_grad are floats it keeps.
     """
 
     model: ModelKind
@@ -237,21 +240,22 @@ def tendency(state: State) -> tuple[np.ndarray, Optional[np.ndarray]]:
     enters the omega advection's forward as 2 theta d(theta)/dx2, exact
     because the band is alias-free: one forward per field and stage.
 
-    The products are formed one direction i at a time from the cached
-    kinematics (a copy of d_i(theta), so the cache stays intact) or else
-    _kinematics(state): u_i and each field's d_i are multiplied in place
-    and dropped before the next direction.  Every product keeps the order
+    The products are formed one direction i at a time, in the cached
+    d_i(theta) of the state's kinematics, which this consumes pair by pair,
+    or else from _kinematics(state): u_i and each field's d_i are
+    multiplied in place and dropped before the next direction, and
+    forward() frees each product.  Every product keeps the order
     u1 g1 + u2 g2, then the modified forcing (2 theta) d(theta)/dx2.  A
     product that overflows makes forward() raise NonFiniteFieldError.
     """
-    cached = vars(state).get("kinematics")
+    cached = vars(state).pop("kinematics", None)
     grid = state.grid
     hats = [f.hat for f in state.fields]
     products = None
     # not zip or enumerate: they keep the pair (u_i, d_i theta) until the next one is made
-    for u, dtheta in cached or _kinematics(state):
+    for u, dtheta in _kinematics(state) if cached is None else (cached.pop(0) for _ in range(2)):
         d = ddx1 if products is None else ddx2
-        grads = [dtheta.copy() if cached else dtheta] + [inverse(grid, d(grid, hat)) for hat in hats[1:]]
+        grads = [dtheta] + [inverse(grid, d(grid, hat)) for hat in hats[1:]]
         if products is None:
             products = [np.multiply(u, g, out=g) for g in grads]
         else:  # omega's product first, so that d(theta)/dx2 outlives it
@@ -288,9 +292,9 @@ def rk4_step(state: State, ctrl: StepControl, dt: Optional[float] = None) -> Sta
     """One classical four-stage Runge-Kutta step of size dt (default ctrl.dt).
 
     Validates the CFL bound at the step start; raises NonFiniteFieldError
-    if a stage's data or its nonlinear products are not finite.  Releases
-    the start state's kinematics and its fields' cached nodal values once
-    its first stage has read them, after caching state.max_grad.
+    if a stage's data or its nonlinear products are not finite.  Caches
+    state.max_grad; the first stage consumes the state's kinematics, and
+    each cached nodal value of its fields is freed once no stage reads it.
     """
     if dt is None:
         dt = ctrl.dt
@@ -311,10 +315,12 @@ def rk4_step(state: State, ctrl: StepControl, dt: Optional[float] = None) -> Sta
 
     t0 = state.t
     y0 = [f.hat for f in state.fields]
-    k = acc = [d for d in tendency(state) if d is not None]
-    vars(state).pop("kinematics", None)  # k1 was the last reader of its nodal arrays
-    for f in state.fields:
+    # k1 consumes the kinematics, and of the nodal values reads only theta's, for the modified forcing
+    forcing_reads_theta = state.model is ModelKind.MODIFIED_BOUSSINESQ
+    for f in state.fields[forcing_reads_theta:]:
         vars(f).pop("values", None)
+    k = acc = [d for d in tendency(state) if d is not None]
+    vars(state.theta).pop("values", None)
     # acc = k1 + 2 k2 + 2 k3 + k4, summed in k1's arrays in that order; each
     # k is dropped once the next stage's input and the sum have read it
     for h in (dt / 2, dt / 2, dt):

@@ -145,7 +145,7 @@ def forward(grid: Grid2D, values: np.ndarray) -> np.ndarray:
     Rejects non-finite input, naming the first offending node.  Both
     passes of rfft2 write into one half-layout buffer; the result is a
     C-contiguous copy of its columns k2 < ny/3 with the rows |k1| >= nx/3
-    zeroed, the x1 Nyquist row among them.
+    zeroed, the x1 Nyquist row among them.  The input is dropped before the copy is made.
     """
     if not np.all(np.isfinite(values)):
         j, k = np.argwhere(~np.isfinite(values))[0]
@@ -155,6 +155,7 @@ def forward(grid: Grid2D, values: np.ndarray) -> np.ndarray:
         )
     out = np.empty(grid.half_shape, dtype=np.complex128)
     np.fft.rfft2(values, norm="forward", out=out)
+    del values
     m = (grid.nx - 1) // 3  # rows 0 .. m and nx - m .. nx - 1 hold |k1| < nx/3
     hat = out[:, : grid.band_shape[1]].copy()
     hat[m + 1 : grid.nx - m] = 0.0

@@ -1,5 +1,7 @@
 import ctypes
+import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from invlab.cli import EXIT_BLOWUP, EXIT_ERROR, EXIT_OK, EXIT_ORACLE_FAIL, EXIT_
 from invlab.config import ConfigError, parse_config
 from invlab.snapshots import read_snapshot
 from invlab.spectral import Grid2D
+from make_golden import SOLVER_RUNS
 
 SMALL_RUN = ["--set", "nx=32", "--set", "ny=32", "--set", "t_end=0.05", "--set", "dt=0.002"]
 
@@ -516,6 +519,34 @@ class TestRun:
             rows = (out / f"{name}.csv").read_text().splitlines()
             assert len(rows) == 4, name  # header, t = 0 and the two steps observed
             assert float(rows[-1].split(",")[0]) == pytest.approx(0.02, abs=1e-12)
+
+
+class TestRunMemory:
+    """The tracemalloc peak of a whole `runner.run`, in nodal arrays.
+
+    tracemalloc counts the arrays themselves, so unlike a process's peak
+    RSS the figure does not depend on where the heap puts them.  The runs
+    are the 64^2 golden runs (series, both diagnostics, snapshots); each is
+    measured after a warm-up run of the same config, which pays the
+    process's one-time allocations.  Measured: 8.59 (scalar) and 11.85
+    (both vorticity models).  A step that keeps its start state's nodal
+    arrays through k1 peaks at 9.59 and 14.07.
+    """
+
+    BOUNDS = {"singular-scalar": 9.0, "boussinesq": 12.25, "modified-boussinesq": 12.25}
+
+    @pytest.mark.parametrize("model", list(BOUNDS))
+    def test_a_run_peaks_below_its_pinned_nodal_arrays(self, model, tmp_path):
+        cfg = parse_config(SOLVER_RUNS[model])
+        runner.run(dataclasses.replace(cfg, output_dir=str(tmp_path / "warm-up")))
+        tracemalloc.start()
+        try:
+            runner.run(dataclasses.replace(cfg, output_dir=str(tmp_path / "measured")))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = peak / (cfg.nx * cfg.ny * 8)
+        assert arrays <= self.BOUNDS[model], f"{arrays:.3f} nodal arrays"
 
 
 class TestOracleCheck:

@@ -1,9 +1,12 @@
-"""The README's example commands run, and its config table names the config keys."""
+"""The README's example commands run, its config table names the config keys,
+and its install line states the numpy floor of pyproject.toml."""
 
+import inspect
 import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from invlab import cli, config
@@ -56,3 +59,11 @@ def test_config_table_names_every_key():
     cells = [row.split("|")[1] for row in table.splitlines()[2:]]
     keys = {key for cell in cells for key in re.findall(r"`([^`]+)`", cell)}
     assert keys == set(config._SCHEMA)
+
+
+def test_the_numpy_floor_has_the_out_keyword_that_forward_passes_to_rfft2():
+    # numpy added rfft2's out= in 2.0; under the floor every `invlab run` would raise TypeError
+    floor = re.search(r'"numpy>=([0-9.]+)"', (ROOT / "pyproject.toml").read_text()).group(1)
+    assert tuple(int(part) for part in floor.split(".")[:2]) >= (2, 0)
+    assert f"numpy>={floor}" in README
+    assert "out" in inspect.signature(np.fft.rfft2).parameters
