@@ -67,17 +67,18 @@ def _measure(state: State, diagnostics: tuple) -> dict[str, Optional[float]]:
     """One output row: the series columns, plus those of each requested diagnostic.
 
     max|grad theta| is the state's cached maximum and the axis slope is
-    read from the same kinematics; None marks a column of a field the
-    model does not evolve.
+    read from the same kinematics.  Both are read before theta's nodal
+    values, so that the four kinematics arrays are not made beside them.
+    None marks a column of a field the model does not evolve.
     """
     theta = state.theta
     scalar = state.model is ModelKind.SINGULAR_SCALAR
     row = {
         "t": state.t,
-        "l2_theta": l2_norm(theta),
-        "linf_theta": float(np.max(np.abs(theta.values))),
         "sup_grad_theta": state.max_grad,
         "min_axis_slope": min_axis_slope(state) if scalar else math.nan,
+        "l2_theta": l2_norm(theta),
+        "linf_theta": float(np.max(np.abs(theta.values))),
     }
     omega = state.omega
     if "conservation" in diagnostics:

@@ -10,8 +10,9 @@ from conftest import fresh_interpreter
 from invlab import cli, runner
 from invlab.cli import EXIT_BLOWUP, EXIT_ERROR, EXIT_OK, EXIT_ORACLE_FAIL, EXIT_VALIDATION, main
 from invlab.config import ConfigError, parse_config
+from invlab.dynamics import ModelKind, State
 from invlab.snapshots import read_snapshot
-from invlab.spectral import Grid2D
+from invlab.spectral import Field, Grid2D, forward
 from make_golden import SOLVER_RUNS
 
 SMALL_RUN = ["--set", "nx=32", "--set", "ny=32", "--set", "t_end=0.05", "--set", "dt=0.002"]
@@ -528,12 +529,15 @@ class TestRunMemory:
     RSS the figure does not depend on where the heap puts them.  The runs
     are the 64^2 golden runs (series, both diagnostics, snapshots); each is
     measured after a warm-up run of the same config, which pays the
-    process's one-time allocations.  Measured: 8.59 (scalar) and 11.85
-    (both vorticity models).  A step that keeps its start state's nodal
-    arrays through k1 peaks at 9.59 and 14.07.
+    process's one-time allocations.  Measured: 7.81 (scalar), 10.86
+    (Boussinesq) and 11.53 (modified).  A series row that makes the
+    kinematics beside theta's nodal values, a whole-array a^2 + b^2 in the
+    maxima and a vorticity stage that makes d(omega)/dx2 before it
+    transforms theta's product peak at 8.61, 11.87 and 11.87; a step that
+    keeps its start state's nodal arrays through k1 peaks at 9.59 and 14.07.
     """
 
-    BOUNDS = {"singular-scalar": 9.0, "boussinesq": 12.25, "modified-boussinesq": 12.25}
+    BOUNDS = {"singular-scalar": 7.9, "boussinesq": 10.95, "modified-boussinesq": 11.6}
 
     @pytest.mark.parametrize("model", list(BOUNDS))
     def test_a_run_peaks_below_its_pinned_nodal_arrays(self, model, tmp_path):
@@ -547,6 +551,24 @@ class TestRunMemory:
             tracemalloc.stop()
         arrays = peak / (cfg.nx * cfg.ny * 8)
         assert arrays <= self.BOUNDS[model], f"{arrays:.3f} nodal arrays"
+
+    @pytest.mark.parametrize("diagnostics", [(), ("conservation", "symmetry")], ids=["series", "all"])
+    def test_a_row_of_a_fresh_state_makes_its_kinematics_before_theta(self, diagnostics):
+        # the four kinematics arrays first, then theta's nodal values beside
+        # them: 6.01 nodal arrays above the state's start at 256^2.  The
+        # kinematics made beside theta's values peak at 6.35, and at 7.00
+        # with a whole-array a^2 + b^2 in max_grad.
+        grid = Grid2D(256, 256)
+        x1, x2 = grid.mesh()
+        state = State(ModelKind.SINGULAR_SCALAR, 0.0, Field(grid, forward(grid, np.cos(x1) * np.cos(x2))))
+        tracemalloc.start()
+        try:
+            runner._measure(state, diagnostics)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = peak / (grid.nx * grid.ny * 8)
+        assert arrays <= 6.2, f"{arrays:.3f} nodal arrays"
 
 
 class TestOracleCheck:
