@@ -23,10 +23,14 @@ for the modified family's q.
 Each profile theta0, omega0, rho0 and q is a burgers.AxisProfile.
 Formulas are piecewise across x2 = 0; evaluation at x2 = 0 uses the
 x2 >= 0 branch.  All evaluators take arrays of points.
+
+FAMILIES holds the presets that `invlab oracle-check` runs; a solver run
+never imports this module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -34,6 +38,7 @@ import numpy as np
 
 from .burgers import AxisProfile, _refine_minima
 from .diagnostics import TimeSeries
+from .dynamics import ModelKind
 
 __all__ = [
     "OracleSample",
@@ -44,6 +49,7 @@ __all__ = [
     "UniformScalarSolution",
     "growth_envelope",
     "PROFILES",
+    "FAMILIES",
 ]
 
 
@@ -212,3 +218,29 @@ def growth_envelope(solution, interval: tuple[float, float], times, field: str =
     xs = np.linspace(lo, hi, 4097)
     times = np.asarray(times, dtype=float)
     return TimeSeries(times, -_refine_minima(lambda x, t: -np.abs(deriv(x, t)), xs, times))
+
+
+# the published oscillatory pairing: theta0 = q = sin 2s, omega0 = sign; its q is
+# not (theta0^2)' = 2 sin 4s, so the residual checker fails it
+_SIN2 = AxisProfile(lambda s: np.sin(2.0 * s), lambda s: 2.0 * np.cos(2.0 * s), name="sin2")
+
+# family -> (model checked against, default envelope interval, {preset: solution});
+# the first preset is the family's default
+FAMILIES = {
+    "wedge": (ModelKind.BOUSSINESQ, (-math.pi, math.pi), {"sin": WedgeSolution(PROFILES["sin"])}),
+    "moving-domain": (
+        ModelKind.BOUSSINESQ,
+        (-math.pi, math.pi),
+        {"identity": MovingDomainSolution(PROFILES["identity"], PROFILES["identity"])},
+    ),
+    "modified": (
+        ModelKind.MODIFIED_BOUSSINESQ,
+        (0.0, 1.0),
+        {
+            "linear": ModifiedSolution(PROFILES["identity"], PROFILES["sign"]),
+            "oscillatory": ModifiedSolution(PROFILES["sin"], PROFILES["sign"]),
+            "paper-printed": CarriedSolution(_SIN2, PROFILES["sign"], q=_SIN2),
+        },
+    ),
+    "stationary": (ModelKind.SINGULAR_SCALAR, (-math.pi, math.pi), {"const": UniformScalarSolution(1.0)}),
+}

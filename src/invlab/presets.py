@@ -1,6 +1,8 @@
-"""Named initial conditions, solver configs, and oracle families.
+"""Named initial conditions and solver configs, and the lookup of oracle presets.
 
-The documented experiments, each built from a preset here:
+The documented experiments: the solver run's preset is here, the oracles'
+are in oracles.FAMILIES, which oracle_solution imports on first use so
+that `invlab run` loads no oracle machinery (burgers, oracles):
 
   singular-cos      solver run, theta0 = cos(x1) cos(x2)
   wedge-sin         oracle, theta0 = sin
@@ -19,23 +21,13 @@ import operator
 
 import numpy as np
 
-from .burgers import AxisProfile
 from .config import ConfigError, RunConfig
 from .dynamics import ModelKind, State
-from .oracles import (
-    CarriedSolution,
-    ModifiedSolution,
-    MovingDomainSolution,
-    UniformScalarSolution,
-    WedgeSolution,
-    PROFILES,
-)
 from .spectral import Field, Grid2D, NonFiniteFieldError, forward
 
 __all__ = [
     "IC_PRESETS",
     "SOLVER_PRESETS",
-    "ORACLE_FAMILIES",
     "build_initial_state",
     "oracle_solution",
     "grid_for",
@@ -117,9 +109,10 @@ def _band_field(key: str, expr: str, grid: Grid2D) -> Field:
 
 
 # ic presets usable in configs: name -> (the one model it serves, theta0 expression,
-# exact axis trace theta0(x1, 0), whose Burgers solution convergence studies check)
+# exact axis trace theta0(x1, 0) and its derivative, whose Burgers solution
+# convergence studies check)
 IC_PRESETS = {
-    "singular-cos": (ModelKind.SINGULAR_SCALAR, "cos(x1)*cos(x2)", AxisProfile(np.cos, lambda x: -np.sin(x))),
+    "singular-cos": (ModelKind.SINGULAR_SCALAR, "cos(x1)*cos(x2)", (np.cos, lambda x: -np.sin(x))),
 }
 
 # full config documents for `run <preset>`
@@ -176,41 +169,17 @@ def grid_for(cfg: RunConfig) -> Grid2D:
     return Grid2D(cfg.nx, cfg.ny)
 
 
-# the published oscillatory pairing: theta0 = q = sin 2s, omega0 = sign; its q is
-# not (theta0^2)' = 2 sin 4s, so the residual checker fails it
-_SIN2 = AxisProfile(lambda s: np.sin(2.0 * s), lambda s: 2.0 * np.cos(2.0 * s), name="sin2")
-
-# family -> (model checked against, default envelope interval, {preset: solution});
-# the first preset is the family's default
-ORACLE_FAMILIES = {
-    "wedge": (ModelKind.BOUSSINESQ, (-math.pi, math.pi), {"sin": WedgeSolution(PROFILES["sin"])}),
-    "moving-domain": (
-        ModelKind.BOUSSINESQ,
-        (-math.pi, math.pi),
-        {"identity": MovingDomainSolution(PROFILES["identity"], PROFILES["identity"])},
-    ),
-    "modified": (
-        ModelKind.MODIFIED_BOUSSINESQ,
-        (0.0, 1.0),
-        {
-            "linear": ModifiedSolution(PROFILES["identity"], PROFILES["sign"]),
-            "oscillatory": ModifiedSolution(PROFILES["sin"], PROFILES["sign"]),
-            "paper-printed": CarriedSolution(_SIN2, PROFILES["sign"], q=_SIN2),
-        },
-    ),
-    "stationary": (ModelKind.SINGULAR_SCALAR, (-math.pi, math.pi), {"const": UniformScalarSolution(1.0)}),
-}
-
-
 def oracle_solution(family: str, preset: str | None = None):
-    """A closed-form family's preset: `preset`, or the family's first if None.
+    """A closed-form family's preset of oracles.FAMILIES: `preset`, or the family's first if None.
 
     Returns (preset name, solution, model, envelope interval).
     """
-    if family not in ORACLE_FAMILIES:
-        known = ", ".join(sorted(ORACLE_FAMILIES))
+    from .oracles import FAMILIES
+
+    if family not in FAMILIES:
+        known = ", ".join(sorted(FAMILIES))
         raise ConfigError(f"unknown oracle family {family!r}; known: {known}")
-    model, interval, solutions = ORACLE_FAMILIES[family]
+    model, interval, solutions = FAMILIES[family]
     preset = preset or next(iter(solutions))
     if preset not in solutions:
         raise ConfigError(f"unknown {family} preset {preset!r}; known: {', '.join(solutions)}")

@@ -1,4 +1,8 @@
-"""Experiment orchestration: solver runs, oracle checks, convergence studies."""
+"""Experiment orchestration: solver runs, oracle checks, convergence studies.
+
+A run loads no oracle machinery: oracle_check and convergence import
+what they use of burgers and oracles when they are called.
+"""
 
 from __future__ import annotations
 
@@ -12,11 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .burgers import BurgersSolution, evaluate_many
 from .config import ConfigError, RunConfig, config_echo
 from .diagnostics import l2_norm, min_axis_slope, residual, symmetry_error
 from .dynamics import BlowupSignal, ModelKind, State, StepControl, integrate
-from .oracles import growth_envelope
 from .presets import IC_PRESETS, build_initial_state, grid_for, oracle_solution
 from .snapshots import write_snapshot
 from .spectral import Grid2D
@@ -225,6 +227,10 @@ def oracle_check(
     """
     if npoints < 1:
         raise ConfigError(f"npoints must be at least 1, got {npoints}")
+    if seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
+    from .oracles import growth_envelope
+
     preset, solution, model, interval = oracle_solution(family, preset)
     rng = np.random.default_rng(seed)
     x1 = rng.uniform(-2.0, 2.0, npoints)
@@ -264,13 +270,6 @@ class ConvergenceRow:
     order: Optional[float]
 
 
-def _axis_error(cfg: RunConfig, grid: Grid2D, dt: float, sol: BurgersSolution) -> float:
-    result = integrate(build_initial_state(cfg, grid), StepControl(dt=dt, cfl=cfg.cfl), cfg.t_end)
-    axis = result.state.theta.values[:, 0]
-    oracle = evaluate_many(sol, grid.x1, cfg.t_end)
-    return float(np.max(np.abs(axis - oracle)))
-
-
 def convergence(cfg: RunConfig, levels: int, mode: str = "temporal") -> list[ConvergenceRow]:
     """Refinement study against the exact axis solution.
 
@@ -281,6 +280,8 @@ def convergence(cfg: RunConfig, levels: int, mode: str = "temporal") -> list[Con
     Requires an ic preset of the config's model, whose exact axis trace
     IC_PRESETS holds.
     """
+    from .burgers import AxisProfile, BurgersSolution, evaluate_many
+
     if levels < 3:
         raise ConfigError(f"need at least 3 refinement levels, got {levels}")
     if mode not in ("temporal", "spatial"):
@@ -292,7 +293,7 @@ def convergence(cfg: RunConfig, levels: int, mode: str = "temporal") -> list[Con
             f"convergence requires an ic preset of model {cfg.model.value} (exact axis oracle); "
             f"got ic {cfg.ic!r}, presets: {known}"
         )
-    sol = BurgersSolution(axis_trace)
+    sol = BurgersSolution(AxisProfile(*axis_trace))
     if cfg.t_end >= sol.tstar:
         raise ConfigError(f"t_end must precede the axis blowup time {sol.tstar}")
     _retain_freed_memory()
@@ -304,7 +305,12 @@ def convergence(cfg: RunConfig, levels: int, mode: str = "temporal") -> list[Con
         dt = cfg.dt if cfg.dt is not None else 5e-4
         jobs = [(Grid2D(cfg.nx * 2**i, cfg.ny * 2**i), dt) for i in range(levels)]
 
-    errors = [_axis_error(cfg, grid, dt, sol) for grid, dt in jobs]
+    def axis_error(grid: Grid2D, dt: float) -> float:
+        result = integrate(build_initial_state(cfg, grid), StepControl(dt=dt, cfl=cfg.cfl), cfg.t_end)
+        axis = result.state.theta.values[:, 0]
+        return float(np.max(np.abs(axis - evaluate_many(sol, grid.x1, cfg.t_end))))
+
+    errors = [axis_error(grid, dt) for grid, dt in jobs]
 
     rows = []
     for i, ((grid, dt), err) in enumerate(zip(jobs, errors)):

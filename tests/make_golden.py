@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from invlab import cli
-from invlab.presets import ORACLE_FAMILIES
+from invlab.oracles import FAMILIES
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -44,7 +44,7 @@ SOLVER_RUNS = {
         "model = singular-scalar\nic = singular-cos\nnx = 64\nny = 64\nt_end = 1.05\nmax_grad = 5\n"
     ),
 }
-ORACLE_PAIRS = [(family, preset) for family, (_, _, solutions) in ORACLE_FAMILIES.items() for preset in solutions]
+ORACLE_PAIRS = [(family, preset) for family, (_, _, solutions) in FAMILIES.items() for preset in solutions]
 
 _UNSTABLE_META = ("wall_clock_seconds =", "output.dir =")
 

@@ -7,26 +7,15 @@ import numpy as np
 import pytest
 from conftest import fresh_interpreter
 
-from invlab import cli, runner
+from invlab import cli, oracles, runner
 from invlab.cli import EXIT_BLOWUP, EXIT_ERROR, EXIT_OK, EXIT_ORACLE_FAIL, EXIT_VALIDATION, main
 from invlab.config import ConfigError, parse_config
 from invlab.dynamics import ModelKind, State
 from invlab.snapshots import read_snapshot
 from invlab.spectral import Field, Grid2D, forward
-from make_golden import SOLVER_RUNS
+from make_golden import ORACLE_PAIRS, SOLVER_RUNS
 
 SMALL_RUN = ["--set", "nx=32", "--set", "ny=32", "--set", "t_end=0.05", "--set", "dt=0.002"]
-
-
-# the (family, preset) pairs of the benchmark's oracles workload; paper-printed must fail
-ORACLE_PAIRS = (
-    ("wedge", "sin"),
-    ("moving-domain", "identity"),
-    ("modified", "linear"),
-    ("modified", "oscillatory"),
-    ("modified", "paper-printed"),
-    ("stationary", "const"),
-)
 
 
 def glibc_mallopt() -> bool:
@@ -445,31 +434,43 @@ class TestRun:
             run_cli("run", "singular-cos", "--deterministic")
         assert exc.value.code == 2
 
-    def test_run_loads_no_scipy(self, tmp_path):
-        # a solver run needs numpy only, and no thread pool is loaded either
+    @pytest.mark.parametrize("ic", ["singular-cos", "expr: cos(x1)*cos(x2)"])
+    def test_run_loads_only_the_solver_modules(self, tmp_path, ic):
+        # a solver run needs numpy only: no scipy, no thread pool, and none of
+        # the oracle stack (burgers, oracles), whether or not the ic reads IC_PRESETS
         cfg = tmp_path / "tiny.cfg"
-        cfg.write_text("model = singular-scalar\nic = singular-cos\nt_end = 0.02\nnx = 16\nny = 16\ndt = 0.01\n")
+        cfg.write_text(f"model = singular-scalar\nic = {ic}\nt_end = 0.02\nnx = 16\nny = 16\ndt = 0.01\n")
         script = (
             "import sys\n"
             "from invlab import cli\n"
             f"assert cli.main(['run', {str(cfg)!r}, '--output', {str(tmp_path / 'out')!r}]) == cli.EXIT_OK\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'invlab'))\n"
         )
-        assert run_fresh_interpreter(script).splitlines()[-1] == "[]"
+        foreign, invlab_modules = run_fresh_interpreter(script).splitlines()[-2:]
+        assert foreign == "[]"
+        solver = ["cli", "config", "diagnostics", "dynamics", "presets", "runner", "snapshots", "spectral"]
+        assert invlab_modules == repr(sorted(["invlab", *(f"invlab.{name}" for name in solver)]))
 
     def test_oracle_checks_load_no_scipy(self, tmp_path):
         # every oracle family is closed form, stream function included, and the
-        # growth fits are centred sums: no check loads scipy or numpy.polynomial
+        # growth fits are centred sums: no check loads scipy or numpy.polynomial.
+        # The oracle stack is imported on first use, so a fresh interpreter
+        # starts with a lookup error, then checks every family and preset
+        checks = [("vortex-sheet",), *((family,) for family in oracles.FAMILIES), *ORACLE_PAIRS]
+        # no family's default preset is paper-printed, the one that must fail
+        expected = [EXIT_VALIDATION] + [EXIT_ORACLE_FAIL if c[-1] == "paper-printed" else EXIT_OK for c in checks[1:]]
         script = (
             "import sys\n"
             "from invlab import cli\n"
-            f"for family, preset in {ORACLE_PAIRS!r}:\n"
-            "    expected = cli.EXIT_ORACLE_FAIL if preset == 'paper-printed' else cli.EXIT_OK\n"
-            f"    code = cli.main(['oracle-check', family, preset, '--output', {str(tmp_path)!r}])\n"
-            "    assert code == expected, (family, preset, code)\n"
+            "assert 'invlab.oracles' not in sys.modules\n"
+            f"for check in {checks!r}:\n"
+            f"    print('exit', cli.main(['oracle-check', *check, '--output', {str(tmp_path)!r}]))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))\n"
         )
-        assert run_fresh_interpreter(script).splitlines()[-1] == "[]"
+        lines = run_fresh_interpreter(script).splitlines()
+        assert [int(line.split()[1]) for line in lines if line.startswith("exit ")] == expected
+        assert lines[-1] == "[]"
 
     def test_diagnostic_csvs_share_the_series_rows(self, tmp_path):
         cfg = tmp_path / "both.cfg"
@@ -650,6 +651,19 @@ class TestOracleCheck:
         assert "npoints must be at least 1, got 0" in captured.err
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize("family, preset", [("wedge", "sin"), ("modified", "paper-printed")])
+    def test_negative_seed_exits_2(self, family, preset, capsys):
+        # numpy's own refusal would name no option
+        assert run_cli("oracle-check", family, preset, "--seed", "-1") == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
+        assert captured.out == ""
+
+    def test_the_help_lists_every_family(self, capsys):
+        with pytest.raises(SystemExit):
+            run_cli("oracle-check", "--help")
+        assert " | ".join(oracles.FAMILIES) in capsys.readouterr().out
+
 
     def test_empty_output_exits_2(self, tmp_path, monkeypatch, capsys):
         # as `run --output ""` does; an empty path would mean the working directory
@@ -703,6 +717,21 @@ class TestConvergence:
         header, *rows = capsys.readouterr().out.splitlines()
         assert header.split()[1:3] == ["nx", "ny"]
         assert [tuple(int(v) for v in row.split()[1:3]) for row in rows] == shapes
+
+    def test_a_fresh_interpreter_prints_the_same_rows(self, tmp_path, capsys):
+        # the study imports burgers on first use; the rows do not depend on it
+        cfg = tmp_path / "conv.cfg"
+        cfg.write_text("model = singular-scalar\nic = singular-cos\nt_end = 0.02\nnx = 16\nny = 16\ndt = 0.01\n")
+        assert run_cli("convergence", str(cfg), "--levels", "3") == EXIT_OK
+        in_process = capsys.readouterr().out
+        script = (
+            "import sys\n"
+            "from invlab import cli\n"
+            "assert 'invlab.burgers' not in sys.modules\n"
+            f"assert cli.main(['convergence', {str(cfg)!r}, '--levels', '3']) == cli.EXIT_OK\n"
+        )
+        assert run_fresh_interpreter(script) == in_process
+        assert len(in_process.splitlines()) == 4
 
     def test_t_end_at_the_axis_blowup_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "conv.cfg"

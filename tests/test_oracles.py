@@ -8,6 +8,7 @@ from invlab.burgers import AxisProfile
 from invlab.diagnostics import residual
 from invlab.dynamics import ModelKind
 from invlab.oracles import (
+    FAMILIES,
     ModifiedSolution,
     MovingDomainSolution,
     UniformScalarSolution,
@@ -15,7 +16,7 @@ from invlab.oracles import (
     growth_envelope,
     PROFILES,
 )
-from invlab.presets import ORACLE_FAMILIES, oracle_solution
+from invlab.presets import oracle_solution
 
 IDENTITY = PROFILES["identity"]
 SIN = PROFILES["sin"]
@@ -266,7 +267,7 @@ class TestGrowthEnvelope:
         "family, preset, field",
         [
             (family, preset, field)
-            for family, (_, _, solutions) in ORACLE_FAMILIES.items()
+            for family, (_, _, solutions) in FAMILIES.items()
             for preset, solution in solutions.items()
             for field in ("theta", "omega")
             if hasattr(solution, f"d{field}_dx2")

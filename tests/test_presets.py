@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from invlab import presets
+from invlab import oracles, presets
 from invlab.config import ConfigError, parse_config
 from invlab.dynamics import ModelKind
 from invlab.spectral import Grid2D, forward, inverse
@@ -81,7 +81,7 @@ class TestOracleRegistry:
         [("wedge", "sin"), ("moving-domain", "identity"), ("modified", "linear"), ("stationary", "const")],
     )
     def test_no_preset_means_the_first_one(self, family, first):
-        assert next(iter(presets.ORACLE_FAMILIES[family][2])) == first
+        assert next(iter(oracles.FAMILIES[family][2])) == first
         assert presets.oracle_solution(family) == presets.oracle_solution(family, first)
 
 
