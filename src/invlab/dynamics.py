@@ -24,6 +24,9 @@ k2-k4 stream the generator, and the step sums k1 + 2 k2 + 2 k3 + k4 in
 k1's arrays.  A vorticity stage transforms theta's product, freeing it,
 before it makes d(omega)/dx2.
 
+rk4_step is a plain step of the dt it is given; integrate is the one
+step controller, which chooses and checks every dt.
+
 The modified forcing enters the omega advection's single forward as
 2 theta d(theta)/dx2.  This is exact: the band is alias-free, so the band
 cut commutes with d/dx2 and 2 theta d(theta)/dx2 = d(theta^2)/dx2 holds
@@ -56,7 +59,6 @@ __all__ = [
     "State",
     "StepControl",
     "BlowupSignal",
-    "CFLViolationError",
     "IntegrationResult",
     "tendency",
     "rk4_step",
@@ -129,7 +131,7 @@ class State:
         return list(_kinematics(self))
 
     # The maxima are computed on first use: the CFL bound and the gradient
-    # ceiling read them for accepted states, never for RK4 stages.
+    # ceiling read them for each step's end state, never for RK4 stages.
     @cached_property
     def max_speed(self) -> float:
         """max|u| over the grid nodes."""
@@ -148,7 +150,8 @@ class StepControl:
     """Time-stepping parameters.
 
     dt is the maximum step (None lets the CFL bound pick it); cfl is the
-    safety factor for dt <= cfl * min(dx, dy) / max|u|.  NaN fails every check.
+    safety factor of the bound dt <= cfl * min(dx, dy) / max|u|, which
+    integrate takes at each step's start (see integrate).  NaN fails every check.
     """
 
     dt: Optional[float] = None
@@ -168,23 +171,16 @@ class StepControl:
 class BlowupSignal:
     """Why integrate stopped before t_end: the run left the smooth regime.
 
-    reason is "non-finite" (a step made non-finite data; t is that step's
-    end) or "gradient-ceiling" (max|grad theta| passed StepControl.max_grad
-    at t); trace holds the recent accepted (t, max|grad theta|).
+    reason is "non-finite" (a step made non-finite data, max|u| or
+    max|grad theta|; t is that step's end) or "gradient-ceiling"
+    (max|grad theta| passed StepControl.max_grad at t); trace holds the
+    recent accepted (t, max|grad theta|).
     """
 
     t: float
     max_grad: float
     reason: str
     trace: list
-
-
-class CFLViolationError(ValueError):
-    def __init__(self, dt: float, admissible: float):
-        super().__init__(
-            f"dt = {dt:.6g} violates the CFL bound; admissible dt <= {admissible:.6g}"
-        )
-        self.admissible = admissible
 
 
 @dataclass
@@ -298,22 +294,15 @@ def admissible_dt(state: State, ctrl: StepControl) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite data raises instead
-def rk4_step(state: State, ctrl: StepControl, dt: Optional[float] = None) -> State:
-    """One classical four-stage Runge-Kutta step of size dt (default ctrl.dt).
+def rk4_step(state: State, dt: float) -> State:
+    """One classical four-stage Runge-Kutta step of size dt; integrate chooses and checks dt.
 
-    Validates the CFL bound at the step start; raises NonFiniteFieldError
-    if a stage's data or its nonlinear products are not finite.  Caches
-    state.max_grad; the first stage consumes the state's kinematics, and
-    each cached nodal value of its fields is freed once no stage reads it.
+    Raises NonFiniteFieldError if a stage's data or its nonlinear products
+    are not finite.  Caches state.max_speed and state.max_grad; the first
+    stage consumes the state's kinematics, and each cached nodal value of
+    its fields is freed once no stage reads it.
     """
-    if dt is None:
-        dt = ctrl.dt
-    if dt is None or dt <= 0:
-        raise ValueError("rk4_step needs a positive dt (given or via ctrl.dt)")
-    adm = admissible_dt(state, ctrl)
-    if dt > adm * (1.0 + 1e-9):
-        raise CFLViolationError(dt, adm)
-    state.max_grad  # integrate reports it if the step fails, after the release below
+    state.max_speed, state.max_grad  # the state keeps its maxima after the release below
 
     grid = state.grid
 
@@ -356,32 +345,42 @@ def integrate(
     t_end: float,
     observers: Sequence[Callable[[State], None]] = (),
 ) -> IntegrationResult:
-    """Advance to t_end with per-step CFL re-evaluation.
+    """Advance to t_end; the one place that chooses and checks each dt.
 
-    Observers are called after every accepted step.  The run stops early,
-    with a BlowupSignal, when a step makes non-finite data (the result
-    keeps the last finite state) or max|grad theta| passes ctrl.max_grad.
+    A step is dt = min(ctrl.dt, admissible_dt, t_end - t), the CFL bound
+    taken at its start.  If its end state moves more than a cell in dt
+    (dt max|u| > min(dx, dy)), as from rest, where the bound is inf, the
+    step is retaken at that end state's bound.  Observers are called after
+    every accepted step.  The run stops early, with a BlowupSignal, when
+    a step makes non-finite data, max|u| or max|grad theta| (the result
+    keeps the last finite state), or max|grad theta| passes ctrl.max_grad.
     """
     if t_end < state.t:
         raise ValueError(f"t_end = {t_end} lies before the state time {state.t}")
     trace: deque = deque(maxlen=32)
     current = state
     del state  # so the initial state is freed once the first step replaces it
+    cell = min(current.grid.dx, current.grid.dy)
     steps = 0
+    retake = None  # the dt of a step to retake
     stop = None  # (t, max|grad theta|, reason) of an early stop
     eps = 1e-12 * max(1.0, abs(t_end))
     while current.t < t_end - eps:
-        adm = admissible_dt(current, ctrl)
-        dt = min(d for d in (ctrl.dt, adm, t_end - current.t) if d is not None)
+        dt = retake or min(d for d in (ctrl.dt, admissible_dt(current, ctrl), t_end - current.t) if d is not None)
         try:
-            new = rk4_step(current, ctrl, dt=dt)
+            new = rk4_step(current, dt)
         except NonFiniteFieldError:
             stop = (current.t + dt, current.max_grad, "non-finite")
             break
-        grad = new.max_grad
-        if not math.isfinite(grad):
+        grad, speed = new.max_grad, new.max_speed
+        if not (math.isfinite(grad) and math.isfinite(speed)):
             stop = (new.t, grad, "non-finite")
             break
+        if dt * speed > cell:
+            retake = admissible_dt(new, ctrl)
+            del new
+            continue
+        retake = None
         trace.append((new.t, grad))
         current = new
         steps += 1

@@ -237,6 +237,18 @@ class TestRun:
         assert drifts[0] >= 12 * drifts[1] and drifts[1] >= 12 * drifts[2], drifts
         assert drifts[2] <= 1e-10
 
+    def test_a_cfl_chosen_run_from_rest_takes_more_than_one_step(self, tmp_path):
+        # omega_0 = 0 makes the CFL bound at the start inf; the buoyancy forcing sets the flow in motion
+        cfg = tmp_path / "rest.cfg"
+        cfg.write_text(
+            "model = boussinesq\nic = expr: sin(x1)*cos(x2)\nic_omega = expr: 0*x1\n"
+            "t_end = 1\nnx = 64\nny = 64\ndt = 0\n"
+        )
+        out = tmp_path / "out"
+        assert run_cli("run", str(cfg), "--output", str(out)) == EXIT_OK
+        meta = dict(line.split(" = ", 1) for line in (out / "meta.txt").read_text().splitlines())
+        assert int(meta["steps"]) > 1 and meta["blowup"] == "none"
+
     def test_vorticity_with_nonzero_mean_exits_2(self, tmp_path, capsys):
         # no periodic stream function has a vorticity of nonzero mean
         cfg = tmp_path / "mean.cfg"

@@ -7,7 +7,6 @@ import pytest
 
 from invlab import dynamics
 from invlab.dynamics import (
-    CFLViolationError,
     ModelKind,
     State,
     StepControl,
@@ -124,7 +123,7 @@ def step_peak(model, n=256):
     tracemalloc.start()
     try:
         fields = [Field(grid, forward(grid, fn(*grid.mesh()))) for fn in INITIAL_DATA[model]]
-        new = rk4_step(State(model, 0.0, *fields), StepControl(dt=1e-3))
+        new = rk4_step(State(model, 0.0, *fields), 1e-3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -375,7 +374,7 @@ class TestStepControl:
 class TestRk4Step:
     def test_stationary_state_unchanged(self):
         state = State(ModelKind.SINGULAR_SCALAR, 0.0, Field(GRID, forward(GRID, np.full(GRID.shape, 1.5))))
-        new = rk4_step(state, StepControl(dt=1e-2))
+        new = rk4_step(state, 1e-2)
         assert np.max(np.abs(new.theta.values - state.theta.values)) < 1e-14
         assert new.t == pytest.approx(1e-2)
 
@@ -410,30 +409,18 @@ class TestRk4Step:
         # the step sums k1 + 2 k2 + 2 k3 + k4 in place, in that order
         state = random_state(model, GRID, seed=8)
         dt = 0.5 * admissible_dt(state, StepControl())
-        new = rk4_step(state, StepControl(dt=dt))
+        new = rk4_step(state, dt)
         assert new.t == dt
         for field, want in zip(new.fields, four_stage_rk4_step(state, dt), strict=True):
             assert np.array_equal(field.hat, want)
-
-    def test_cfl_violation_reports_admissible(self):
-        state = cos_cos_state()
-        ctrl = StepControl(dt=1.0)
-        with pytest.raises(CFLViolationError) as err:
-            rk4_step(state, ctrl)
-        assert err.value.admissible == pytest.approx(admissible_dt(state, ctrl))
-
-    def test_missing_dt_rejected(self):
-        with pytest.raises(ValueError, match="dt"):
-            rk4_step(cos_cos_state(), StepControl())
 
     # at 1e154 the products are finite and their transform overflows, which
     # the stage check finds; at 1e160 the products overflow and forward refuses them
     @pytest.mark.parametrize("amplitude, message", [(1e154, "non-finite spectrum"), (1e160, "non-finite field value")])
     def test_non_finite_data_raises_the_spectral_error_without_warnings(self, amplitude, message):
         state = State(ModelKind.SINGULAR_SCALAR, 0.0, Field(GRID, forward(GRID, amplitude * np.cos(X1) * np.cos(X2))))
-        ctrl = StepControl()
         with pytest.raises(NonFiniteFieldError, match=message):
-            rk4_step(state, ctrl, dt=admissible_dt(state, ctrl))
+            rk4_step(state, admissible_dt(state, StepControl()))
 
 
 class TestKinematicsRelease:
@@ -460,8 +447,8 @@ class TestKinematicsRelease:
 
     def test_a_step_releases_the_start_kinematics_and_keeps_their_maxima(self, monkeypatch):
         start = cos_cos_state()
-        ctrl = StepControl(dt=1e-2)
-        rk4_step(start, ctrl)
+        ctrl = StepControl()
+        rk4_step(start, 1e-2)
         assert "kinematics" not in vars(start)
         counts = count_transforms(monkeypatch)
         maxima = (start.max_speed, start.max_grad, admissible_dt(start, ctrl))
@@ -472,11 +459,10 @@ class TestKinematicsRelease:
     @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
     def test_a_state_stepped_from_recomputes_its_kinematics_identically(self, model):
         fields = [Field(GRID, forward(GRID, fn(X1, X2))) for fn in INITIAL_DATA[model]]
-        ctrl = StepControl(dt=1e-2)
-        mid = rk4_step(State(model, 0.0, *fields), ctrl)
+        mid = rk4_step(State(model, 0.0, *fields), 1e-2)
         for f in mid.fields:
             f.values  # cached, as a series row caches them
-        rk4_step(mid, ctrl)
+        rk4_step(mid, 1e-2)
         assert "kinematics" not in vars(mid)
         assert not any("values" in vars(f) for f in mid.fields)
         fresh = State(model, mid.t, *(Field(GRID, f.hat) for f in mid.fields))
@@ -501,7 +487,7 @@ class TestKinematicsRelease:
             return tendency(stage)
 
         monkeypatch.setattr(dynamics, "tendency", recording_tendency)
-        rk4_step(start, StepControl(dt=1e-2))
+        rk4_step(start, 1e-2)
         read_by_k1 = [True] * 4 + [model is ModelKind.MODIFIED_BOUSSINESQ] + [False] * (len(start.fields) - 1)
         assert alive == [read_by_k1] + [[False] * len(nodal)] * 3
         assert "kinematics" not in vars(start)
@@ -509,9 +495,8 @@ class TestKinematicsRelease:
 
     def test_a_state_can_be_stepped_from_twice(self):
         start = cos_cos_state()
-        ctrl = StepControl(dt=1e-2)
-        first = rk4_step(start, ctrl)
-        second = rk4_step(start, ctrl)  # its kinematics were released by the first step
+        first = rk4_step(start, 1e-2)
+        second = rk4_step(start, 1e-2)  # its kinematics were released by the first step
         assert np.array_equal(first.theta.hat, second.theta.hat)
 
     # Stages k2-k4 stream their kinematics one direction at a time, k1
@@ -592,6 +577,61 @@ class TestIntegrate:
         assert result.steps == 0
         assert result.blowup.trace == []
         assert not isinstance(result.blowup, BaseException)
+
+    def test_a_non_finite_speed_after_a_step_becomes_blowup_signal(self, monkeypatch):
+        # a step whose fields and gradient stay finite but whose max|u| does
+        # not: the run stops at its end, and takes no step of zero length from it
+        speed = State.max_speed
+        monkeypatch.setattr(State, "max_speed", property(lambda s: math.inf if s.t > 0 else speed.func(s)))
+        lengths = []
+        step = dynamics.rk4_step
+        monkeypatch.setattr(dynamics, "rk4_step", lambda s, dt: lengths.append(dt) or step(s, dt))
+        start = cos_cos_state()
+        result = integrate(start, StepControl(dt=1e-2), 1.0)
+        assert result.blowup.reason == "non-finite"
+        assert result.blowup.t == 1e-2
+        assert lengths == [1e-2]
+        assert result.state is start
+        assert result.steps == 0
+
+    # theta_0 per model; omega_0 = 0, so the forcing alone sets the fluid in motion
+    FROM_REST = {
+        ModelKind.BOUSSINESQ: lambda x1, x2: np.sin(x1) * np.cos(x2),
+        ModelKind.MODIFIED_BOUSSINESQ: lambda x1, x2: np.sin(x2) * (1 + 0.5 * np.cos(x1)),
+    }
+
+    @pytest.mark.parametrize("model", list(FROM_REST), ids=lambda m: m.value)
+    def test_a_forced_flow_from_rest_moves_at_most_a_cell_a_step(self, model):
+        # at rest the CFL bound is inf, so only the check at each step's end
+        # keeps the first step from crossing the whole run
+        grid = Grid2D(64, 64)
+
+        def from_rest():
+            theta = Field(grid, forward(grid, self.FROM_REST[model](*grid.mesh())))
+            return State(model, 0.0, theta, Field(grid, forward(grid, np.zeros(grid.shape))))
+
+        ends = [(0.0, 0.0)]  # (t, max|u|) at the end of each accepted step
+        result = integrate(from_rest(), StepControl(), 1.0, observers=[lambda s: ends.append((s.t, s.max_speed))])
+        assert result.blowup is None
+        assert result.steps > 1
+        assert all((t - t0) * u <= min(grid.dx, grid.dy) for (t0, _), (t, u) in zip(ends, ends[1:]))
+        before = np.sqrt(np.sum(from_rest().theta.values**2))
+        after = np.sqrt(np.sum(result.state.theta.values**2))
+        assert abs(after - before) / before <= 1e-6
+        reference = integrate(from_rest(), StepControl(dt=0.01), 1.0).state
+        assert np.max(np.abs(result.state.theta.values - reference.theta.values)) <= 1e-5
+
+    def test_the_cfl_bound_is_taken_once_per_accepted_step(self, monkeypatch):
+        calls = []
+
+        def counted(state, ctrl):
+            calls.append(state.t)
+            return admissible_dt(state, ctrl)
+
+        monkeypatch.setattr(dynamics, "admissible_dt", counted)
+        result = integrate(cos_cos_state(), StepControl(dt=1e-2), 3e-2)
+        assert result.steps == 3
+        assert len(calls) == result.steps
 
     def test_gradient_ceiling_raises_signal(self):
         state = cos_cos_state()
@@ -735,8 +775,7 @@ class TestHalfSpectrumStep:
     @pytest.mark.parametrize("model", list(ModelKind))
     def test_velocity_and_tendency_spectra_are_real_fields(self, model):
         state = random_state(model, self.GRID, seed=3)
-        ctrl = StepControl(dt=0.5 * admissible_dt(state, StepControl()))
-        for s in (state, rk4_step(state, ctrl)):
+        for s in (state, rk4_step(state, 0.5 * admissible_dt(state, StepControl()))):
             omega_hat = s.omega.hat if s.omega is not None else None
             for u_hat in _velocity_hat(model, self.GRID, s.theta.hat, omega_hat):
                 self.assert_real_field_spectrum(self.GRID, u_hat)
@@ -750,7 +789,7 @@ class TestHalfSpectrumStep:
     def test_step_matches_complex_fft_reference(self, model, grid):
         state = random_state(model, grid, seed=4)
         dt = 0.5 * admissible_dt(state, StepControl())
-        new = rk4_step(state, StepControl(dt=dt))
+        new = rk4_step(state, dt)
         reference = complex_fft_rk4_step(state, dt)
         for field, ref in zip(new.fields, reference):
             assert max_rel(field.values, ref) <= 1e-12
