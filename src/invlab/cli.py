@@ -115,10 +115,10 @@ def _cmd_oracle_check(args) -> int:
 
 def _cmd_convergence(args) -> int:
     rows = convergence(_resolve_config(args.config), args.levels, mode=args.mode)
-    print(f"{'level':>5} {'nx':>6} {'ny':>6} {'dt':>12} {'axis error':>14} {'order':>8}")
+    print(f"{'level':>5} {'nx':>6} {'ny':>6} {'dt':>12} {'steps':>7} {'axis error':>14} {'order':>8}")
     for r in rows:
         order = "-" if r.order is None else f"{r.order:.2f}"
-        print(f"{r.level:>5} {r.nx:>6} {r.ny:>6} {r.dt:>12.6g} {r.error:>14.6e} {order:>8}")
+        print(f"{r.level:>5} {r.nx:>6} {r.ny:>6} {r.dt:>12.6g} {r.steps:>7} {r.error:>14.6e} {order:>8}")
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Measurement layer: norms, residuals, symmetry errors, growth and blowup fits."""
+"""Measurement layer: norms, residuals, symmetry and axis errors, growth and blowup fits."""
 
 from __future__ import annotations
 
@@ -9,13 +9,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import ModelKind, State
-from .spectral import Field
+from .spectral import Field, Grid2D
 
 __all__ = [
     "TimeSeries",
     "GrowthFit",
     "BlowupEstimate",
     "min_axis_slope",
+    "axis_error",
     "fit_growth_rate",
     "extrapolate_blowup",
     "residual",
@@ -125,6 +126,12 @@ def min_axis_slope(state: State) -> float:
     """Min over the x2 = 0 row of the state's spectral d(theta)/dx1."""
     (_, dtheta_dx1), _ = state.kinematics
     return float(np.min(dtheta_dx1[:, 0]))
+
+
+def axis_error(theta: np.ndarray, solution, grid: Grid2D, t: float) -> float:
+    """max |theta(x1, 0) - exact| over the axis nodes: nodal theta on grid, a BurgersSolution at t."""
+    from .burgers import evaluate_many
+    return float(np.max(np.abs(theta[:, 0] - evaluate_many(solution, grid.x1, t))))
 
 
 def _require(value, name: str):

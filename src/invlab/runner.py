@@ -17,13 +17,14 @@ from typing import Optional
 import numpy as np
 
 from .config import ConfigError, RunConfig, config_echo
-from .diagnostics import l2_norm, min_axis_slope, residual, symmetry_error
+from .diagnostics import axis_error, l2_norm, min_axis_slope, residual, symmetry_error
 from .dynamics import BlowupSignal, ModelKind, State, StepControl, integrate
 from .presets import IC_PRESETS, build_initial_state, grid_for, oracle_solution
 from .snapshots import write_snapshot
-from .spectral import Grid2D
+from .spectral import Grid2D, inverse
 
-__all__ = ["RunArtifacts", "run", "OracleCheckReport", "oracle_check", "convergence", "ConvergenceRow"]
+__all__ = ["RunArtifacts", "run", "OracleCheckReport", "oracle_check", "convergence", "ConvergenceRow",
+           "solve_level"]
 
 # columns of each CSV a run writes; every row is one measurement of one state
 CSV_COLUMNS = {
@@ -266,8 +267,17 @@ class ConvergenceRow:
     nx: int
     ny: int
     dt: float
+    steps: int
     error: float
     order: Optional[float]
+
+
+def solve_level(cfg: RunConfig, grid: Grid2D, dt: float) -> tuple[list[np.ndarray], int]:
+    """One study level: the config's initial data on grid, integrated to t_end in steps of
+    at most dt.  Returns the final band spectra (State.fields order) and the steps taken."""
+    _retain_freed_memory()
+    result = integrate(build_initial_state(cfg, grid), StepControl(dt=dt, cfl=cfg.cfl), cfg.t_end)
+    return [f.hat for f in result.state.fields], result.steps
 
 
 def convergence(cfg: RunConfig, levels: int, mode: str = "temporal") -> list[ConvergenceRow]:
@@ -278,9 +288,10 @@ def convergence(cfg: RunConfig, levels: int, mode: str = "temporal") -> list[Con
     A config with dt = 0 (CFL-chosen in a run) starts the study at
     dt = 8e-3 in temporal mode and runs it at dt = 5e-4 in spatial mode.
     Requires an ic preset of the config's model, whose exact axis trace
-    IC_PRESETS holds.
+    IC_PRESETS holds.  Each row holds a solve_level run's dt, its steps
+    (more than t_end/dt where the CFL bound cut steps) and its axis_error.
     """
-    from .burgers import AxisProfile, BurgersSolution, evaluate_many
+    from .burgers import AxisProfile, BurgersSolution
 
     if levels < 3:
         raise ConfigError(f"need at least 3 refinement levels, got {levels}")
@@ -296,7 +307,6 @@ def convergence(cfg: RunConfig, levels: int, mode: str = "temporal") -> list[Con
     sol = BurgersSolution(AxisProfile(*axis_trace))
     if cfg.t_end >= sol.tstar:
         raise ConfigError(f"t_end must precede the axis blowup time {sol.tstar}")
-    _retain_freed_memory()
 
     if mode == "temporal":
         dt0 = cfg.dt if cfg.dt is not None else 8e-3
@@ -305,17 +315,10 @@ def convergence(cfg: RunConfig, levels: int, mode: str = "temporal") -> list[Con
         dt = cfg.dt if cfg.dt is not None else 5e-4
         jobs = [(Grid2D(cfg.nx * 2**i, cfg.ny * 2**i), dt) for i in range(levels)]
 
-    def axis_error(grid: Grid2D, dt: float) -> float:
-        result = integrate(build_initial_state(cfg, grid), StepControl(dt=dt, cfl=cfg.cfl), cfg.t_end)
-        axis = result.state.theta.values[:, 0]
-        return float(np.max(np.abs(axis - evaluate_many(sol, grid.x1, cfg.t_end))))
-
-    errors = [axis_error(grid, dt) for grid, dt in jobs]
-
     rows = []
-    for i, ((grid, dt), err) in enumerate(zip(jobs, errors)):
-        order = None
-        if i > 0 and err > 0 and errors[i - 1] > 0:
-            order = math.log2(errors[i - 1] / err)
-        rows.append(ConvergenceRow(i, grid.nx, grid.ny, dt, err, order))
+    for i, (grid, dt) in enumerate(jobs):
+        spectra, steps = solve_level(cfg, grid, dt)
+        err = axis_error(inverse(grid, spectra[0]), sol, grid, cfg.t_end)
+        order = math.log2(rows[-1].error / err) if i > 0 and err > 0 and rows[-1].error > 0 else None
+        rows.append(ConvergenceRow(i, grid.nx, grid.ny, dt, steps, err, order))
     return rows

@@ -8,10 +8,12 @@ and names every changed digest in CHANGES.md.
 
 The set: one 64^2 `invlab run` per model (CFL dt, t_end = 0.3, both
 diagnostics, a snapshot every 0.1), one 64^2 singular-cos run stopped
-by the gradient ceiling, and `invlab oracle-check --output` for every
-family/preset pair.  golden.json holds each run's exit code, and for each
-artifact its SHA-256 and, for text, its lines.  meta.txt is kept without
-its wall_clock_seconds and output.dir lines, which differ between runs.
+by the gradient ceiling, `invlab oracle-check --output` for every
+family/preset pair, and a 3-level 16^2 convergence study in each mode,
+whose rows.csv holds every ConvergenceRow at 17 significant digits.
+golden.json holds each run's exit code, and for each artifact its
+SHA-256 and, for text, its lines.  meta.txt is kept without its
+wall_clock_seconds and output.dir lines, which differ between runs.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from invlab import cli
+from invlab.config import parse_config
 from invlab.oracles import FAMILIES
+from invlab.runner import convergence
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -44,6 +48,9 @@ SOLVER_RUNS = {
         "model = singular-scalar\nic = singular-cos\nnx = 64\nny = 64\nt_end = 1.05\nmax_grad = 5\n"
     ),
 }
+# a 3-level study of this config in each mode; the spatial one runs 16^2 to 64^2
+STUDY_CONFIG = "model = singular-scalar\nic = singular-cos\nnx = 16\nny = 16\nt_end = 0.02\ndt = 0.01\n"
+STUDY_COLUMNS = ("level", "nx", "ny", "dt", "steps", "error", "order")
 ORACLE_PAIRS = [(family, preset) for family, (_, _, solutions) in FAMILIES.items() for preset in solutions]
 
 _UNSTABLE_META = ("wall_clock_seconds =", "output.dir =")
@@ -75,6 +82,12 @@ def produce(workdir: Path) -> dict[str, tuple[int, dict[str, bytes]]]:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main([*argv, "--output", str(outdir)])
         produced[name] = (code, _artifacts(outdir))
+    for mode in ("temporal", "spatial"):
+        rows = [",".join(STUDY_COLUMNS)]
+        for row in convergence(parse_config(STUDY_CONFIG), 3, mode=mode):
+            values = [getattr(row, c) for c in STUDY_COLUMNS]
+            rows.append(",".join("" if v is None else f"{v:.17g}" for v in values))
+        produced[f"convergence/{mode}"] = (0, {"rows.csv": "\n".join(rows).encode() + b"\n"})
     return produced
 
 

@@ -1,6 +1,8 @@
 import ctypes
 import dataclasses
+import math
 import os
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -10,7 +12,8 @@ from conftest import fresh_interpreter
 from invlab import cli, oracles, runner
 from invlab.cli import EXIT_BLOWUP, EXIT_ERROR, EXIT_OK, EXIT_ORACLE_FAIL, EXIT_VALIDATION, main
 from invlab.config import ConfigError, parse_config
-from invlab.dynamics import ModelKind, State
+from invlab.dynamics import ModelKind, State, StepControl, integrate
+from invlab.presets import build_initial_state
 from invlab.snapshots import read_snapshot
 from invlab.spectral import Field, Grid2D, forward
 from make_golden import ORACLE_PAIRS, SOLVER_RUNS
@@ -741,9 +744,36 @@ class TestConvergence:
             "from invlab import cli\n"
             "assert 'invlab.burgers' not in sys.modules\n"
             f"assert cli.main(['convergence', {str(cfg)!r}, '--levels', '3']) == cli.EXIT_OK\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('invlab', 'scipy', 'concurrent')))\n"
         )
-        assert run_fresh_interpreter(script) == in_process
-        assert len(in_process.splitlines()) == 4
+        *study, loaded = run_fresh_interpreter(script).splitlines(keepends=True)
+        assert "".join(study) == in_process
+        # the solver modules and burgers: no oracle registry, no scipy, no process pool
+        solver = ["burgers", "cli", "config", "diagnostics", "dynamics", "presets", "runner", "snapshots", "spectral"]
+        assert loaded == repr(sorted(["invlab", *(f"invlab.{name}" for name in solver)])) + "\n"
+        # each row reports the steps its level took: t_end/dt at dt = 0.01, 0.005, 0.0025
+        header, *rows = in_process.splitlines()
+        assert header.split()[3:5] == ["dt", "steps"]
+        assert [int(row.split()[4]) for row in rows] == [2, 4, 8]
+
+    def test_a_row_shows_the_steps_the_cfl_bound_cut(self):
+        # dt = 0.25 is above the CFL bound at every level: the dt column is the
+        # dt asked for, and the steps column shows that each level took more
+        cfg = parse_config("model = singular-scalar\nic = singular-cos\nt_end = 0.5\nnx = 32\nny = 32\ndt = 0.25\n")
+        rows = runner.convergence(cfg, 3)
+        assert [r.dt for r in rows] == [0.25, 0.125, 0.0625]
+        assert all(r.steps > math.ceil(cfg.t_end / r.dt) for r in rows)
+
+    def test_the_level_function_pickles(self):
+        # a process pool sends (solve_level, cfg) to its workers by pickle
+        cfg = parse_config("model = singular-scalar\nic = singular-cos\nt_end = 0.02\nnx = 16\nny = 16\ndt = 0.01\n")
+        solve, copy = pickle.loads(pickle.dumps((runner.solve_level, cfg)))
+        assert solve is runner.solve_level and copy == cfg
+        grid = Grid2D(32, 32)
+        spectra, steps = solve(copy, grid, 0.005)
+        result = integrate(build_initial_state(cfg, grid), StepControl(dt=0.005, cfl=cfg.cfl), cfg.t_end)
+        assert steps == result.steps == 4
+        assert [hat.tobytes() for hat in spectra] == [f.hat.tobytes() for f in result.state.fields]
 
     def test_t_end_at_the_axis_blowup_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "conv.cfg"

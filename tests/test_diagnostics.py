@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from conftest import off_axis_points, perturbed_wedge
 
+from invlab.burgers import AxisProfile, BurgersSolution
 from invlab.config import parse_config
 from invlab.diagnostics import (
     TimeSeries,
     _linefit,
+    axis_error,
     extrapolate_blowup,
     fit_growth_rate,
     l2_norm,
@@ -269,3 +271,15 @@ class TestAxisSlope:
     def test_l2_norm_of_unit_constant(self):
         f = Field(GRID, forward(GRID, np.ones(GRID.shape)))
         assert l2_norm(f) == pytest.approx(2 * math.pi, rel=1e-14)
+
+
+class TestAxisError:
+    def test_reads_only_the_axis_row(self):
+        # theta(x1, 0, t) = cos(x1) solves Burgers only at t = 0; the off-axis
+        # nodes do not count, a kick at one axis node does
+        sol = BurgersSolution(AxisProfile(np.cos, lambda x: -np.sin(x)))
+        theta = np.cos(X1) * np.cos(X2)
+        assert axis_error(theta, sol, GRID, 0.0) == 0.0
+        theta[5, 0] += 1e-3
+        theta[5, 1] += 1.0
+        assert axis_error(theta, sol, GRID, 0.0) == pytest.approx(1e-3, rel=1e-9)
