@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 from conftest import off_axis_points, perturbed_wedge
 
-from invlab.burgers import AxisProfile, BurgersSolution, blowup_time, evaluate_many, min_slope_series
+from invlab.burgers import AxisProfile, BurgersSolution, blowup_time, min_slope_series
 from invlab.cli import EXIT_OK, EXIT_ORACLE_FAIL, main as cli_main
 from invlab.config import parse_config
-from invlab.diagnostics import TimeSeries, extrapolate_blowup, fit_growth_rate, residual
+from invlab.diagnostics import TimeSeries, axis_error, extrapolate_blowup, fit_growth_rate, residual
 from invlab.dynamics import ModelKind
 from invlab.oracles import (
     ModifiedSolution,
@@ -30,6 +30,7 @@ from invlab.oracles import (
 )
 from invlab.runner import convergence, oracle_check, run
 from invlab.snapshots import read_snapshot
+from invlab.spectral import inverse
 
 COS_PROFILE = AxisProfile(np.cos, lambda x: -np.sin(x))
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -114,12 +115,9 @@ def test_criterion_1_burgers_blowup_time():
 def test_criterion_2_solver_matches_axis_oracle(run256):
     artifacts, series, _ = run256
     sol = BurgersSolution(COS_PROFILE)
-    t_snap, fields, (nx, _) = read_snapshot(artifacts.snapshot_paths[1])
+    t_snap, spectra, grid = read_snapshot(artifacts.snapshot_paths[1])
     assert abs(t_snap - 0.25) < 1e-9
-    x1 = np.arange(nx) * (2 * math.pi / nx)
-    axis = fields["theta"][:, 0]
-    oracle = evaluate_many(sol, x1, t_snap)
-    axis_err = float(np.max(np.abs(axis - oracle)))
+    axis_err = axis_error(inverse(grid, spectra["theta"]), sol, grid, t_snap)
 
     final = series[-1]
     assert abs(final["t"] - 0.5) < 1e-9

@@ -15,7 +15,7 @@ from invlab.config import ConfigError, parse_config
 from invlab.dynamics import ModelKind, State, StepControl, integrate
 from invlab.presets import build_initial_state
 from invlab.snapshots import read_snapshot
-from invlab.spectral import Field, Grid2D, forward
+from invlab.spectral import Field, Grid2D, forward, inverse
 from make_golden import ORACLE_PAIRS, SOLVER_RUNS
 
 SMALL_RUN = ["--set", "nx=32", "--set", "ny=32", "--set", "t_end=0.05", "--set", "dt=0.002"]
@@ -49,8 +49,8 @@ class TestRun:
         assert series[0] == "t,l2_theta,linf_theta,sup_grad_theta,min_axis_slope"
         assert len(series) >= 6  # t = 0 plus interval rows plus final
         assert (out / "meta.txt").read_text().count("blowup = none") == 1
-        t, fields, _ = read_snapshot(out / "snapshot-0000.bin")
-        assert t == 0.0 and "theta" in fields
+        t, spectra, grid = read_snapshot(out / "snapshot-0000.bin")
+        assert t == 0.0 and list(spectra) == ["theta"] and grid == Grid2D(32, 32)
 
     def test_reruns_are_bit_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -157,8 +157,9 @@ class TestRun:
         )
         out = tmp_path / "bous"
         assert run_cli("run", str(cfg), "--output", str(out)) == EXIT_OK
-        _, fields, _ = read_snapshot(out / "snapshot-0001.bin")
-        assert set(fields) == {"theta", "omega"}
+        _, spectra, grid = read_snapshot(out / "snapshot-0001.bin")
+        assert list(spectra) == ["theta", "omega"]
+        assert all(hat.shape == grid.band_shape for hat in spectra.values())
         # vorticity models report no axis slope
         last = (out / "series.csv").read_text().splitlines()[-1]
         assert last.endswith("nan")
@@ -190,11 +191,11 @@ class TestRun:
         assert run_cli("run", str(cfg), "--output", str(out)) == EXIT_OK
         meta = (out / "meta.txt").read_text().splitlines()
         assert "steps = 50" in meta and "blowup = none" in meta
-        t, fields, _ = read_snapshot(sorted(out.glob("snapshot-*.bin"))[-1])
+        t, spectra, grid = read_snapshot(sorted(out.glob("snapshot-*.bin"))[-1])
         assert t == pytest.approx(0.5, abs=1e-12)
-        x1, x2 = Grid2D(32, 32).mesh()
-        assert np.max(np.abs(fields["theta"] - theta_exact(x1, x2))) <= 1e-12
-        assert np.max(np.abs(fields["omega"] - omega_exact(x1, x2, t))) <= 1e-12
+        x1, x2 = grid.mesh()
+        assert np.max(np.abs(inverse(grid, spectra["theta"]) - theta_exact(x1, x2))) <= 1e-12
+        assert np.max(np.abs(inverse(grid, spectra["omega"]) - omega_exact(x1, x2, t))) <= 1e-12
 
     # The exact families above have u.grad(theta) = u.grad(omega) = 0 at every
     # node.  The next two runs check the vorticity models' advection itself.
@@ -212,10 +213,10 @@ class TestRun:
         )
         out = tmp_path / "out"
         assert run_cli("run", str(cfg), "--output", str(out)) == EXIT_OK
-        t, fields, _ = read_snapshot(sorted(out.glob("snapshot-*.bin"))[-1])
+        t, spectra, grid = read_snapshot(sorted(out.glob("snapshot-*.bin"))[-1])
         assert t == pytest.approx(2.0, abs=1e-12)
-        x1, x2 = Grid2D(32, 32).mesh()
-        assert np.max(np.abs(fields["omega"] - (np.cos(x1) + np.cos(x2) + np.sin(x1)))) <= 1e-13
+        x1, x2 = grid.mesh()
+        assert np.max(np.abs(inverse(grid, spectra["omega"]) - (np.cos(x1) + np.cos(x2) + np.sin(x1)))) <= 1e-13
 
     @pytest.mark.parametrize("model", VORTICITY_MODELS)
     def test_l2_theta_drift_is_the_time_steps_alone(self, tmp_path, model):

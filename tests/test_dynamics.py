@@ -182,7 +182,7 @@ def whole_array_max_norm(a, b):
 
 
 class TestMaxNorm:
-    # 16 divides neither 10 nor 40 rows; at 40 the last block of rows is short
+    # 9 divides none of these row counts; at 256 the last block of rows is short (24, after 8 of 29)
     @pytest.mark.parametrize("shape", [(8, 8), (10, 16), (40, 16), (256, 256)], ids=lambda s: f"{s[0]}x{s[1]}")
     @pytest.mark.parametrize("seed", range(4))
     def test_bit_identical_to_the_whole_array_formula(self, shape, seed):
