@@ -140,10 +140,10 @@ class BurgersSolution:
     def __post_init__(self) -> None:
         object.__setattr__(self, "tstar", blowup_time(self.profile))
         g = self.profile.f
-        gmin = float(_periodic_minimum(lambda x, _: g(x))[0])
-        gmax = -float(_periodic_minimum(lambda x, _: -_sample(g, x))[0])
-        object.__setattr__(self, "_gmin", gmin)
-        object.__setattr__(self, "_gmax", gmax)
+        # min g and min(-g) as two rows of one refinement
+        low, neg_high = _periodic_minimum(lambda x, s: s * _sample(g, x), (1.0, -1.0))
+        object.__setattr__(self, "_gmin", float(low))
+        object.__setattr__(self, "_gmax", -float(neg_high))
 
 
 def _check_time(sol: BurgersSolution, t: float) -> None:

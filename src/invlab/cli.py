@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, build_config, parse_entries
+from .config import ConfigError, RunConfig, parse_config
 from .diagnostics import TimeSeries, extrapolate_blowup, fit_growth_rate
 from .presets import SOLVER_PRESETS
 from .runner import RESIDUAL_THRESHOLD, convergence, oracle_check, run
@@ -60,7 +60,7 @@ def _load_series_column(path: str, column: str) -> TimeSeries:
 
 
 def _resolve_config(config: str, settings=()) -> RunConfig:
-    """The RunConfig of a config file or preset name, with `KEY=VALUE` overrides applied, each key at most once."""
+    """The RunConfig of a config file or preset name, with its `KEY=VALUE` overrides applied."""
     if config in SOLVER_PRESETS:
         text = SOLVER_PRESETS[config]
     elif Path(config).exists():
@@ -68,18 +68,7 @@ def _resolve_config(config: str, settings=()) -> RunConfig:
     else:
         known = ", ".join(sorted(SOLVER_PRESETS))
         raise ConfigError(f"{config!r} is neither a config file nor a preset (presets: {known})")
-    entries = parse_entries(text)
-    overrides = {}
-    for item in settings:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, value = (part.strip() for part in item.split("=", 1))
-        if key in overrides:
-            raise ConfigError(f"override: duplicate key {key!r}")
-        overrides[key] = value
-    merged = [(k, v, ln) for k, v, ln in entries if k not in overrides]
-    merged.extend((k, v, None) for k, v in overrides.items())
-    return build_config(merged)
+    return parse_config(text, settings)
 
 
 def _cmd_run(args) -> int:

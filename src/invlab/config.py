@@ -9,7 +9,7 @@ from typing import Optional
 from .dynamics import ModelKind, StepControl
 from .spectral import Grid2D
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "parse_entries", "build_config", "config_echo"]
+__all__ = ["RunConfig", "ConfigError", "parse_config", "config_echo"]
 
 
 class ConfigError(ValueError):
@@ -48,8 +48,8 @@ class RunConfig:
     nx: int = 256
     ny: int = 256
     dt: Optional[float] = None  # None: CFL-chosen
-    cfl: float = 0.4
-    max_grad: float = 1e6
+    cfl: float = StepControl.cfl
+    max_grad: float = StepControl.max_grad
     output_dir: str = "out"
     snapshot_interval: float = 0.0
     series_interval: float = 0.01
@@ -78,67 +78,63 @@ class RunConfig:
                 )
 
 
-def parse_entries(text: str) -> list[tuple[str, str, int]]:
-    """Raw (key, value, lineno) triples; rejects malformed and duplicate keys."""
-    entries: list[tuple[str, str, int]] = []
-    seen: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+def _entries(lines, document: bool) -> dict[str, tuple[str, str]]:
+    """key -> (value, where) of `key = value` lines, each key at most once.  A document
+    line may be blank or end in a `#` comment; an override is one line without either."""
+    entries: dict[str, tuple[str, str]] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        where = f"line {lineno}" if document else "override"
+        line = raw.split("#", 1)[0].strip() if document else raw.strip()
+        if document and not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
+            raise ConfigError(f"{where}: expected 'key = value', got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
-            raise ConfigError(f"line {lineno}: empty key")
-        if key in seen:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r} (first set on line {seen[key]})")
-        seen[key] = lineno
-        entries.append((key, value, lineno))
+            raise ConfigError(f"{where}: empty key")
+        if not document and ("#" in value or len(value.splitlines()) > 1):
+            raise ConfigError(f"{where}: the value of {key!r} holds '#' or a line break")
+        if key in entries:
+            first = f" (first set on {entries[key][1]})" if document else ""
+            raise ConfigError(f"{where}: duplicate key {key!r}{first}")
+        entries[key] = (value, where)
     return entries
 
 
-def _convert(key: str, value: str, lineno) -> object:
+def _convert(key: str, value: str, where: str) -> object:
     tag = _SCHEMA[key][0]
-    where = f"line {lineno}" if lineno is not None else "override"
+    if tag == "model" and value not in _MODEL_NAMES:
+        raise ConfigError(f"{where}: unknown model {value!r}; choose from {', '.join(sorted(_MODEL_NAMES))}")
     try:
         if tag == "int":
             return int(value)
         if tag == "float":
             return float(value)
         if tag == "model":
-            if value not in _MODEL_NAMES:
-                raise ConfigError(
-                    f"{where}: unknown model {value!r}; choose from {', '.join(sorted(_MODEL_NAMES))}"
-                )
             return _MODEL_NAMES[value]
         if tag == "list":
             return tuple(item.strip() for item in value.split(",") if item.strip())
         return value
-    except ConfigError:
-        raise
     except ValueError:
         raise ConfigError(f"{where}: cannot parse {value!r} as {tag} for key {key!r}") from None
 
 
-def build_config(entries: list[tuple[str, str, Optional[int]]]) -> RunConfig:
+def parse_config(text: str, overrides=()) -> RunConfig:
+    """Parse and validate a config document and its `key=value` overrides;
+    an override replaces a document key, and defaults fill unset keys."""
+    entries = _entries(text.splitlines(), document=True)
+    entries.update(_entries(overrides, document=False))
     values: dict[str, object] = {}
-    for key, value, lineno in entries:
+    for key, (value, where) in entries.items():
         if key not in _SCHEMA:
-            where = f"line {lineno}" if lineno is not None else "override"
             raise ConfigError(f"{where}: unknown key {key!r}")
-        values[_SCHEMA[key][1]] = _convert(key, value, lineno)
+        values[_SCHEMA[key][1]] = _convert(key, value, where)
     for key in _REQUIRED:
         if key not in values:
             raise ConfigError(f"missing required key {key!r}")
     if values.get("dt") == 0.0:
         del values["dt"]
     return RunConfig(**values)
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a config document; defaults fill unset keys."""
-    return build_config(parse_entries(text))
 
 
 def config_echo(cfg: RunConfig) -> str:

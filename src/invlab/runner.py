@@ -245,18 +245,12 @@ def oracle_check(
         outdir = Path(output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         times = np.linspace(0.0, 6.0, 61)
-        theta_env = growth_envelope(solution, interval, times, field="theta")
-        columns = [("sup_dtheta_dx2", theta_env)]
-        if model.evolves_vorticity:
-            columns.append(("sup_domega_dx2", growth_envelope(solution, interval, times, field="omega")))
+        fields = ("theta", "omega") if model.evolves_vorticity else ("theta",)
+        table = np.column_stack([times] + [growth_envelope(solution, interval, times, field=f).v for f in fields])
+        rows = [",".join(["t"] + [f"sup_d{f}_dx2" for f in fields])]
+        rows += [",".join(map(_csv_value, row)) for row in table]
         envelope_path = outdir / f"{family}-{preset}-envelope.csv"
-        header = "t," + ",".join(label for label, _ in columns)
-        rows = []
-        for i, tv in enumerate(times):
-            rows.append(
-                f"{tv:.17g}," + ",".join(f"{series.v[i]:.17g}" for _, series in columns)
-            )
-        envelope_path.write_text(header + "\n" + "\n".join(rows) + "\n")
+        envelope_path.write_text("\n".join(rows) + "\n")
 
     return OracleCheckReport(family, preset, max_theta, max_omega, passed, npoints, envelope_path)
 

@@ -237,6 +237,13 @@ class TestLabelScan:
         single = [min_slope_series(sol, [t]).v[0] for t in times]
         assert min_slope_series(sol, times).v.tobytes() == np.array(single).tobytes()
 
+    @pytest.mark.parametrize("profile", [COS, ASYMMETRIC, SEAM_PROFILE], ids=["cos", "asymmetric", "seam"])
+    def test_the_value_range_is_each_extremum_refined_alone(self, profile):
+        # min g and max g are two rows of one refinement, and rows never mix
+        sol = BurgersSolution(profile)
+        assert sol._gmin == burgers._periodic_minimum(lambda x, _: profile.f(x))[0]
+        assert sol._gmax == -burgers._periodic_minimum(lambda x, _: -profile.f(x))[0]
+
     def test_close_to_blowup(self):
         v = min_slope_series(BurgersSolution(COS), [0.99]).v[0]
         assert abs(v + 100.0) <= 1e-8 * 100.0

@@ -324,6 +324,34 @@ class TestRun:
         assert capsys.readouterr().err == f"error: override: duplicate key {key!r}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--set", "nx=16", "--set", "nx=32"], "override: duplicate key 'nx'"),
+            (["--set", "colour=blue"], "override: unknown key 'colour'"),
+            (["--set", "nx=many"], "override: cannot parse 'many' as int for key 'nx'"),
+            (["--set", "nx"], "override: expected 'key = value', got 'nx'"),
+        ],
+        ids=["duplicate", "unknown-key", "unparsable", "malformed"],
+    )
+    def test_an_override_error_names_the_override(self, tmp_path, monkeypatch, capsys, flags, message):
+        # overrides are read by the config reader, one config line each
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("run", "singular-cos", "--set", "t_end=0", *flags) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("via", ["--set", "--output"])
+    @pytest.mark.parametrize("tail", ["#x", "\nnx = 64"], ids=["comment", "line-break"])
+    def test_an_override_value_no_config_file_can_hold_exits_2(self, tmp_path, capsys, via, tail):
+        # meta.txt echoes the config: there '#' would start a comment and a line break a new entry
+        out = f"{tmp_path / 'out'}{tail}"
+        flags = ["--set", f"output.dir={out}"] if via == "--set" else ["--output", out]
+        assert run_cli("run", "singular-cos", "--set", "t_end=0", "--set", "nx=16", "--set", "ny=16",
+                       *flags) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: override: the value of 'output.dir' holds '#' or a line break\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("via", ["--set", "--output"])
     def test_a_file_key_overridden_once_takes_the_override(self, tmp_path, via):
         cfg = tmp_path / "run.cfg"

@@ -61,6 +61,19 @@ class TestParsing:
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("just words\n")
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (["=1"], "override: empty key"),
+            ([""], "override: expected 'key = value', got ''"),
+            (["ic=a\rb"], "override: the value of 'ic' holds '#' or a line break"),
+        ],
+    )
+    def test_override_errors(self, overrides, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL, overrides)
+        assert str(err.value) == message
+
     def test_dotted_output_keys(self):
         cfg = parse_config(MINIMAL + "output.dir = results\noutput.snapshot_interval = 0.1\n")
         assert cfg.output_dir == "results"

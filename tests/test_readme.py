@@ -42,12 +42,8 @@ def test_example_runs(command, comment, monkeypatch, tmp_path):
     if args.command in ("run", "convergence"):
         # resolved, not stepped: the examples run for minutes
         monkeypatch.chdir(ROOT)
-        settings = getattr(args, "set", None) or ()
-        cfg = cli._resolve_config(args.config, settings)
-        echoed = {key: value for key, value, _ in config.parse_entries(config.config_echo(cfg))}
-        for item in settings:
-            key, value = item.split("=", 1)
-            assert config._convert(key, echoed[key], None) == config._convert(key, value, None)
+        cfg = cli._resolve_config(args.config, getattr(args, "set", None) or ())
+        assert config.parse_config(config.config_echo(cfg)) == cfg
     elif args.command == "oracle-check":
         monkeypatch.chdir(tmp_path)
         stated = re.search(r"exit (\d)", comment)
